@@ -4,7 +4,7 @@ The pipeline mirrors the paper's technical setup stage for stage:
 
 1. language filter (CLD2 -> :class:`~repro.nlp.langdetect.LanguageDetector`);
 2. embeddings (all-mpnet-base-v2 -> hashed TF-IDF);
-3. reduction (UMAP -> random projection, only for large corpora);
+3. reduction (UMAP -> none: the 192-dim embeddings are clustered as is);
 4. clustering (HDBSCAN -> DBSCAN or the scalable density clusterer);
 5. keywords (KeyBERT -> class-based TF-IDF);
 6. vetting (manual 25-post review -> :class:`ClusterVetter` with the
@@ -103,6 +103,20 @@ class ScamReport:
         return set(self.scam_accounts)
 
 
+def _matches_indicator(token: str, indicator: str) -> bool:
+    """Whether a token counts as an indicator keyword, with light
+    stemming: either is a prefix of the other (so 'investment' matches
+    'invest', 'nfts' matches 'nft'), but only an indicator of at least
+    four letters matches a longer token, and only a token of at least
+    four letters matches a longer indicator."""
+    if token == indicator:
+        return True
+    return len(indicator) >= 4 and (
+        token.startswith(indicator)
+        or (len(token) >= 4 and indicator.startswith(token))
+    )
+
+
 class ClusterVetter:
     """The programmatic stand-in for manual cluster review.
 
@@ -110,11 +124,24 @@ class ClusterVetter:
     scam subtype in the codebook: a sampled post "matches" a subtype when
     it contains at least two of that subtype's indicator keywords.  The
     best-scoring subtype above the threshold labels the cluster.
+
+    Every (subtype, indicator) entry of the codebook owns one bit.  A
+    token maps, once, to the bits of the indicators it matches; a post's
+    mask is the OR over its tokens, and the post's hit count for a
+    subtype is the number of that subtype's bits set in it.
     """
 
     def __init__(self, config: ScamPipelineConfig) -> None:
         self._config = config
         self._rng = RngTree(config.seed, name="vetter")
+        self._indicators: List[str] = []
+        self._subtype_masks: Dict[str, int] = {}
+        for subtype, indicators in VETTING_CODEBOOK.items():
+            first = len(self._indicators)
+            self._indicators.extend(indicators)
+            self._subtype_masks[subtype] = (
+                (1 << len(self._indicators)) - (1 << first))
+        self._token_bits: Dict[str, int] = {}
 
     def vet(
         self,
@@ -146,31 +173,27 @@ class ClusterVetter:
             )
         return verdicts
 
-    @staticmethod
-    def _indicator_hits(tokens: Set[str], indicators: Sequence[str]) -> int:
-        """Count indicator keywords present, with light stemming: a token
-        matches an indicator when either is a prefix of the other (so
-        'investment' matches 'invest', 'nfts' matches 'nft')."""
-        hits = 0
-        for indicator in indicators:
-            if indicator in tokens:
-                hits += 1
-                continue
-            if len(indicator) >= 4 and any(
-                token.startswith(indicator) or
-                (len(token) >= 4 and indicator.startswith(token))
-                for token in tokens
-            ):
-                hits += 1
-        return hits
+    def _post_mask(self, text: str) -> int:
+        """The codebook bits a post's tokens match."""
+        token_bits = self._token_bits
+        mask = 0
+        for token in set(tokenize(text, keep_handles=False)):
+            bits = token_bits.get(token)
+            if bits is None:
+                bits = token_bits[token] = sum(
+                    1 << bit for bit, indicator in enumerate(self._indicators)
+                    if _matches_indicator(token, indicator)
+                )
+            mask |= bits
+        return mask
 
     def _score_sample(self, sample: List[str]) -> Tuple[Optional[str], float]:
         scores: Dict[str, float] = {}
-        token_sets = [set(tokenize(text, keep_handles=False)) for text in sample]
-        for subtype, indicators in VETTING_CODEBOOK.items():
+        masks = [self._post_mask(text) for text in sample]
+        for subtype, subtype_mask in self._subtype_masks.items():
+            # bin().count rather than int.bit_count, which needs 3.10.
             matches = sum(
-                1 for tokens in token_sets
-                if self._indicator_hits(tokens, indicators) >= 2
+                1 for mask in masks if bin(mask & subtype_mask).count("1") >= 2
             )
             scores[subtype] = matches / max(1, len(sample))
         best_subtype = max(scores, key=lambda s: (scores[s], s))

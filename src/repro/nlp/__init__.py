@@ -5,12 +5,14 @@ all-mpnet-base-v2 sentence embeddings -> UMAP -> HDBSCAN -> KeyBERT
 keywords -> manual cluster vetting.  Pretrained models are unavailable
 offline, so each stage has an equivalent implemented from scratch:
 
-* :mod:`repro.nlp.langdetect` — character n-gram language classifier;
+* :mod:`repro.nlp.langdetect` — letter unigram/bigram profile language
+  classifier;
 * :mod:`repro.nlp.tokenize` / :mod:`repro.nlp.stopwords` — tokenizer and
   English stopword filtering;
 * :mod:`repro.nlp.embeddings` — hashed TF-IDF embeddings (token unigrams
-  + bigrams), L2-normalized;
-* :mod:`repro.nlp.reduce` — PCA and sparse random projection;
+  + bigrams, no character n-grams), L2-normalized;
+* :mod:`repro.nlp.reduce` — PCA and sparse random projection (the scam-post
+  pipeline clusters the embeddings without reduction);
 * :mod:`repro.nlp.cluster` — DBSCAN for small corpora and a scalable
   density-merged k-means for large ones;
 * :mod:`repro.nlp.keywords` — class-based TF-IDF keyword extraction

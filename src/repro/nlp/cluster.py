@@ -6,9 +6,10 @@ Two clusterers share the label convention ``-1 = noise``:
   computed blockwise; right for corpora up to a few thousand posts and
   for validating the scalable path against ground truth;
 * :class:`ScalableDensityClusterer` — for the full 200K-post corpus:
-  k-means++ seeding, Lloyd iterations, single-link merging of centroids
-  within a merge radius (recovering irregular dense regions the way a
-  density method does), then small clusters demoted to noise.
+  full-batch Lloyd k-means with k-means++ seeding, single-link merging of
+  centroids within a merge radius (recovering irregular dense regions the
+  way a density method does), a refine pass that re-clusters each large
+  cluster with a local k-means, then small clusters demoted to noise.
 """
 
 from __future__ import annotations
@@ -21,12 +22,22 @@ import numpy as np
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
-def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between block rows and all points."""
+def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray,
+                       block_norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared Euclidean distances between block rows and all points.
+
+    ``block_norms`` is ``(block * block).sum(axis=1)[:, None]``, for a
+    caller that measures the same block many times.
+    """
     cross = block @ points.T
-    block_norms = (block * block).sum(axis=1)[:, None]
+    if block_norms is None:
+        block_norms = (block * block).sum(axis=1)[:, None]
     point_norms = (points * points).sum(axis=1)[None, :]
-    d2 = block_norms + point_norms - 2.0 * cross
+    # (block_norms + point_norms) - 2.0 * cross, without two more
+    # block-sized temporaries.
+    d2 = block_norms + point_norms
+    cross *= 2.0
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -96,12 +107,17 @@ class DBSCAN:
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding."""
+    """k-means++ seeding.
+
+    The points' squared norms are the same at every step, so they are
+    computed once.
+    """
     n = len(points)
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
+    point_norms = (points * points).sum(axis=1)[:, None]
     first = rng.integers(0, n)
     centers[0] = points[first]
-    closest = _pairwise_sq_dists(points, centers[0:1]).ravel()
+    closest = _pairwise_sq_dists(points, centers[0:1], point_norms).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -110,7 +126,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         probs = closest / total
         index = rng.choice(n, p=probs)
         centers[c] = points[index]
-        d2 = _pairwise_sq_dists(points, centers[c : c + 1]).ravel()
+        d2 = _pairwise_sq_dists(points, centers[c : c + 1], point_norms).ravel()
         np.minimum(closest, d2, out=closest)
     return centers
 
@@ -121,14 +137,16 @@ def _assign_blockwise(points: np.ndarray, centers: np.ndarray,
     assignments = np.empty(len(points), dtype=np.int64)
     for start in range(0, len(points), block_size):
         block = points[start : start + block_size]
-        d2 = _pairwise_sq_dists(block, centers)
-        assignments[start : start + len(block)] = d2.argmin(axis=1)
+        # No name holds the block's distances, so they are freed before
+        # the next block's are computed.
+        assignments[start : start + len(block)] = (
+            _pairwise_sq_dists(block, centers).argmin(axis=1))
     return assignments
 
 
 def kmeans(points: np.ndarray, k: int, iterations: int = 25,
            seed: int = 0) -> np.ndarray:
-    """Lloyd's k-means; returns per-point center assignments.
+    """Full-batch Lloyd's k-means; returns per-point center assignments.
 
     Assignment steps run blockwise, so a 200K x 64 corpus never
     materializes a full distance matrix.
@@ -150,12 +168,31 @@ def kmeans(points: np.ndarray, k: int, iterations: int = 25,
             assignments = new_assignments
             break
         assignments = new_assignments
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assignments, points)
-        counts = np.bincount(assignments, minlength=k).astype(points.dtype)
+        sums, counts = _sum_by_center(points, assignments, k)
+        counts = counts.astype(points.dtype)
         occupied = counts > 0
         centers[occupied] = sums[occupied] / counts[occupied, None]
     return assignments
+
+
+def _sum_by_center(points: np.ndarray, assignments: np.ndarray,
+                   k: int) -> tuple:
+    """Per-centre row sums and member counts.
+
+    Each centre's sum starts at zero and adds its rows in row order, the
+    order ``np.add.at`` uses, so the floating-point result is the same;
+    ``np.add.reduceat`` would sum in another order.  Step ``r`` adds
+    every centre's ``r``-th member at once: one fancy-indexed ``+=`` per
+    rank instead of one per row.
+    """
+    sums = np.zeros((k, points.shape[1]), dtype=points.dtype)
+    counts = np.bincount(assignments, minlength=k)
+    order = np.argsort(assignments, kind="stable")
+    starts = np.cumsum(counts) - counts
+    for rank in range(int(counts.max())):
+        groups = np.nonzero(counts > rank)[0]
+        sums[groups] += points[order[starts[groups] + rank]]
+    return sums, counts
 
 
 @dataclass

@@ -53,17 +53,4 @@ def class_tfidf_keywords(
     return keywords
 
 
-def keyword_overlap(keywords: List[Tuple[str, float]], vocabulary: Sequence[str]) -> float:
-    """Fraction of a keyword list present in a target vocabulary.
-
-    The vetting codebook uses this to match cluster keywords against
-    scam-type indicator lists.
-    """
-    if not keywords:
-        return 0.0
-    vocab = set(vocabulary)
-    hits = sum(1 for term, _score in keywords if term in vocab)
-    return hits / len(keywords)
-
-
-__all__ = ["class_tfidf_keywords", "keyword_overlap"]
+__all__ = ["class_tfidf_keywords"]

@@ -1,15 +1,18 @@
 """Tests for the Section-6 scam-post pipeline, scored against ground truth."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.scam_posts import (
     ClusterVetter,
     ScamPipelineConfig,
     ScamPostAnalysis,
+    _matches_indicator,
 )
 from repro.core.dataset import PostRecord
 from repro.nlp.langdetect import LanguageDetector
 from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY
+from tests.property.test_scam_kernels import patch_reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -109,23 +112,72 @@ class TestDetectionQuality:
         assert hit / len(truth_accounts) > 0.8
 
 
+def _hits(vetter: ClusterVetter, text: str, subtype: str) -> int:
+    mask = vetter._post_mask(text) & vetter._subtype_masks[subtype]
+    return bin(mask).count("1")
+
+
 class TestVetter:
     def test_codebook_match_requires_two_indicators(self):
         vetter = ClusterVetter(ScamPipelineConfig())
-        tokens = {"bitcoin", "weather"}
-        hits = vetter._indicator_hits(tokens, ["bitcoin", "profit", "trading"])
-        assert hits == 1
+        assert _hits(vetter, "bitcoin weather", "Crypto Scams") == 1
+        assert vetter._score_sample(["bitcoin weather"]) == (None, 0.0)
+        assert vetter._score_sample(["bitcoin profit"]) == ("Crypto Scams", 1.0)
 
     def test_prefix_stemming(self):
         vetter = ClusterVetter(ScamPipelineConfig())
-        tokens = {"investment", "donations"}
-        assert vetter._indicator_hits(tokens, ["invest"]) == 1
-        assert vetter._indicator_hits(tokens, ["donation"]) == 1
+        assert _matches_indicator("investment", "invest")
+        assert _matches_indicator("donations", "donation")
+        assert _hits(vetter, "investment donations", "Crypto Scams") == 1
+        charity = "Emotional Exploitation (Charity)"
+        assert _hits(vetter, "investment donations", charity) == 1
 
     def test_short_indicators_need_exact_match(self):
-        vetter = ClusterVetter(ScamPipelineConfig())
-        assert vetter._indicator_hits({"nftsomething"}, ["nft"]) == 0
-        assert vetter._indicator_hits({"nft"}, ["nft"]) == 1
+        assert not _matches_indicator("nftsomething", "nft")
+        assert _matches_indicator("nft", "nft")
+        assert not _matches_indicator("inv", "invest")  # short token, no stem
+
+
+class TestReferenceKernels:
+    """The shipped stage against the loops its kernels replaced.
+
+    Both runs happen in one process, so BLAS differences between
+    machines cannot separate them; the scalable clusterer path is taken
+    (the DBSCAN path is covered by ``scam_report`` above).
+    """
+
+    def test_scalable_path_identical_to_reference_kernels(self, dataset,
+                                                          monkeypatch):
+        config = ScamPipelineConfig(dbscan_eps=0.9, large_corpus_threshold=5000)
+        labels = []
+        cluster = ScamPostAnalysis._cluster
+
+        def recording_cluster(self, texts):
+            labels.append(cluster(self, texts))
+            return labels[-1]
+
+        monkeypatch.setattr(ScamPostAnalysis, "_cluster", recording_cluster)
+        shipped = ScamPostAnalysis(config).run(dataset)
+        with monkeypatch.context() as patch:
+            patch_reference_kernels(patch)
+            reference = ScamPostAnalysis(config).run(dataset)
+
+        assert shipped.posts_english > config.large_corpus_threshold
+        assert shipped.posts_english == reference.posts_english
+        assert np.array_equal(labels[0], labels[1])
+
+        def verdict_rows(report):
+            return [
+                (v.cluster_id, v.size, repr(v.keywords), v.subtype,
+                 v.category, repr(v.match_score))
+                for v in report.verdicts
+            ]
+
+        assert verdict_rows(shipped) == verdict_rows(reference)
+        assert shipped.scam_clusters > 0
+        assert shipped.table5 == reference.table5
+        assert shipped.table6 == reference.table6
+        assert shipped.scam_post_ids == reference.scam_post_ids
 
 
 class TestDegenerateInputs:

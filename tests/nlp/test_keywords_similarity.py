@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.keywords import class_tfidf_keywords, keyword_overlap
+from repro.nlp.keywords import class_tfidf_keywords
 from repro.nlp.similarity import (
     normalize_for_similarity,
     normalized_word_similarity,
@@ -42,11 +42,6 @@ class TestKeywords:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
             class_tfidf_keywords(["a"], [0, 1])
-
-    def test_keyword_overlap(self):
-        keywords = [("crypto", 1.0), ("profit", 0.9), ("puppy", 0.1)]
-        assert keyword_overlap(keywords, ["crypto", "profit"]) == pytest.approx(2 / 3)
-        assert keyword_overlap([], ["x"]) == 0.0
 
 
 class TestSimilarity:

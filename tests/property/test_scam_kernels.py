@@ -1,0 +1,518 @@
+"""Differential tests for the scam-post stage's four inner loops.
+
+Each optimised kernel is compared, with exact equality, against the loop
+it replaced: the cluster vetter's indicator scan, k-means++ seeding and
+the Lloyd update, the language filter's n-gram scoring, and the hashed
+TF-IDF embedder.  The references below are those loops, unchanged, so a
+kernel that reorders one floating-point operation fails here.  Arrays
+compare with ``np.array_equal`` and scores by ``repr``, which also tells
+an int ``0`` from ``0.0``.
+
+The references are also the kernels the stage-level differential test in
+``tests/analysis/test_scam_posts.py`` patches in.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import re
+import string
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro.analysis.scam_posts import ClusterVetter, ScamPipelineConfig
+from repro.nlp import cluster as cluster_module
+from repro.nlp.cluster import _kmeans_pp_init, _sum_by_center, kmeans
+from repro.nlp.embeddings import HashedTfidfEmbedder
+from repro.nlp.langdetect import (
+    _SEED_TEXT,
+    LanguageDetector,
+    _DropNonLetters,
+    _letter_grams,
+)
+from repro.nlp.stopwords import remove_stopwords
+from repro.nlp.tokenize import bigrams, tokenize
+from repro.synthetic.scamtext import VETTING_CODEBOOK
+
+# -- reference: cluster vetting ------------------------------------------------
+
+
+def reference_indicator_hits(tokens: Set[str], indicators: Sequence[str]) -> int:
+    hits = 0
+    for indicator in indicators:
+        if indicator in tokens:
+            hits += 1
+            continue
+        if len(indicator) >= 4 and any(
+            token.startswith(indicator) or
+            (len(token) >= 4 and indicator.startswith(token))
+            for token in tokens
+        ):
+            hits += 1
+    return hits
+
+
+def reference_score_sample(self, sample: List[str]) -> Tuple[Optional[str], float]:
+    scores: Dict[str, float] = {}
+    token_sets = [set(tokenize(text, keep_handles=False)) for text in sample]
+    for subtype, indicators in VETTING_CODEBOOK.items():
+        matches = sum(
+            1 for tokens in token_sets
+            if reference_indicator_hits(tokens, indicators) >= 2
+        )
+        scores[subtype] = matches / max(1, len(sample))
+    best_subtype = max(scores, key=lambda s: (scores[s], s))
+    best = scores[best_subtype]
+    if best >= self._config.vetting_threshold:
+        return best_subtype, best
+    return None, best
+
+
+# -- reference: k-means ----------------------------------------------------------
+
+
+def _reference_pairwise_sq_dists(block: np.ndarray, points: np.ndarray) -> np.ndarray:
+    cross = block @ points.T
+    block_norms = (block * block).sum(axis=1)[:, None]
+    point_norms = (points * points).sum(axis=1)[None, :]
+    d2 = block_norms + point_norms - 2.0 * cross
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def reference_kmeans_pp_init(points: np.ndarray, k: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    n = len(points)
+    centers = np.empty((k, points.shape[1]), dtype=points.dtype)
+    first = rng.integers(0, n)
+    centers[0] = points[first]
+    closest = _reference_pairwise_sq_dists(points, centers[0:1]).ravel()
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[c:] = points[rng.integers(0, n, size=k - c)]
+            break
+        probs = closest / total
+        index = rng.choice(n, p=probs)
+        centers[c] = points[index]
+        d2 = _reference_pairwise_sq_dists(points, centers[c : c + 1]).ravel()
+        np.minimum(closest, d2, out=closest)
+    return centers
+
+
+def _reference_assign_blockwise(points: np.ndarray, centers: np.ndarray,
+                                block_size: int = 8192) -> np.ndarray:
+    assignments = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), block_size):
+        block = points[start : start + block_size]
+        d2 = _reference_pairwise_sq_dists(block, centers)
+        assignments[start : start + len(block)] = d2.argmin(axis=1)
+    return assignments
+
+
+def reference_kmeans(points: np.ndarray, k: int, iterations: int = 25,
+                     seed: int = 0) -> np.ndarray:
+    n = len(points)
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    if n > 50_000:
+        sample = points[rng.choice(n, size=20_000, replace=False)]
+        centers = reference_kmeans_pp_init(sample, k, rng)
+    else:
+        centers = reference_kmeans_pp_init(points, k, rng)
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(iterations):
+        new_assignments = _reference_assign_blockwise(points, centers)
+        if np.array_equal(new_assignments, assignments):
+            assignments = new_assignments
+            break
+        assignments = new_assignments
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assignments, points)
+        counts = np.bincount(assignments, minlength=k).astype(points.dtype)
+        occupied = counts > 0
+        centers[occupied] = sums[occupied] / counts[occupied, None]
+    return assignments
+
+
+# -- reference: language filter ----------------------------------------------------
+
+_SOCIAL_TOKEN_RE = re.compile(r"(?:https?://\S+|[#@]\w+)")
+
+
+def reference_trigrams(text: str) -> Counter:
+    text = _SOCIAL_TOKEN_RE.sub(" ", text.lower())
+    cleaned = " ".join(ch if ch.isalpha() or ch == " " else " " for ch in text)
+    cleaned = " ".join(cleaned.split())
+    padded = f" {cleaned} "
+    return Counter(padded[i : i + 3] for i in range(len(padded) - 2))
+
+
+def _reference_normalize(counts: Counter) -> Dict[str, float]:
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    if norm == 0:
+        return {}
+    return {gram: c / norm for gram, c in counts.items()}
+
+
+REFERENCE_PROFILES: Dict[str, Dict[str, float]] = {
+    lang: _reference_normalize(reference_trigrams(text))
+    for lang, text in _SEED_TEXT.items()
+}
+
+
+def reference_scores(self, text: str) -> List[Tuple[str, float]]:
+    if not isinstance(text, str):
+        text = ""
+    doc = _reference_normalize(reference_trigrams(text))
+    results = []
+    for lang, profile in REFERENCE_PROFILES.items():
+        score = sum(weight * profile.get(gram, 0.0) for gram, weight in doc.items())
+        results.append((lang, score))
+    results.sort(key=lambda pair: (-pair[1], pair[0]))
+    return results
+
+
+# -- reference: embeddings -----------------------------------------------------------
+
+
+def _reference_hash_feature(feature: str, dims: int) -> tuple:
+    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+    value = int.from_bytes(digest, "big")
+    index = value % dims
+    sign = 1.0 if (value >> 63) & 1 else -1.0
+    return index, sign
+
+
+def _reference_features(self, text: str) -> List[str]:
+    tokens = remove_stopwords(tokenize(text, keep_handles=self.keep_handles))
+    feats = list(tokens)
+    if self.use_bigrams:
+        feats.extend(bigrams(tokens))
+    return feats
+
+
+def reference_fit(self, texts: Sequence[str]):
+    with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(texts)):
+        doc_freq: Dict[str, int] = {}
+        for text in texts:
+            for feature in set(_reference_features(self, text)):
+                doc_freq[feature] = doc_freq.get(feature, 0) + 1
+        n_docs = max(1, len(texts))
+        self._idf = {
+            feature: math.log((1 + n_docs) / (1 + df)) + 1.0
+            for feature, df in doc_freq.items()
+            if df >= self.min_df
+        }
+    return self
+
+
+def reference_transform(self, texts: Sequence[str]) -> np.ndarray:
+    with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
+        matrix = np.zeros((len(texts), self.dims), dtype=np.float64)
+        for row, text in enumerate(texts):
+            counts: Dict[str, int] = {}
+            for feature in _reference_features(self, text):
+                counts[feature] = counts.get(feature, 0) + 1
+            for feature, count in counts.items():
+                idf = 1.0 if self._idf is None else self._idf.get(feature, 0.0)
+                if idf == 0.0:
+                    continue
+                weight = (1.0 + math.log(count)) * idf
+                index, sign = _reference_hash_feature(feature, self.dims)
+                matrix[row, index] += sign * weight
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        return matrix / norms
+
+
+def reference_fit_transform(self, texts: Sequence[str]) -> np.ndarray:
+    return reference_transform(reference_fit(self, texts), texts)
+
+
+def patch_reference_kernels(monkeypatch) -> None:
+    """Swap the four shipped kernels for the references above."""
+    monkeypatch.setattr(ClusterVetter, "_score_sample", reference_score_sample)
+    monkeypatch.setattr(cluster_module, "kmeans", reference_kmeans)
+    monkeypatch.setattr(LanguageDetector, "scores", reference_scores)
+    monkeypatch.setattr(HashedTfidfEmbedder, "fit", reference_fit)
+    monkeypatch.setattr(HashedTfidfEmbedder, "transform", reference_transform)
+    monkeypatch.setattr(HashedTfidfEmbedder, "fit_transform",
+                        reference_fit_transform)
+
+
+# -- strategies ---------------------------------------------------------------------
+
+_INDICATORS = sorted({i for group in VETTING_CODEBOOK.values() for i in group})
+# Codebook words, their stems and extensions (prefix stemming both ways),
+# short tokens that only match exactly, and words that match nothing.
+_VETTING_WORDS = (
+    _INDICATORS
+    + [i[:n] for i in _INDICATORS for n in (2, 3, 4, 5) if n < len(i)]
+    + [i + suffix for i in _INDICATORS[::3] for suffix in ("s", "ment", "ing")]
+    + ["nft", "nfts", "nftsomething", "vip", "vips", "car", "cars", "fan",
+       "fans", "tag", "tags", "odds", "weather", "hiking", "the", "a1",
+       "@wallet", "#bitcoin", "https://x.example/profit", "it's", "don't"]
+)
+_vetting_text = st.lists(st.sampled_from(_VETTING_WORDS), max_size=12).map(" ".join)
+
+_LANG_PIECES = (
+    [text.split()[i] for text in _SEED_TEXT.values() for i in (0, 5, 9, 14)]
+    + ["", " ", "2024", "12345", "!!!", "😀🔥", "café", "naïve", "über",
+       "İstanbul", "straße", "ǅ", "ﬁ", "Ⅻ", "²", "_", "#motivation",
+       "@user", "https://x.example/a", "don't", "x.y", "\t\n"]
+)
+_lang_text = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_LANG_PIECES), max_size=10).map(" ".join),
+    st.lists(st.sampled_from(_LANG_PIECES), max_size=10).map("".join),
+)
+
+_EMBED_WORDS = (
+    ["crypto", "profit", "trading", "follow", "subscribe", "the", "and", "a",
+     "now", "now", "bitcoin", "aged", "accounts", "it's", "#crypto", "#a_b",
+     "#a", "b", "@seller", "@seller.shop", "x2", "42", "https://x.example/p",
+     "Café", "😀"]
+)
+_embed_text = st.one_of(
+    st.lists(st.sampled_from(_EMBED_WORDS), max_size=14).map(" ".join),
+    st.text(alphabet=string.ascii_lowercase + " #@_'", max_size=30),
+    st.just(""),
+    st.none(),
+)
+_corpus = st.lists(_embed_text, max_size=12)
+_embedder = st.builds(
+    HashedTfidfEmbedder,
+    dims=st.sampled_from([8, 13, 32, 192]),
+    use_bigrams=st.booleans(),
+    keep_handles=st.booleans(),
+    min_df=st.integers(1, 3),
+)
+
+
+@st.composite
+def _point_sets(draw, dtype):
+    """Points with duplicates: rows drawn from a few distinct prototypes."""
+    d = draw(st.integers(1, 6))
+    n_distinct = draw(st.integers(1, 8))
+    width = 32 if dtype == np.float32 else 64
+    prototypes = draw(arrays(dtype, (n_distinct, d), elements=st.floats(
+        -100, 100, allow_nan=False, width=width)))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1,
+                          max_size=40))
+    return prototypes[np.array(picks)]
+
+
+_both_dtypes = st.sampled_from([np.float32, np.float64])
+
+
+# -- vetting -------------------------------------------------------------------------
+
+
+class TestVettingKernel:
+    @given(st.lists(_vetting_text, max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_score_sample_matches_reference(self, sample):
+        vetter = ClusterVetter(ScamPipelineConfig())
+        assert repr(vetter._score_sample(sample)) == repr(
+            reference_score_sample(vetter, sample))
+
+    @given(_vetting_text)
+    @settings(max_examples=200, deadline=None)
+    def test_hit_counts_match_reference(self, text):
+        # Stronger than the verdict: every subtype's hit count agrees,
+        # not only which side of the two-indicator threshold it falls.
+        vetter = ClusterVetter(ScamPipelineConfig())
+        mask = vetter._post_mask(text)
+        tokens = set(tokenize(text, keep_handles=False))
+        for subtype, indicators in VETTING_CODEBOOK.items():
+            hits = bin(mask & vetter._subtype_masks[subtype]).count("1")
+            assert hits == reference_indicator_hits(tokens, indicators), subtype
+
+    @pytest.mark.parametrize("sample", [
+        [], [""], [None], ["nft nfts"], ["nft"], ["nfts wallet"],
+        ["nftsomething wallet"], ["investment profits"], ["inv pro"],
+        ["deposit"], ["deposit car"], ["deposit bitcoin"],
+        ["fan fans"], ["vip odds"], ["ship shipping order"],
+    ])
+    def test_edge_samples(self, sample):
+        vetter = ClusterVetter(ScamPipelineConfig())
+        assert repr(vetter._score_sample(sample)) == repr(
+            reference_score_sample(vetter, sample))
+
+
+# -- k-means ---------------------------------------------------------------------------
+
+
+class TestKmeansKernel:
+    @given(_both_dtypes.flatmap(_point_sets), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_seeding_matches_reference(self, points, k, seed):
+        k = min(k, len(points))
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = _kmeans_pp_init(points, k, rng_new)
+        ref = reference_kmeans_pp_init(points, k, rng_ref)
+        assert new.dtype == ref.dtype
+        assert np.array_equal(new, ref)
+        # Both consumed the generator identically.
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+    @given(_both_dtypes.flatmap(_point_sets), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_kmeans_matches_reference(self, points, k, seed):
+        assert np.array_equal(kmeans(points, k, seed=seed),
+                              reference_kmeans(points, k, seed=seed))
+
+    @given(_both_dtypes.flatmap(_point_sets), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lloyd_sums_match_add_at(self, points, data):
+        # The update's per-centre sums, compared directly: a different
+        # summation order (``np.add.reduceat``, say) often leaves the
+        # labels of small inputs alone but not the sums.
+        k = data.draw(st.integers(1, 10))
+        assignments = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=len(points),
+            max_size=len(points))), dtype=np.int64)
+        sums, counts = _sum_by_center(points, assignments, k)
+        reference = np.zeros((k, points.shape[1]), dtype=points.dtype)
+        np.add.at(reference, assignments, points)
+        assert sums.dtype == reference.dtype
+        assert np.array_equal(sums, reference)
+        assert np.array_equal(counts, np.bincount(assignments, minlength=k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_k_equals_n(self, dtype):
+        points = np.random.default_rng(5).normal(size=(30, 4)).astype(dtype)
+        rng_new, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
+        assert np.array_equal(_kmeans_pp_init(points, 30, rng_new),
+                              reference_kmeans_pp_init(points, 30, rng_ref))
+        assert np.array_equal(kmeans(points, 30, seed=2),
+                              reference_kmeans(points, 30, seed=2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_duplicate_points(self, dtype):
+        # Every distance is zero after the first centre: the
+        # ``total <= 0`` branch fills the rest at random.
+        points = np.tile(np.array([[0.5, -1.25, 3.0]], dtype=dtype), (17, 1))
+        rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(_kmeans_pp_init(points, 6, rng_new),
+                              reference_kmeans_pp_init(points, 6, rng_ref))
+        assert np.array_equal(kmeans(points, 6, seed=4),
+                              reference_kmeans(points, 6, seed=4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_points_uneven_clusters(self, dtype):
+        # Large, uneven groups: the Lloyd update's per-centre row order
+        # decides the float sums, so any reordering flips labels here.
+        rng = np.random.default_rng(11)
+        centres = rng.normal(scale=4.0, size=(12, 8))
+        sizes = rng.integers(1, 300, size=12)
+        points = np.vstack([
+            c + rng.normal(size=(s, 8)) for c, s in zip(centres, sizes)
+        ])[rng.permutation(int(sizes.sum()))].astype(dtype)
+        for k in (5, 40, 190):
+            assert np.array_equal(kmeans(points, k, seed=k),
+                                  reference_kmeans(points, k, seed=k))
+
+
+# -- language filter ---------------------------------------------------------------------
+
+
+def _spaced(gram: str) -> str:
+    """A letter gram in the reference's spelling: "x" -> " x ", "xy" -> "x y"."""
+    return f" {gram} " if len(gram) == 1 else " ".join(gram)
+
+
+class TestLanguageKernel:
+    def test_profiles_match_reference(self):
+        profiles = LanguageDetector()._profiles
+        assert list(profiles) == list(REFERENCE_PROFILES)
+        for lang, profile in profiles.items():
+            assert [(_spaced(gram), weight) for gram, weight in profile.items()] \
+                == list(REFERENCE_PROFILES[lang].items())
+
+    @given(_lang_text)
+    @settings(max_examples=300, deadline=None)
+    def test_grams_match_reference_in_order(self, text):
+        grams = _letter_grams(text, _DropNonLetters())
+        assert [(_spaced(gram), count) for gram, count in grams.items()] \
+            == list(reference_trigrams(text).items())
+
+    @given(_lang_text)
+    @settings(max_examples=300, deadline=None)
+    def test_scores_match_reference(self, text):
+        detector = LanguageDetector()
+        assert repr(detector.scores(text)) == repr(reference_scores(detector, text))
+
+    @pytest.mark.parametrize("text", [
+        None, "", "   ", "12345", "2024-01-01", "😀🔥💯", "#motivation @user",
+        "café naïve über", "İstanbul straße", "a", "ab",
+        "thank you all for watching the new video",
+        "gracias por el apoyo nueva publicacion cada semana",
+    ])
+    def test_edge_texts(self, text):
+        detector = LanguageDetector()
+        assert repr(detector.scores(text)) == repr(reference_scores(detector, text))
+
+
+# -- embeddings ---------------------------------------------------------------------------
+
+
+def _reference_twin(embedder: HashedTfidfEmbedder) -> HashedTfidfEmbedder:
+    return HashedTfidfEmbedder(dims=embedder.dims,
+                               use_bigrams=embedder.use_bigrams,
+                               keep_handles=embedder.keep_handles,
+                               min_df=embedder.min_df)
+
+
+class TestEmbeddingKernel:
+    @given(_embedder, _corpus)
+    @settings(max_examples=150, deadline=None)
+    def test_fit_transform_matches_reference(self, embedder, texts):
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.fit_transform(texts),
+                              reference_fit_transform(reference, texts))
+        assert embedder._idf == reference._idf
+
+    @given(_embedder, _corpus)
+    @settings(max_examples=100, deadline=None)
+    def test_transform_without_fit_matches_reference(self, embedder, texts):
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.transform(texts),
+                              reference_transform(reference, texts))
+
+    @pytest.mark.parametrize("dims", [8, 13])
+    def test_colliding_features_add_in_document_order(self, dims):
+        # Few dimensions and long documents put three or more features
+        # in one cell, where the order of the additions shows in the
+        # last bits; short hypothesis documents rarely get there.
+        rng = np.random.default_rng(dims)
+        words = [f"w{a}{b}" for a in string.ascii_lowercase
+                 for b in string.ascii_lowercase[:12]]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(5, 60))))
+                 for _ in range(300)]
+        embedder = HashedTfidfEmbedder(dims=dims)
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.fit_transform(texts),
+                              reference_fit_transform(reference, texts))
+
+    @given(_embedder, _corpus, _corpus)
+    @settings(max_examples=100, deadline=None)
+    def test_fit_then_transform_other_corpus(self, embedder, fit_on, texts):
+        reference = _reference_twin(embedder)
+        embedder.fit(fit_on)
+        reference_fit(reference, fit_on)
+        assert embedder._idf == reference._idf
+        assert np.array_equal(embedder.transform(texts),
+                              reference_transform(reference, texts))
