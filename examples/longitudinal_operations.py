@@ -3,7 +3,7 @@
 
 The workflow of a deployed measurement: run the multi-iteration crawl
 with a checkpoint (so a crash resumes instead of restarting), persist
-the dataset as JSON-lines, reload it for analysis, and score every
+the dataset as a segmented store, reload it for analysis, and score every
 profile with the Section-9 proactive-detection indicators — comparing
 what the indicators would catch against what the platforms actually
 actioned (Table 8).
@@ -15,6 +15,7 @@ Usage::
 
 import argparse
 import os
+import shutil
 
 from repro import MeasurementDataset, StudyConfig
 from repro.analysis import EfficacyAnalysis, NetworkAnalysis
@@ -26,6 +27,7 @@ from repro.crawler.profile_collector import ProfileCollector
 from repro.marketplaces.deploy import deploy_public_marketplaces, set_iteration
 from repro.marketplaces.registry import MARKETPLACES
 from repro.platforms.deploy import deploy_platforms, enable_moderation
+from repro.store import load_dataset, save_dataset
 from repro.synthetic import WorldBuilder
 from repro.web.client import ClientConfig, HttpClient
 from repro.web.server import Internet
@@ -78,10 +80,12 @@ def main() -> None:
     dataset = run_checkpointed_crawl(config, args.workdir)
 
     data_dir = os.path.join(args.workdir, "dataset")
-    dataset.save(data_dir)
+    # A store is write-once; this one is derived, so a rerun replaces it.
+    shutil.rmtree(data_dir, ignore_errors=True)
+    save_dataset(dataset, data_dir)
     print(f"Saved {dataset.summary()} to {data_dir}")
 
-    reloaded = MeasurementDataset.load(data_dir)
+    reloaded = load_dataset(data_dir)
     assert reloaded.summary() == dataset.summary()
     print("Reload check passed.")
 

@@ -4,7 +4,8 @@ Commands
 --------
 ``run``
     Execute the full study (crawl, profile collection, underground) and
-    persist the dataset plus run metadata to a directory.
+    persist the dataset as a segmented store plus run metadata to a
+    directory that holds no store yet.
 ``report``
     Load a saved run and render every paper table/figure.
 ``tables``
@@ -35,7 +36,7 @@ Commands
 ``archive verify``
     Re-hash every index and blob in an archive; exit 2 on corruption.
 ``data verify|stats``
-    Inspect the crash-safe segmented dataset store (``run --store-dir``):
+    Inspect the crash-safe segmented dataset store (``run --out``):
     ``verify`` re-hashes every sealed segment against its footer and the
     manifest and exits 2 on any mismatch; ``stats`` prints record
     counts, segment totals, and degradation markers.
@@ -50,9 +51,9 @@ Commands
     ``--out``.
 ``serve build|query|bench``
     The serving layer: ``build`` ingests one or more run directories
-    (flat or segmented-store layout) into a read-optimized SQLite
-    catalog with a deterministic ``catalog.json`` manifest (idempotent:
-    unchanged sources are a no-op); ``query`` issues one HTTP request
+    into a read-optimized SQLite catalog with a deterministic
+    ``catalog.json`` manifest (idempotent: unchanged sources are a
+    no-op); ``query`` issues one HTTP request
     against the catalog API and prints the JSON body (exit 1 on an HTTP
     error status, 2 on a missing/corrupt catalog); ``bench`` drives
     thousands of seeded simulated clients through the API and reports
@@ -83,7 +84,7 @@ import json
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import MarketplaceAnatomy
 from repro.archive import (
@@ -156,7 +157,7 @@ from repro.serve import (
 from repro.store import (
     StoreError,
     StoreReader,
-    is_store_dir,
+    existing_store_artifact,
     load_dataset,
     save_dataset,
 )
@@ -314,11 +315,85 @@ def _check_profile_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _run_meta(result, seed: int, scale: float, iterations: int) -> dict:
+    """The ``study_meta.json`` document of a finished run or replay."""
+    return {
+        "seed": seed,
+        "scale": scale,
+        "iterations": iterations,
+        "active_per_iteration": result.active_per_iteration,
+        "cumulative_per_iteration": result.cumulative_per_iteration,
+        "payment_methods": {
+            market: [list(pair) for pair in pairs]
+            for market, pairs in result.payment_methods.items()
+        },
+        "simulated_seconds": result.simulated_seconds,
+    }
+
+
+def _refuse_used_out(out_dir: str) -> bool:
+    """True (after saying so) when ``out_dir`` already holds a store.
+
+    Checked before any work: a second run into a used directory would
+    otherwise crawl the whole study only to be refused at save time.
+    """
+    artifact = existing_store_artifact(out_dir)
+    if artifact is None:
+        return False
+    print(f"store save refused: {out_dir} already holds a store "
+          f"({artifact}); use a fresh directory or delete the old store "
+          f"first", file=sys.stderr)
+    return True
+
+
+def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry,
+              scorecard=None) -> int:
+    """Write a finished run into ``out_dir``: the segmented store, then
+    ``quarantine.jsonl`` (and ``scorecard`` when given), then
+    ``study_meta.json`` last.  Returns the exit code.
+
+    The study's disk-fault injector (if chaos is on) carries over, so an
+    ENOSPC byte budget spans checkpoints and this save — one disk, one
+    budget.  A full disk is graceful degradation: the flushed prefix is
+    sealed, the run is marked partial, and the exit stays 0 — losing
+    tail records beats losing the run.
+    """
+    try:
+        saved = save_dataset(result.dataset, out_dir,
+                             faults=result.disk_faults, telemetry=telemetry)
+    except StoreError as exc:
+        # Another writer claimed the directory after _refuse_used_out;
+        # its study_meta.json is not ours to overwrite.
+        print(f"store save refused: {exc}", file=sys.stderr)
+        return 1
+    except DiskWriteError as exc:
+        print(f"store save failed: {exc}", file=sys.stderr)
+        atomic_write_json(os.path.join(out_dir, META_FILENAME),
+                          dict(meta, partial="disk_error"))
+        return 1
+    if saved.partial:
+        meta["partial"] = saved.partial
+        print(
+            f"disk full while saving the store: flushed {saved.counts}, "
+            f"dropped {sum(saved.dropped.values())} record(s); run marked "
+            f"partial:{saved.partial}",
+            file=sys.stderr,
+        )
+    if result.quarantine is not None:
+        result.quarantine.write_jsonl(out_dir)
+    if scorecard is not None:
+        write_scorecard(out_dir, scorecard)
+    atomic_write_json(os.path.join(out_dir, META_FILENAME), meta)
+    return 0
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     problem = _check_profile_args(args)
     if problem:
         print(problem, file=sys.stderr)
         return 2
+    if _refuse_used_out(args.out):
+        return 1
     config = _study_config(args)
     telemetry = _telemetry_for(args)
 
@@ -366,102 +441,52 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-    os.makedirs(args.out, exist_ok=True)
-    result.dataset.save(args.out)
-    if result.quarantine is not None:
-        result.quarantine.write_jsonl(args.out)
-    meta = {
-        "seed": args.seed,
-        "scale": args.scale,
-        "iterations": args.iterations,
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-        "simulated_seconds": result.simulated_seconds,
-    }
-    store_report = None
-    if getattr(args, "store_dir", None):
-        # The segmented durable store.  The study's disk-fault injector
-        # (if chaos is on) carries over, so an ENOSPC byte budget spans
-        # checkpoints and this save — one disk, one budget.  A full disk
-        # is graceful degradation: the flushed prefix is sealed, the
-        # run is marked partial, and the exit stays 0 — losing tail
-        # records beats losing the run.
-        try:
-            store_report = save_dataset(
-                result.dataset, args.store_dir,
-                faults=result.disk_faults, telemetry=telemetry,
-            )
-        except StoreError as exc:
-            # e.g. the directory already holds a previous run's store;
-            # appending to it would cross-contaminate the two runs.
-            print(f"store save refused: {exc}", file=sys.stderr)
-            atomic_write_json(os.path.join(args.out, META_FILENAME),
-                              dict(meta, partial="store_refused"))
-            return 1
-        except DiskWriteError as exc:
-            print(f"store save failed: {exc}", file=sys.stderr)
-            atomic_write_json(os.path.join(args.out, META_FILENAME),
-                              dict(meta, partial="disk_error"))
-            return 1
-        if store_report.partial:
-            meta["partial"] = store_report.partial
-            dropped = sum(store_report.dropped.values())
-            print(
-                f"disk full while saving the store: flushed "
-                f"{store_report.counts}, dropped {dropped} record(s); "
-                f"run marked partial:{store_report.partial}",
-                file=sys.stderr,
-            )
-    atomic_write_json(os.path.join(args.out, META_FILENAME), meta)
-    if store_report is not None:
-        # Mirror the meta beside the manifest so the store dir is a
-        # self-describing run artifact: report/figures take the
-        # payment-methods and per-iteration series from meta, not from
-        # the record streams.
-        atomic_write_json(
-            os.path.join(args.store_dir, META_FILENAME), meta
-        )
+    meta = _run_meta(result, args.seed, args.scale, args.iterations)
+    code = _save_run(args.out, result, meta, telemetry)
+    if code:
+        return code
     _export_telemetry(args, config, result, telemetry)
     print(f"saved run to {args.out}: {result.dataset.summary()}")
-    if store_report is not None:
-        print(f"store written to {args.store_dir}: {store_report.counts}")
     return 0
 
 
-def _load_run_dataset(run_dir: str,
-                      quarantine: Optional[QuarantineStore] = None
-                      ) -> MeasurementDataset:
-    """Load a saved run from either layout: a segmented store
-    (``run --store-dir``) or flat per-type JSONL files."""
-    if is_store_dir(run_dir):
-        return load_dataset(run_dir, quarantine=quarantine)
-    return MeasurementDataset.load(run_dir, quarantine=quarantine)
+def _load_run(run_dir: str) -> Optional[Tuple[MeasurementDataset, dict]]:
+    """A saved run's ``(dataset, meta)``, or None after saying why not.
 
-
-def cmd_report(args: argparse.Namespace) -> int:
-    # Tolerant load: corrupt JSONL lines (e.g. a truncated final line
-    # after a SIGKILL) are quarantined and reported, not fatal.
-    store = QuarantineStore()
-    dataset = _load_run_dataset(args.run_dir, quarantine=store)
-    if store.total:
+    Tolerant load: a corrupt segment (e.g. a bit flip on cold media) or
+    a record of the wrong shape is quarantined and reported, not fatal.
+    """
+    quarantine = QuarantineStore()
+    try:
+        dataset = load_dataset(run_dir, quarantine=quarantine)
+    except StoreError as exc:
+        print(f"no dataset found in {run_dir}: {exc}", file=sys.stderr)
+        return None
+    if quarantine.total:
         print(
-            f"warning: skipped {store.total} corrupt dataset line(s): "
-            + ", ".join(f"{k}={v}" for k, v in store.counts_by_rule().items()),
+            f"warning: quarantined {quarantine.total} corrupt dataset "
+            f"segment(s) or record(s): "
+            + ", ".join(f"{k}={v}"
+                        for k, v in quarantine.counts_by_rule().items()),
             file=sys.stderr,
         )
-    meta_path = os.path.join(args.run_dir, META_FILENAME)
-    meta = None
+    if not dataset.listings:
+        print(f"no dataset found in {run_dir}", file=sys.stderr)
+        return None
+    meta = {}
+    meta_path = os.path.join(run_dir, META_FILENAME)
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
-    scale = args.scale if args.scale is not None else (meta or {}).get("scale", 1.0)
-    if not dataset.listings:
-        print(f"no dataset found in {args.run_dir}", file=sys.stderr)
+    return dataset, meta
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    loaded = _load_run(args.run_dir)
+    if loaded is None:
         return 1
+    dataset, meta = loaded
+    scale = args.scale if args.scale is not None else meta.get("scale", 1.0)
     _render_all(dataset, scale, meta)
     return 0
 
@@ -478,14 +503,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     except ContractViolationError as exc:
         print(f"strict contracts: {exc}", file=sys.stderr)
         return 3
-    meta = {
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-    }
+    meta = _run_meta(result, args.seed, args.scale, args.iterations)
     try:
         # Reuse the supervised suite the study already ran (telemetry
         # path); otherwise run it here under a fresh supervisor.
@@ -593,15 +611,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     from repro.core.export import export_figures
 
-    dataset = _load_run_dataset(args.run_dir)
-    if not dataset.listings:
-        print(f"no dataset found in {args.run_dir}", file=sys.stderr)
+    loaded = _load_run(args.run_dir)
+    if loaded is None:
         return 1
-    meta_path = os.path.join(args.run_dir, META_FILENAME)
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
+    dataset, meta = loaded
     written = export_figures(
         dataset,
         args.out,
@@ -614,34 +627,23 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if _refuse_used_out(args.out):
+        return 1
     telemetry = _telemetry_for(args)
     try:
         result = run_replay(args.archive_dir, telemetry=telemetry)
     except (ArchiveError, ReplayError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    result.dataset.save(args.out)
-    if result.quarantine is not None:
-        result.quarantine.write_jsonl(args.out)
     # The meta file mirrors cmd_run's byte for byte: same keys, same
     # values, sourced from the archive manifest instead of the CLI args.
     archive_config = ArchiveReader.open(args.archive_dir).config
-    meta = {
-        "seed": archive_config["seed"],
-        "scale": archive_config["scale"],
-        "iterations": archive_config["iterations"],
-        "active_per_iteration": result.active_per_iteration,
-        "cumulative_per_iteration": result.cumulative_per_iteration,
-        "payment_methods": {
-            market: [list(pair) for pair in pairs]
-            for market, pairs in result.payment_methods.items()
-        },
-        "simulated_seconds": result.simulated_seconds,
-    }
-    atomic_write_json(os.path.join(args.out, META_FILENAME), meta)
-    if result.scorecard is not None:
-        write_scorecard(args.out, result.scorecard)
+    meta = _run_meta(result, archive_config["seed"], archive_config["scale"],
+                     archive_config["iterations"])
+    code = _save_run(args.out, result, meta, telemetry,
+                     scorecard=result.scorecard)
+    if code:
+        return code
     config = StudyConfig(
         seed=archive_config["seed"],
         scale=archive_config["scale"],
@@ -810,10 +812,6 @@ def cmd_runs_alerts(args: argparse.Namespace) -> int:
 
 
 def cmd_data_verify(args: argparse.Namespace) -> int:
-    if not is_store_dir(args.store_dir):
-        print(f"{args.store_dir} is not a segmented dataset store",
-              file=sys.stderr)
-        return 2
     try:
         reader = StoreReader.open(args.store_dir)
         problems = reader.verify()
@@ -846,10 +844,6 @@ def cmd_data_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_data_stats(args: argparse.Namespace) -> int:
-    if not is_store_dir(args.store_dir):
-        print(f"{args.store_dir} is not a segmented dataset store",
-              file=sys.stderr)
-        return 2
     try:
         reader = StoreReader.open(args.store_dir)
         counts = reader.counts()
@@ -1028,7 +1022,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run a study and save the dataset")
     _add_study_args(run_parser)
-    run_parser.add_argument("--out", required=True, help="output directory")
+    run_parser.add_argument("--out", required=True, metavar="DIR",
+                            help="output directory: the crash-safe "
+                                 "segmented dataset store (verify with "
+                                 "'repro data verify DIR') plus "
+                                 "study_meta.json and quarantine.jsonl; "
+                                 "must not already hold a store")
     run_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                             help="persist crawl state here after every "
                                  "iteration (enables --resume)")
@@ -1040,13 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="archive every HTTP exchange into a "
                                  "content-addressed store here; replay "
                                  "later with 'repro replay DIR'")
-    run_parser.add_argument("--store-dir", default=None, metavar="DIR",
-                            help="also persist the dataset as a crash-safe "
-                                 "segmented store here (checksummed "
-                                 "segments + sealed manifest; verify with "
-                                 "'repro data verify DIR'); must not "
-                                 "already hold a store — each run gets a "
-                                 "fresh directory")
     run_parser.set_defaults(handler=cmd_run)
 
     report_parser = commands.add_parser("report", help="render tables from a saved run")
@@ -1154,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_parser = commands.add_parser(
         "data",
         help="inspect or verify a segmented dataset store "
-             "(run --store-dir)",
+             "(run --out)",
     )
     data_commands = data_parser.add_subparsers(dest="data_command",
                                                required=True)
@@ -1185,8 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
              "idempotent when the sources are unchanged",
     )
     sbuild_parser.add_argument("run_dirs", nargs="+", metavar="RUN_DIR",
-                               help="saved runs ('run --out' or "
-                                    "'run --store-dir' layout)")
+                               help="saved runs ('run --out' "
+                                    "directories)")
     sbuild_parser.add_argument("--out", required=True, metavar="DIR",
                                help="the catalog directory")
     sbuild_parser.set_defaults(handler=cmd_serve_build)

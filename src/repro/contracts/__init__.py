@@ -13,7 +13,6 @@ from repro.contracts.quarantine import (
     QUARANTINE_FILENAME,
     QuarantineStore,
     QuarantinedRecord,
-    SOURCE_JSONL_LOAD,
     SOURCE_VALIDATION,
 )
 from repro.contracts.schema import (
@@ -52,7 +51,6 @@ __all__ = [
     "REPAIR",
     "RecordContract",
     "RecordOutcome",
-    "SOURCE_JSONL_LOAD",
     "SOURCE_VALIDATION",
     "StageFailure",
     "StagePolicy",

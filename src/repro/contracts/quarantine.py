@@ -5,11 +5,12 @@ contract layer cannot repair or degrade is *quarantined* — appended to a
 JSONL dead-letter file under the run directory with a machine-readable
 ``(record_type, rule, reason)`` triple, counted in
 ``contracts_quarantined_total{record_type,rule}``, and emitted as a
-``contract.quarantine`` event.  The same store receives JSONL lines the
-dataset loader could not decode (a truncated final line after a SIGKILL)
-and, under ``--strict-contracts``, turns any quarantine into a
-:class:`ContractViolationError` so CI can prove a clean pipeline stays
-clean.
+``contract.quarantine`` event.  The same store receives what the
+segmented-store loader could not read back (a corrupt segment, an
+undecodable line, a payload of the wrong shape; ``source:
+"store_load"``) and, under ``--strict-contracts``, turns any quarantine
+into a :class:`ContractViolationError` so CI can prove a clean pipeline
+stays clean.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Dict, List, Optional
 
 QUARANTINE_FILENAME = "quarantine.jsonl"
 
-#: ``source`` values: where in the pipeline the record was rejected.
-SOURCE_VALIDATION = "validation"  # record-contract layer
-SOURCE_JSONL_LOAD = "jsonl_load"  # dataset loader (undecodable line)
+#: ``source`` of a record the contract layer rejected (the store loader
+#: uses :data:`repro.store.segments.SOURCE_STORE_LOAD`).
+SOURCE_VALIDATION = "validation"
 
 
 class ContractViolationError(RuntimeError):
@@ -166,6 +167,5 @@ __all__ = [
     "QUARANTINE_FILENAME",
     "QuarantineStore",
     "QuarantinedRecord",
-    "SOURCE_JSONL_LOAD",
     "SOURCE_VALIDATION",
 ]

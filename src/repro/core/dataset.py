@@ -2,21 +2,17 @@
 
 These are deliberately distinct from :mod:`repro.synthetic.model`: the
 pipeline only knows what it extracted from HTML and API payloads.  All
-records are JSON-serializable dataclasses; :class:`MeasurementDataset`
-persists to/loads from a JSON-lines directory so long crawls can be
-checkpointed and analyses re-run offline — the workflow the paper's
-"share the data on request" model implies.
+records are JSON-serializable dataclasses; a :class:`MeasurementDataset`
+persists as a segmented store (:func:`repro.store.save_dataset` /
+:func:`repro.store.load_dataset`) so analyses re-run offline — the
+workflow the paper's "share the data on request" model implies.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
-
-from repro.util.fileio import atomic_write_lines
+from typing import Dict, List, Optional
 
 #: Provenance value of a record with no degradation flags.
 PROVENANCE_COMPLETE = "complete"
@@ -184,12 +180,6 @@ class MeasurementDataset:
             grouped.setdefault(record.platform, []).append(record)
         return grouped
 
-    def posts_by_platform(self) -> Dict[str, List[PostRecord]]:
-        grouped: Dict[str, List[PostRecord]] = {}
-        for record in self.posts:
-            grouped.setdefault(record.platform, []).append(record)
-        return grouped
-
     def visible_listings(self) -> List[ListingRecord]:
         return [l for l in self.listings if l.has_visible_profile]
 
@@ -226,70 +216,6 @@ class MeasurementDataset:
         fingerprint cannot see (interior swap, edited ``profile_url``)."""
         self.__dict__.pop("_profile_index", None)
 
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, directory: str) -> None:
-        """Write the dataset as one JSON-lines file per record type.
-
-        Each file is written atomically (temp file + rename), so a
-        crash mid-save leaves the previous complete file — or no file —
-        never a torn one that :meth:`load` would have to quarantine.
-        """
-        os.makedirs(directory, exist_ok=True)
-        for name in _RECORD_TYPES:
-            records = getattr(self, name)
-            path = os.path.join(directory, f"{name}.jsonl")
-            atomic_write_lines(
-                path,
-                (json.dumps(dataclasses.asdict(record))
-                 for record in records),
-            )
-
-    @classmethod
-    def load(cls, directory: str,
-             quarantine=None) -> "MeasurementDataset":
-        """Load a dataset previously written by :meth:`save`.
-
-        Corrupt lines — a truncated final line after a SIGKILL, or a
-        payload that no longer matches the record shape — are skipped,
-        not fatal.  When a :class:`repro.contracts.QuarantineStore` is
-        passed as ``quarantine`` each skipped line is dead-lettered
-        there with a machine-readable rule (``jsonl_decode_error`` /
-        ``record_shape_error``); without one they are silently dropped.
-        """
-        dataset = cls()
-        for name, record_type in _RECORD_TYPES.items():
-            path = os.path.join(directory, f"{name}.jsonl")
-            if not os.path.exists(path):
-                continue
-            records = getattr(dataset, name)
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        _quarantine_line(
-                            quarantine, name, "jsonl_decode_error",
-                            str(exc), line,
-                        )
-                        continue
-                    try:
-                        records.append(record_from_dict(record_type, payload))
-                    except TypeError as exc:
-                        _quarantine_line(
-                            quarantine, name, "record_shape_error",
-                            str(exc), line,
-                        )
-        return dataset
-
-    def merge(self, other: "MeasurementDataset") -> None:
-        """Append all records from ``other`` (no deduplication)."""
-        for name in _RECORD_TYPES:
-            getattr(self, name).extend(getattr(other, name))
-
     def summary(self) -> Dict[str, int]:
         return {name: len(getattr(self, name)) for name in _RECORD_TYPES}
 
@@ -309,30 +235,6 @@ def record_from_dict(record_type, payload: dict):
     return record_type(**{k: v for k, v in payload.items() if k in known})
 
 
-def _quarantine_line(quarantine, record_type: str, rule: str,
-                     reason: str, line: str) -> None:
-    if quarantine is None:
-        return
-    # Deferred import: contracts imports this module.
-    from repro.contracts.quarantine import SOURCE_JSONL_LOAD
-
-    quarantine.quarantine(
-        record_type, rule, reason, raw=line[:500], source=SOURCE_JSONL_LOAD,
-    )
-
-
-def dedup_by(records: Iterable, key) -> List:
-    """Order-preserving deduplication by a key function."""
-    seen = set()
-    output = []
-    for record in records:
-        k = key(record)
-        if k not in seen:
-            seen.add(k)
-            output.append(record)
-    return output
-
-
 __all__ = [
     "ListingRecord",
     "MeasurementDataset",
@@ -342,7 +244,6 @@ __all__ = [
     "SellerRecord",
     "UndergroundRecord",
     "add_provenance",
-    "dedup_by",
     "provenance_flags",
     "record_from_dict",
 ]

@@ -1,7 +1,7 @@
 """The serving layer: read-optimized catalog, HTTP query API, cache, bench.
 
-``repro.serve`` turns a finished run directory (flat dataset or
-segmented store, plus its scorecard) into a queryable product:
+``repro.serve`` turns a finished run directory (its segmented store,
+plus its scorecard) into a queryable product:
 
 - :mod:`repro.serve.catalog` — builds the SQLite catalog and its
   deterministic ``catalog.json`` manifest (``repro.catalog/v1``).

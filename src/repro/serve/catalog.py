@@ -1,9 +1,9 @@
 """The read-optimized serving catalog.
 
 :func:`build_catalog` ingests one or more **run directories** — each a
-flat JSONL dataset (``repro run --out``) or a segmented store
-(``run --store-dir``), plus ``study_meta.json`` / ``scorecard.json``
-when present — into a single SQLite database shaped for reads:
+segmented store (``repro run --out``) plus ``study_meta.json`` /
+``scorecard.json`` when present — into a single SQLite database shaped
+for reads:
 
 * ``listings`` with secondary indexes by marketplace+category, price,
   and seller, so the search endpoint never scans;
@@ -19,7 +19,7 @@ when present — into a single SQLite database shaped for reads:
 The build is **deterministic and rebuild-idempotent**.  A
 ``catalog.json`` manifest (``repro.catalog/v1``) records a
 ``content_digest``: the SHA-256 folded over every *deterministic*
-source artifact (dataset files, ``study_meta.json``,
+source artifact (store manifest and segments, ``study_meta.json``,
 ``scorecard.json`` — never ``manifest.json``, whose wall-clock stage
 timings differ between same-seed twins).  Same-seed twin runs therefore
 produce byte-identical digests, and rebuilding over an unchanged run
@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.schemas import CATALOG_SCHEMA, artifact_schema, canonical_json
-from repro.store import is_store_dir
-from repro.store.segments import StoreReader
+from repro.store.segments import StoreReader, existing_store_artifact
 from repro.util.fileio import atomic_write_json
 from repro.util.money import is_valid_price
 from repro.util.stats import median
@@ -53,9 +52,6 @@ from repro.util.stats import median
 CATALOG_FILENAME = "catalog.json"
 CATALOG_DB_FILENAME = "catalog.db"
 
-#: Record-type JSONL files of the flat run-dir layout, in digest order.
-_FLAT_FILES = ("listings.jsonl", "posts.jsonl", "profiles.jsonl",
-               "sellers.jsonl", "underground.jsonl")
 #: Deterministic side artifacts folded into the digest when present.
 #: ``manifest.json`` is deliberately absent: it records wall-clock
 #: timings, which would split same-seed twins into different digests.
@@ -66,7 +62,6 @@ CREATE TABLE catalog_info (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE runs (
     cycle INTEGER PRIMARY KEY,
     label TEXT NOT NULL,
-    layout TEXT NOT NULL,
     seed INTEGER,
     scale REAL,
     iterations INTEGER,
@@ -168,19 +163,15 @@ def _file_sha256(path: str) -> str:
 def _run_source_files(run_dir: str) -> List[str]:
     """Relative paths of the digestable artifacts inside one run dir."""
     names: List[str] = []
-    if is_store_dir(run_dir):
-        if os.path.exists(os.path.join(run_dir, "store.json")):
-            names.append("store.json")
-        segments = os.path.join(run_dir, "segments")
-        if os.path.isdir(segments):
-            names.extend(
-                os.path.join("segments", entry)
-                for entry in sorted(os.listdir(segments))
-                if entry.endswith(".seg")
-            )
-    else:
-        names.extend(n for n in _FLAT_FILES
-                     if os.path.exists(os.path.join(run_dir, n)))
+    if os.path.exists(os.path.join(run_dir, "store.json")):
+        names.append("store.json")
+    segments = os.path.join(run_dir, "segments")
+    if os.path.isdir(segments):
+        names.extend(
+            os.path.join("segments", entry)
+            for entry in sorted(os.listdir(segments))
+            if entry.endswith(".seg")
+        )
     names.extend(n for n in _SIDE_FILES
                  if os.path.exists(os.path.join(run_dir, n)))
     return names
@@ -206,26 +197,11 @@ def source_digest(run_dirs: Iterable[str]) -> str:
 
 def _iter_run_records(run_dir: str,
                       record_type: str) -> Iterator[dict]:
-    """Record payload dicts of one type, from either run-dir layout.
-    Corrupt lines are skipped — the catalog indexes what is readable."""
-    if is_store_dir(run_dir):
-        reader = StoreReader.open(run_dir)
-        yield from reader.iter_records(record_type)
-        return
-    path = os.path.join(run_dir, f"{record_type}.jsonl")
-    if not os.path.exists(path):
-        return
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict):
-                yield payload
+    """Record payload dicts of one type from a run dir's store.  Corrupt
+    segments are skipped — the catalog indexes what is readable."""
+    for payload in StoreReader.open(run_dir).iter_records(record_type):
+        if isinstance(payload, dict):
+            yield payload
 
 
 def _load_json(run_dir: str, name: str) -> Optional[dict]:
@@ -325,14 +301,13 @@ def _insert_run_rows(conn: sqlite3.Connection, cycle: int,
 
     meta = _load_json(run_dir, "study_meta.json") or {}
     conn.execute(
-        "INSERT INTO runs (cycle, label, layout, seed, scale, iterations,"
+        "INSERT INTO runs (cycle, label, seed, scale, iterations,"
         " partial, n_listings, n_sellers, n_profiles, scorecard_passed)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
         # The label is content-derived (cycle index), never path-derived:
         # twin runs ingested from differently-named directories must
         # produce byte-identical catalog databases.
         (cycle, f"cycle-{cycle:03d}",
-         "store" if is_store_dir(run_dir) else "flat",
          meta.get("seed"), meta.get("scale"), meta.get("iterations"),
          meta.get("partial"), len(listings), len(sellers), n_profiles,
          scorecard_passed),
@@ -407,10 +382,10 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
     for run_dir in run_dirs:
         if not os.path.isdir(run_dir):
             raise CatalogError(f"run directory {run_dir} does not exist")
-        if not _run_source_files(run_dir):
+        if existing_store_artifact(run_dir) is None:
             raise CatalogError(
                 f"{run_dir} holds no dataset artifacts "
-                f"(neither *.jsonl nor a segmented store)"
+                f"(no segmented store)"
             )
 
     digest = source_digest(run_dirs)
@@ -461,7 +436,6 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
         "sources": [
             {"cycle": cycle,
              "label": f"cycle-{cycle:03d}",
-             "layout": "store" if is_store_dir(run_dir) else "flat",
              "files": _run_source_files(run_dir)}
             for cycle, run_dir in enumerate(run_dirs)
         ],

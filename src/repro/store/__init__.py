@@ -9,6 +9,10 @@
   :class:`~repro.core.dataset.MeasurementDataset`: stream a dataset in,
   load one back, or iterate records without materializing the world.
 
+It is the dataset's only on-disk layout: ``repro run --out DIR`` and
+``repro replay --out DIR`` write a store into ``DIR``, and every reader
+(``report``, ``figures``, ``data``, ``serve build``) reads it.
+
 The write path degrades gracefully under storage chaos
 (:mod:`repro.faults.disk`): ENOSPC flushes what fits and seals it, torn
 appends are truncated back and retried, and a SIGKILL at any byte
@@ -17,7 +21,6 @@ reloads exactly the flushed prefix.
 
 from repro.store.dataset_store import (
     StoreSaveReport,
-    is_store_dir,
     load_dataset,
     save_dataset,
 )
@@ -29,6 +32,7 @@ from repro.store.segments import (
     StoreError,
     StoreReader,
     StoreWriter,
+    existing_store_artifact,
 )
 
 __all__ = [
@@ -40,7 +44,7 @@ __all__ = [
     "StoreReader",
     "StoreSaveReport",
     "StoreWriter",
-    "is_store_dir",
+    "existing_store_artifact",
     "load_dataset",
     "save_dataset",
 ]

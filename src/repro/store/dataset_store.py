@@ -6,17 +6,14 @@ record at a time — never holding serialized output in RAM — and
 degrades gracefully when the disk fills: whatever records fit are
 flushed and sealed, the manifest carries ``partial: "disk_full"``, and
 the report says exactly how far the save got.  :func:`load_dataset`
-rebuilds a dataset through the same tolerant
-:func:`~repro.core.dataset.record_from_dict` path the flat-file loader
-uses, so schema-drifted or corrupt records quarantine instead of
-crashing.  :func:`is_store_dir` lets CLI consumers accept either
-layout (flat ``*.jsonl`` files or a segmented store) transparently.
+rebuilds a dataset through the tolerant
+:func:`~repro.core.dataset.record_from_dict` path, so schema-drifted or
+corrupt records quarantine instead of crashing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -29,25 +26,14 @@ from repro.faults.disk import DiskFullError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.store.segments import (
     DEFAULT_SEGMENT_RECORDS,
-    SEGMENTS_DIRNAME,
-    STORE_MANIFEST_FILENAME,
+    SOURCE_STORE_LOAD,
     StoreReader,
     StoreWriter,
 )
 
 #: Quarantine rule for a stored payload that no longer matches the
-#: record dataclass shape (mirrors the flat loader's
-#: ``record_shape_error``).
+#: record dataclass shape.
 RULE_RECORD_SHAPE = "store_record_shape_error"
-
-
-def is_store_dir(directory: str) -> bool:
-    """True when ``directory`` holds a segmented store (manifest or a
-    ``segments/`` directory), as opposed to flat ``*.jsonl`` files."""
-    return (
-        os.path.exists(os.path.join(directory, STORE_MANIFEST_FILENAME))
-        or os.path.isdir(os.path.join(directory, SEGMENTS_DIRNAME))
-    )
 
 
 @dataclass
@@ -131,11 +117,12 @@ def load_dataset(directory: str, quarantine=None,
                  faults=None) -> MeasurementDataset:
     """Rebuild a :class:`MeasurementDataset` from a store directory.
 
-    Unknown record types in the store are ignored (forward
-    compatibility); payloads that fail dataclass construction are
-    quarantined under ``store_record_shape_error`` and skipped, the
-    same containment contract the flat loader honors.  Torn tails and
-    corrupt segments are handled inside :class:`StoreReader`.
+    Unknown record types and unknown fields in the store are ignored
+    (forward compatibility); payloads that fail dataclass construction
+    are quarantined under ``store_record_shape_error`` and skipped.
+    Torn tails and corrupt segments are handled inside
+    :class:`StoreReader`.  A directory holding no store raises
+    :class:`~repro.store.segments.StoreError`.
     """
     reader = StoreReader.open(
         directory, quarantine=quarantine, telemetry=telemetry,
@@ -149,8 +136,6 @@ def load_dataset(directory: str, quarantine=None,
                 records.append(record_from_dict(record_type, payload))
             except TypeError as exc:
                 if quarantine is not None:
-                    from repro.store.segments import SOURCE_STORE_LOAD
-
                     quarantine.quarantine(
                         name, RULE_RECORD_SHAPE, str(exc),
                         record=payload if isinstance(payload, dict) else None,
@@ -162,7 +147,6 @@ def load_dataset(directory: str, quarantine=None,
 __all__ = [
     "RULE_RECORD_SHAPE",
     "StoreSaveReport",
-    "is_store_dir",
     "load_dataset",
     "save_dataset",
 ]

@@ -125,12 +125,12 @@ class _OpenSegment:
         self.hasher = hashlib.sha256()
 
 
-def _existing_store_artifact(directory: str,
-                             segments_dir: str) -> Optional[str]:
+def existing_store_artifact(directory: str) -> Optional[str]:
     """The first store artifact already present in ``directory``
-    (manifest or segment file), or None when the directory is fresh."""
+    (manifest or segment file), or None when no store was written there."""
     if os.path.exists(os.path.join(directory, STORE_MANIFEST_FILENAME)):
         return STORE_MANIFEST_FILENAME
+    segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
     if os.path.isdir(segments_dir):
         for name in sorted(os.listdir(segments_dir)):
             if name.endswith(SEGMENT_SUFFIX):
@@ -161,7 +161,7 @@ class StoreWriter:
             raise ValueError("segment_max_records must be >= 1")
         self.directory = directory
         self.segments_dir = os.path.join(directory, SEGMENTS_DIRNAME)
-        artifact = _existing_store_artifact(directory, self.segments_dir)
+        artifact = existing_store_artifact(directory)
         if artifact is not None:
             raise StoreError(
                 f"{directory} already holds a store ({artifact}); "
@@ -800,5 +800,6 @@ __all__ = [
     "StoreError",
     "StoreReader",
     "StoreWriter",
+    "existing_store_artifact",
     "segment_name",
 ]

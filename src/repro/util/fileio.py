@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 
 @contextlib.contextmanager
@@ -91,21 +91,9 @@ def atomic_write_text(path: str, text: str, fsync: bool = False,
     return path
 
 
-def atomic_write_lines(path: str, lines: Iterable[str],
-                       fsync: bool = False, faults=None) -> str:
-    """Write a complete line-oriented file (JSONL and friends)
-    atomically: every line gets its ``\\n``, and a crash mid-write
-    leaves the previous file (or no file), never a torn one."""
-    with atomic_write(path, fsync=fsync, faults=faults) as handle:
-        for line in lines:
-            _write(handle, path, line + "\n", faults=faults)
-    return path
-
-
 __all__ = [
     "atomic_write",
     "atomic_write_json",
-    "atomic_write_lines",
     "atomic_write_text",
 ]
 

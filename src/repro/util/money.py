@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 
 def is_valid_price(value) -> bool:
@@ -21,22 +20,6 @@ def is_valid_price(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return math.isfinite(value) and value >= 0
-
-
-def parse_price(value) -> Optional[float]:
-    """Coerce a raw extracted value to a usable price, else None.
-
-    Accepts numbers and numeric strings; anything non-finite or
-    negative is rejected rather than propagated.
-    """
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            return None
-    if not is_valid_price(value):
-        return None
-    return float(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -85,11 +68,4 @@ def format_usd(amount: float) -> str:
     return f"${amount:,.2f}"
 
 
-def sum_money(amounts: Iterable[Money]) -> Money:
-    total = 0
-    for m in amounts:
-        total += m.cents
-    return Money(total)
-
-
-__all__ = ["Money", "format_usd", "is_valid_price", "parse_price", "sum_money"]
+__all__ = ["Money", "format_usd", "is_valid_price"]

@@ -101,13 +101,6 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     return points
 
 
-def fraction_at_or_below(values: Sequence[float], threshold: float) -> float:
-    """Fraction of the sample that is <= ``threshold``."""
-    if not values:
-        raise ValueError("empty sample")
-    return sum(1 for v in values if v <= threshold) / len(values)
-
-
 def share(part: float, whole: float) -> float:
     """``part / whole`` as a percentage; 0 when ``whole`` is zero."""
     if whole == 0:
@@ -153,7 +146,6 @@ __all__ = [
     "Summary",
     "cdf_points",
     "counter_topn",
-    "fraction_at_or_below",
     "histogram",
     "median",
     "percentile",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from typing import Iterable, List
+from typing import List
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _WS_RE = re.compile(r"\s+")
@@ -94,22 +94,9 @@ def parse_compact_number(text: str) -> int:
     return int(float(cleaned))
 
 
-def oxford_join(items: Iterable[str]) -> str:
-    """Join a list for prose output: 'a', 'a and b', 'a, b, and c'."""
-    seq = list(items)
-    if not seq:
-        return ""
-    if len(seq) == 1:
-        return seq[0]
-    if len(seq) == 2:
-        return f"{seq[0]} and {seq[1]}"
-    return ", ".join(seq[:-1]) + f", and {seq[-1]}"
-
-
 __all__ = [
     "collapse_whitespace",
     "compact_number",
-    "oxford_join",
     "parse_compact_number",
     "slugify",
     "strip_numbers",

@@ -52,10 +52,6 @@ def url_path(url: str) -> str:
     return urlsplit(url).path or "/"
 
 
-def url_scheme(url: str) -> str:
-    return urlsplit(url).scheme.lower()
-
-
 def parse_query(url: str) -> Dict[str, str]:
     """Query parameters as a dict (last value wins on duplicates)."""
     return dict(parse_qsl(urlsplit(url).query, keep_blank_values=True))
@@ -66,28 +62,11 @@ def query_pairs(url: str) -> List[Tuple[str, str]]:
     return parse_qsl(urlsplit(url).query, keep_blank_values=True)
 
 
-def with_query(url: str, **params: str) -> str:
-    """Return ``url`` with query parameters replaced/added from ``params``."""
-    parts = urlsplit(url)
-    existing = dict(parse_qsl(parts.query, keep_blank_values=True))
-    existing.update({k: str(v) for k, v in params.items()})
-    query = urlencode(sorted(existing.items()))
-    return urlunsplit((parts.scheme, parts.netloc, parts.path, query, parts.fragment))
-
-
-def is_onion(url: str) -> bool:
-    """True for Tor hidden-service hosts (underground marketplaces)."""
-    return url_host(url).endswith(".onion")
-
-
 __all__ = [
-    "is_onion",
     "join_url",
     "normalize_url",
     "parse_query",
     "query_pairs",
     "url_host",
     "url_path",
-    "url_scheme",
-    "with_query",
 ]

@@ -1,13 +1,14 @@
 """CLI surface of the archive subsystem: run --archive-dir, replay,
 archive verify (exit 2 on corruption), archive diff."""
 
-import filecmp
 import json
 import os
 
 import pytest
 
 from repro.cli import main
+
+from tests.conftest import tree_bytes
 
 
 @pytest.fixture(scope="class")
@@ -31,14 +32,12 @@ class TestReplayCli:
         replay_out = str(tmp_path / "replay_out")
         assert main(["replay", archive_dir, "--out", replay_out]) == 0
         assert "replayed" in capsys.readouterr().out
-        for name in sorted(os.listdir(run_out)):
-            if name == "scorecard.json":
-                continue  # replay adds one even when the run didn't
-            assert filecmp.cmp(
-                os.path.join(run_out, name),
-                os.path.join(replay_out, name),
-                shallow=False,
-            ), f"{name} differs between run and replay"
+        run_files, replay_files = tree_bytes(run_out), tree_bytes(replay_out)
+        replay_files.pop("scorecard.json")  # replay adds one; the run didn't
+        assert sorted(run_files) == sorted(replay_files)
+        for name, data in run_files.items():
+            assert data == replay_files[name], \
+                f"{name} differs between run and replay"
 
     def test_replay_output_feeds_report(self, archived_cli_run, tmp_path, capsys):
         _run_out, archive_dir = archived_cli_run

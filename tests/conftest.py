@@ -7,6 +7,8 @@ instance.  Tests that mutate records build their own small worlds.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import Study, StudyConfig
@@ -33,3 +35,14 @@ def study_result():
 @pytest.fixture(scope="session")
 def dataset(study_result):
     return study_result.dataset
+
+
+def tree_bytes(root: str) -> dict:
+    """{relative path: bytes} for every file under ``root``."""
+    out = {}
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                out[os.path.relpath(path, root)] = handle.read()
+    return out

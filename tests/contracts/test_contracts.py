@@ -11,7 +11,6 @@ from repro.contracts import (
     ContractViolationError,
     QUARANTINE_FILENAME,
     QuarantineStore,
-    SOURCE_JSONL_LOAD,
     validate_dataset,
 )
 from repro.contracts.schema import (
@@ -30,6 +29,7 @@ from repro.core.dataset import (
     provenance_flags,
 )
 from repro.obs.telemetry import Telemetry
+from repro.store.segments import SOURCE_STORE_LOAD
 
 
 def listing(**overrides):
@@ -293,16 +293,16 @@ def test_store_round_trip(tmp_path):
     store = QuarantineStore()
     store.quarantine("listings", "offer_url.missing", "no url",
                      record={"marketplace": "mk"})
-    store.quarantine("posts", "jsonl_decode_error", "truncated",
-                     raw='{"post_id": "p', source=SOURCE_JSONL_LOAD)
+    store.quarantine("posts", "store_decode_error", "truncated",
+                     raw='{"post_id": "p', source=SOURCE_STORE_LOAD)
     path = store.write_jsonl(str(tmp_path))
     assert os.path.basename(path) == QUARANTINE_FILENAME
     entries = QuarantineStore.load_jsonl(path)
     assert [e.rule for e in entries] == [
-        "offer_url.missing", "jsonl_decode_error",
+        "offer_url.missing", "store_decode_error",
     ]
     assert entries[0].record == {"marketplace": "mk"}
-    assert entries[1].source == SOURCE_JSONL_LOAD
+    assert entries[1].source == SOURCE_STORE_LOAD
     # machine-readable: every line parses and names a rule + reason
     with open(path, encoding="utf-8") as handle:
         for line in handle:

@@ -28,8 +28,8 @@ class TestRunAndReport:
         return str(path)
 
     def test_run_saves_dataset_and_meta(self, run_dir, capsys):
-        assert os.path.exists(os.path.join(run_dir, "listings.jsonl"))
-        assert os.path.exists(os.path.join(run_dir, "profiles.jsonl"))
+        assert os.path.exists(os.path.join(run_dir, "store.json"))
+        assert main(["data", "verify", run_dir]) == 0
         with open(os.path.join(run_dir, "study_meta.json")) as handle:
             meta = json.load(handle)
         assert meta["scale"] == 0.02
@@ -63,13 +63,15 @@ class TestRunAndReport:
 
         corrupt = tmp_path / "corrupt-run"
         shutil.copytree(run_dir, corrupt)
-        listings = corrupt / "listings.jsonl"
-        text = listings.read_text()
-        listings.write_text(text + '{"offer_url": "http://x.exam\n')
+        # One flipped byte in one sealed listings segment: that segment
+        # is quarantined, the report renders from the rest.
+        segment = sorted((corrupt / "segments").glob("listings-*.seg"))[0]
+        payload = bytearray(segment.read_bytes())
+        payload[12] ^= 0x01
+        segment.write_bytes(bytes(payload))
         assert main(["report", str(corrupt)]) == 0
         captured = capsys.readouterr()
-        assert "skipped 1 corrupt dataset line" in captured.err
-        assert "listings/jsonl_decode_error=1" in captured.err
+        assert "listings/store_segment_corrupt=1" in captured.err
         assert "Table 1" in captured.out
 
 
@@ -165,8 +167,9 @@ class TestRunInterrupted:
             meta = json.load(handle)
         assert meta["partial"] == "interrupted"
         assert meta["signal"] == signal.SIGINT
-        # No dataset files: the run dir is visibly incomplete.
-        assert not os.path.exists(os.path.join(out_dir, "listings.jsonl"))
+        # No store: the run dir is visibly incomplete.
+        assert not os.path.exists(os.path.join(out_dir, "store.json"))
+        assert not os.path.exists(os.path.join(out_dir, "segments"))
 
     def test_previous_handler_restored(self, tmp_path, monkeypatch):
         import signal

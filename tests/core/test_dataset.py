@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.contracts import SOURCE_JSONL_LOAD, QuarantineStore
 from repro.core.dataset import (
     ListingRecord,
     MeasurementDataset,
@@ -10,9 +9,9 @@ from repro.core.dataset import (
     ProfileRecord,
     SellerRecord,
     UndergroundRecord,
-    dedup_by,
     record_from_dict,
 )
+from repro.store import load_dataset, save_dataset
 
 
 def sample_dataset():
@@ -45,7 +44,6 @@ class TestViews:
     def test_by_platform(self):
         ds = sample_dataset()
         assert set(ds.profiles_by_platform()) == {"X"}
-        assert set(ds.posts_by_platform()) == {"X"}
 
     def test_visible_listings(self):
         visible = sample_dataset().visible_listings()
@@ -109,8 +107,8 @@ class TestViews:
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         ds = sample_dataset()
-        ds.save(str(tmp_path / "run1"))
-        loaded = MeasurementDataset.load(str(tmp_path / "run1"))
+        save_dataset(ds, str(tmp_path / "run1"))
+        loaded = load_dataset(str(tmp_path / "run1"))
         assert loaded.summary() == ds.summary()
         assert loaded.listings[0] == ds.listings[0]
         assert loaded.profiles[0] == ds.profiles[0]
@@ -118,34 +116,13 @@ class TestPersistence:
 
     def test_save_is_atomic_no_temp_leftovers(self, tmp_path):
         directory = tmp_path / "run_atomic"
-        sample_dataset().save(str(directory))
-        leftovers = [p.name for p in directory.iterdir() if ".tmp." in p.name]
+        save_dataset(sample_dataset(), str(directory))
+        leftovers = [p.name for p in directory.rglob("*") if ".tmp." in p.name]
         assert leftovers == []
 
-    def test_save_overwrite_never_leaves_stale_mixture(self, tmp_path):
-        # Saving a smaller dataset over a larger one must fully replace
-        # each file (the old non-atomic writer could leave a torn state
-        # if killed mid-save; atomic replace makes overwrite total).
-        directory = str(tmp_path / "run_over")
-        big = sample_dataset()
-        big.save(directory)
-        small = MeasurementDataset()
-        small.save(directory)
-        loaded = MeasurementDataset.load(directory)
-        assert loaded.summary() == {
-            "sellers": 0, "listings": 0, "profiles": 0, "posts": 0,
-            "underground": 0,
-        }
-
-    def test_load_missing_directory_gives_empty(self, tmp_path):
-        loaded = MeasurementDataset.load(str(tmp_path / "nothing"))
-        assert loaded.summary() == {
-            "sellers": 0, "listings": 0, "profiles": 0, "posts": 0, "underground": 0,
-        }
-
     def test_full_study_roundtrip(self, tmp_path, dataset):
-        dataset.save(str(tmp_path / "study"))
-        loaded = MeasurementDataset.load(str(tmp_path / "study"))
+        save_dataset(dataset, str(tmp_path / "study"))
+        loaded = load_dataset(str(tmp_path / "study"))
         assert loaded.summary() == dataset.summary()
         original_prices = sorted(
             l.price_usd for l in dataset.listings if l.price_usd is not None
@@ -154,76 +131,6 @@ class TestPersistence:
             l.price_usd for l in loaded.listings if l.price_usd is not None
         )
         assert original_prices == loaded_prices
-
-
-class TestCorruptLineLoading:
-    def _truncate_last_line(self, path):
-        text = path.read_text()
-        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-
-    def test_truncated_final_line_is_skipped_and_counted(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        # Simulate a SIGKILL mid-write: cut the final listings line.
-        self._truncate_last_line(run_dir / "listings.jsonl")
-        store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
-        assert len(loaded.listings) == len(ds.listings) - 1
-        assert store.total == 1
-        entry = store.entries[0]
-        assert entry.record_type == "listings"
-        assert entry.rule == "jsonl_decode_error"
-        assert entry.source == SOURCE_JSONL_LOAD
-        assert entry.raw  # the offending line is preserved for forensics
-
-    def test_corrupt_line_without_store_is_silently_skipped(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        self._truncate_last_line(run_dir / "listings.jsonl")
-        loaded = MeasurementDataset.load(str(run_dir))  # must not raise
-        assert len(loaded.listings) == len(ds.listings) - 1
-
-    def test_wrong_shape_line_is_quarantined(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        path = run_dir / "posts.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"no_such_field": 1}\n')  # missing required args
-            handle.write('[1, 2, 3]\n')  # not an object at all
-        store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
-        assert len(loaded.posts) == len(ds.posts)
-        assert [e.rule for e in store.entries] == [
-            "record_shape_error", "record_shape_error",
-        ]
-
-    def test_unknown_fields_are_dropped_not_fatal(self, tmp_path):
-        ds = sample_dataset()
-        run_dir = tmp_path / "run"
-        ds.save(str(run_dir))
-        path = run_dir / "listings.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                '{"offer_url": "http://m.example/offer/9", '
-                '"marketplace": "M1", "added_in_v99": true}\n'
-            )
-        store = QuarantineStore()
-        loaded = MeasurementDataset.load(str(run_dir), quarantine=store)
-        assert store.total == 0
-        assert loaded.listings[-1].offer_url == "http://m.example/offer/9"
-
-    def test_old_single_value_provenance_loads(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / "listings.jsonl").write_text(
-            '{"offer_url": "http://m.example/offer/1", "marketplace": "M1", '
-            '"provenance": "partial:truncated_html"}\n'
-        )
-        loaded = MeasurementDataset.load(str(run_dir))
-        assert loaded.listings[0].provenance == "partial:truncated_html"
 
 
 class TestRecordFromDict:
@@ -242,15 +149,3 @@ class TestRecordFromDict:
     def test_rejects_missing_required(self):
         with pytest.raises(TypeError):
             record_from_dict(PostRecord, {"post_id": "p"})
-
-
-class TestMergeAndDedup:
-    def test_merge_appends(self):
-        a = sample_dataset()
-        b = sample_dataset()
-        a.merge(b)
-        assert len(a.listings) == 4
-
-    def test_dedup_by(self):
-        records = [1, 2, 2, 3, 1]
-        assert dedup_by(records, key=lambda r: r) == [1, 2, 3]

@@ -15,6 +15,8 @@ import repro.core.pipeline as pipeline_module
 from repro.archive import ArchiveReader, run_replay
 from repro.core.pipeline import Study, StudyConfig
 
+from tests.conftest import tree_bytes
+
 CONFIG = dict(
     seed=97, scale=0.01, iterations=3, include_underground=False,
     chaos_profile="moderate", scorecard_enabled=False,
@@ -23,17 +25,6 @@ CONFIG = dict(
 
 class SimulatedKill(RuntimeError):
     """Stands in for a SIGKILL at an iteration boundary."""
-
-
-def _tree(root):
-    """{relative path: bytes} for every file under ``root``."""
-    out = {}
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                out[os.path.relpath(path, root)] = handle.read()
-    return out
 
 
 def test_killed_and_resumed_archive_is_byte_identical_twin(
@@ -66,7 +57,7 @@ def test_killed_and_resumed_archive_is_byte_identical_twin(
         **CONFIG
     )).run()
 
-    twin, resumed = _tree(twin_dir), _tree(archive_dir)
+    twin, resumed = tree_bytes(twin_dir), tree_bytes(archive_dir)
     assert sorted(twin) == sorted(resumed)
     differing = [name for name in twin if twin[name] != resumed[name]]
     assert differing == []

@@ -145,14 +145,14 @@ class TestEveryEmittedArtifactCarriesAKnownId:
         from repro.core.dataset import ListingRecord, MeasurementDataset
         from repro.serve import build_catalog, manifest_document
         from repro.serve.bench import run_serve_bench
+        from repro.store import save_dataset
 
         run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        MeasurementDataset(listings=[
+        save_dataset(MeasurementDataset(listings=[
             ListingRecord(offer_url=f"http://m/offer/{i}", marketplace="m",
                           price_usd=10.0 + i)
             for i in range(3)
-        ]).save(str(run_dir))
+        ]), str(run_dir))
         catalog_dir = str(tmp_path / "catalog")
         build_catalog([str(run_dir)], catalog_dir)
         manifest = manifest_document(catalog_dir)

@@ -1,7 +1,6 @@
-"""Property-based persistence roundtrips for the dataset layers.
+"""Property-based persistence roundtrips for the dataset store.
 
-Both persistence paths — the flat per-type JSONL files and the
-segmented store — must return exactly what they were given, for
+The segmented store must return exactly what it was given, for
 *hostile* record contents: unicode well outside ASCII, control
 characters and newline-ish code points inside strings, NaN-adjacent
 float prices (inf, tiny subnormals, negative zero), and record types
@@ -11,7 +10,6 @@ analyses depend on.
 """
 
 import math
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +23,8 @@ from repro.core.dataset import (
     UndergroundRecord,
 )
 from repro.store import load_dataset, save_dataset
+
+from tests.conftest import tree_bytes
 
 # -- strategies --------------------------------------------------------------
 
@@ -117,17 +117,6 @@ _dataset = st.builds(
 )
 
 
-def _dir_bytes(directory: str) -> dict:
-    """Every file under ``directory`` -> its bytes (relative paths)."""
-    output = {}
-    for root, _dirs, files in os.walk(directory):
-        for name in files:
-            path = os.path.join(root, name)
-            with open(path, "rb") as handle:
-                output[os.path.relpath(path, directory)] = handle.read()
-    return output
-
-
 def _fields_equal(a, b) -> bool:
     """Dataclass equality that treats NaN-position floats as equal."""
     if a == b:
@@ -153,25 +142,6 @@ def _datasets_equal(a: MeasurementDataset, b: MeasurementDataset) -> bool:
     return True
 
 
-class TestFlatRoundtrip:
-    @settings(max_examples=40, deadline=None)
-    @given(dataset=_dataset)
-    def test_save_load_field_identity(self, dataset, tmp_path_factory):
-        directory = str(tmp_path_factory.mktemp("flat"))
-        dataset.save(directory)
-        loaded = MeasurementDataset.load(directory)
-        assert _datasets_equal(dataset, loaded)
-
-    @settings(max_examples=25, deadline=None)
-    @given(dataset=_dataset)
-    def test_save_load_save_byte_identity(self, dataset, tmp_path_factory):
-        first = str(tmp_path_factory.mktemp("flat_a"))
-        second = str(tmp_path_factory.mktemp("flat_b"))
-        dataset.save(first)
-        MeasurementDataset.load(first).save(second)
-        assert _dir_bytes(first) == _dir_bytes(second)
-
-
 class TestStoreRoundtrip:
     @settings(max_examples=40, deadline=None)
     @given(dataset=_dataset)
@@ -194,4 +164,4 @@ class TestStoreRoundtrip:
         save_dataset(dataset, first, segment_max_records=segment_max)
         reloaded = load_dataset(first)
         save_dataset(reloaded, second, segment_max_records=segment_max)
-        assert _dir_bytes(first) == _dir_bytes(second)
+        assert tree_bytes(first) == tree_bytes(second)

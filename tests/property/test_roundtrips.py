@@ -1,8 +1,8 @@
 """Property-based roundtrip tests across subsystem boundaries.
 
-These pin the invariants the pipeline depends on: whatever a site
-renders, the parser recovers; whatever the dataset stores, persistence
-returns; whatever the frontier normalizes, stays deduplicated.
+These pin an invariant the pipeline depends on: whatever a site
+renders, the parser recovers.  Dataset persistence roundtrips live in
+``test_dataset_roundtrip.py``.
 """
 
 import string
@@ -10,7 +10,6 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import ListingRecord, MeasurementDataset, PostRecord
 from repro.web.html import E, Element, document, render_document
 from repro.web.html_parser import parse_html
 
@@ -103,42 +102,3 @@ class TestHtmlRoundtrip:
         parsed = parse_html(render_document(doc))
         anchor = parsed.find("a")
         assert anchor.attrs == attrs
-
-
-class TestDatasetRoundtrip:
-    @given(
-        listings=st.lists(
-            st.builds(
-                ListingRecord,
-                offer_url=st.text(alphabet=string.ascii_lowercase + ":/.", min_size=5, max_size=30),
-                marketplace=st.sampled_from(["A", "B"]),
-                title=_text,
-                platform=st.one_of(st.none(), st.sampled_from(["X", "TikTok"])),
-                price_usd=st.one_of(st.none(), st.floats(min_value=0, max_value=1e7)),
-                followers_claimed=st.one_of(st.none(), st.integers(min_value=0, max_value=10**8)),
-                verified_claim=st.booleans(),
-            ),
-            max_size=8,
-        ),
-        posts=st.lists(
-            st.builds(
-                PostRecord,
-                post_id=st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8),
-                platform=st.sampled_from(["X", "YouTube"]),
-                handle=st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=10),
-                text=_text,
-                likes=st.integers(min_value=0, max_value=10**6),
-            ),
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=40)
-    def test_save_load_identity(self, listings, posts, tmp_path_factory):
-        ds = MeasurementDataset()
-        ds.listings = listings
-        ds.posts = posts
-        directory = str(tmp_path_factory.mktemp("roundtrip"))
-        ds.save(directory)
-        loaded = MeasurementDataset.load(directory)
-        assert loaded.listings == listings
-        assert loaded.posts == posts

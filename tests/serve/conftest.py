@@ -1,9 +1,9 @@
 """Shared fixtures for the serving-layer tests.
 
 The catalog tests need saved run directories, not live studies, so the
-fixtures write small hand-built datasets in both supported layouts
-(flat JSONL and segmented store) plus the side artifacts the catalog
-ingests (``study_meta.json``, ``scorecard.json``).
+fixtures write small hand-built datasets as segmented stores plus the
+side artifacts the catalog ingests (``study_meta.json``,
+``scorecard.json``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.core.dataset import (
     SellerRecord,
 )
 from repro.serve import build_catalog
+from repro.store import save_dataset
 from repro.util.fileio import atomic_write_json
 
 
@@ -73,9 +74,8 @@ def scorecard_doc(shift: float = 0.0) -> dict:
 
 def write_run(path: str, dataset: MeasurementDataset, seed: int = 7,
               scorecard: dict = None) -> str:
-    """A flat-layout run dir, exactly as ``repro run --out`` leaves it."""
-    os.makedirs(path, exist_ok=True)
-    dataset.save(path)
+    """A run dir, laid out as ``repro run --out`` leaves it."""
+    save_dataset(dataset, path)
     atomic_write_json(os.path.join(path, "study_meta.json"),
                       {"seed": seed, "scale": 0.01, "iterations": 3})
     if scorecard is not None:

@@ -1,10 +1,12 @@
-"""Catalog builder: determinism, idempotency, layouts, corruption."""
+"""Catalog builder: determinism, idempotency, store contents, corruption."""
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.core.dataset import ListingRecord
 from repro.serve import (
     CATALOG_DB_FILENAME,
     CATALOG_FILENAME,
@@ -59,6 +61,10 @@ class TestBuild:
         empty.mkdir()
         with pytest.raises(CatalogError, match="no dataset artifacts"):
             build_catalog([str(empty)], str(tmp_path / "catalog"))
+        # What an interrupted run leaves: a meta file but no store.
+        (empty / "study_meta.json").write_text('{"partial": "interrupted"}')
+        with pytest.raises(CatalogError, match="no dataset artifacts"):
+            build_catalog([str(empty)], str(tmp_path / "catalog"))
         with pytest.raises(CatalogError, match="does not exist"):
             build_catalog([str(tmp_path / "absent")],
                           str(tmp_path / "catalog"))
@@ -100,12 +106,13 @@ class TestDeterminism:
                                                       tmp_path):
         out = str(tmp_path / "catalog")
         first = build_catalog([run_dir], out)
-        with open(os.path.join(run_dir, "listings.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "offer_url": "http://alphabay/offer/99",
-                "marketplace": "alphabay", "price_usd": 123.0,
-            }) + "\n")
+        changed = small_dataset()
+        changed.listings.append(ListingRecord(
+            offer_url="http://alphabay/offer/99", marketplace="alphabay",
+            price_usd=123.0,
+        ))
+        shutil.rmtree(run_dir)
+        write_run(run_dir, changed, scorecard=scorecard_doc())
         second = build_catalog([run_dir], out)
         assert second.rebuilt
         assert second.content_digest != first.content_digest
@@ -123,44 +130,26 @@ class TestDeterminism:
 
 
 class TestLayouts:
-    def test_store_layout_rows_match_flat(self, tmp_path):
-        dataset = small_dataset()
-        flat = write_run(str(tmp_path / "flat"), dataset)
-        store = str(tmp_path / "store")
-        save_dataset(dataset, store)
-        out_flat = str(tmp_path / "cat_flat")
-        out_store = str(tmp_path / "cat_store")
-        build_catalog([flat], out_flat)
-        build_catalog([store], out_store)
-        with Catalog.open(out_flat) as a, Catalog.open(out_store) as b:
-            rows_a = a.conn.execute(
-                "SELECT offer_url, marketplace, price_usd FROM listings"
-                " ORDER BY id").fetchall()
-            rows_b = b.conn.execute(
-                "SELECT offer_url, marketplace, price_usd FROM listings"
-                " ORDER BY id").fetchall()
-            assert [tuple(row) for row in rows_a] \
-                == [tuple(row) for row in rows_b]
-            layout = b.conn.execute(
-                "SELECT layout FROM runs").fetchone()[0]
-        assert layout == "store"
-
     def test_corrupt_jsonl_lines_skipped(self, tmp_path):
-        run = write_run(str(tmp_path / "run"), small_dataset())
-        path = os.path.join(run, "listings.jsonl")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{truncated\n")
+        # A flipped byte quarantines its whole sealed segment (4 of the
+        # 12 listings); the catalog indexes the rest.
+        run = str(tmp_path / "run")
+        save_dataset(small_dataset(), run, segment_max_records=4)
+        segment = os.path.join(run, "segments", "listings-000000.seg")
+        with open(segment, "r+b") as handle:
+            byte = handle.read(1)
+            handle.seek(0)
+            handle.write(bytes([byte[0] ^ 0x01]))
         result = build_catalog([run], str(tmp_path / "catalog"))
-        assert result.tables["listings"] == 12
+        assert result.tables["listings"] == 8
 
     def test_invalid_prices_nulled(self, tmp_path):
-        run = write_run(str(tmp_path / "run"), small_dataset())
-        with open(os.path.join(run, "listings.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "offer_url": "http://alphabay/offer/bad",
-                "marketplace": "alphabay", "price_usd": -4.0,
-            }) + "\n")
+        dataset = small_dataset()
+        dataset.listings.append(ListingRecord(
+            offer_url="http://alphabay/offer/bad", marketplace="alphabay",
+            price_usd=-4.0,
+        ))
+        run = write_run(str(tmp_path / "run"), dataset)
         out = str(tmp_path / "catalog")
         build_catalog([run], out)
         with Catalog.open(out) as catalog:

@@ -19,10 +19,11 @@ from repro.faults.profiles import FaultProfile, FaultRates
 from repro.store import (
     StoreError,
     StoreWriter,
-    is_store_dir,
     load_dataset,
     save_dataset,
 )
+
+from tests.conftest import tree_bytes
 
 
 def _dataset(listings=3, sellers=2, profiles=1):
@@ -55,12 +56,6 @@ class TestBridge:
         assert loaded.listings == dataset.listings
         assert loaded.sellers == dataset.sellers
         assert loaded.profiles == dataset.profiles
-
-    def test_is_store_dir(self, tmp_path):
-        directory = str(tmp_path / "store")
-        save_dataset(_dataset(), directory)
-        assert is_store_dir(directory)
-        assert not is_store_dir(str(tmp_path))
 
     def test_disk_full_flushes_prefix_and_marks_partial(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -121,12 +116,25 @@ class TestBridge:
         directory = str(tmp_path / "store")
         writer = StoreWriter(directory)
         writer.append("listings", {"marketplace": "M"})  # no offer_url
+        writer.append("listings", [1, 2, 3])  # not an object at all
         writer.append("listings", {"offer_url": "u", "marketplace": "M"})
+        # Forward and backward compatible, not drift: a field from a
+        # newer schema is dropped, and a pre-trail single-value
+        # provenance loads unchanged.
+        writer.append("listings", {"offer_url": "v", "marketplace": "M",
+                                   "added_in_v99": True})
+        writer.append("listings", {"offer_url": "w", "marketplace": "M",
+                                   "provenance": "partial:truncated_html"})
         writer.seal()
         quarantine = QuarantineStore()
         loaded = load_dataset(directory, quarantine=quarantine)
-        assert len(loaded.listings) == 1
-        assert quarantine.total == 1
+        assert [l.offer_url for l in loaded.listings] == ["u", "v", "w"]
+        assert loaded.listings[2].provenance == "partial:truncated_html"
+        assert [e.rule for e in quarantine.entries] == [
+            "store_record_shape_error", "store_record_shape_error",
+        ]
+        # Without a quarantine store the bad payloads are dropped silently.
+        assert load_dataset(directory).listings == loaded.listings
 
     def test_unknown_record_type_is_ignored(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -172,48 +180,36 @@ class TestDataCli:
         assert "listings: 3" in out
         assert "sealed: True" in out
 
-    def test_report_reads_store_layout(self, tmp_path, capsys):
-        # ``repro report`` on a store dir written by run --store-dir
-        # must render the same tables as on the flat run dir — the
-        # meta-derived sections (payment methods, listing dynamics)
-        # included, since the meta file is mirrored into the store.
-        out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
-        assert main([
-            "run", "--out", out_dir, "--store-dir", store_dir,
-            "--scale", "0.02", "--iterations", "2",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["report", store_dir, "--scale", "0.02"]) == 0
-        from_store = capsys.readouterr().out
-        assert "Table 1" in from_store
-        assert "Table 3" in from_store
-        assert "Figure 2" in from_store
-        assert main(["report", out_dir, "--scale", "0.02"]) == 0
-        assert capsys.readouterr().out == from_store
-
 
 class TestRunStoreDir:
     def test_second_run_into_same_store_dir_is_refused(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
+        from repro.core import pipeline
+
         out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
-        args = ["--scale", "0.02", "--iterations", "1",
-                "--store-dir", store_dir]
-        assert main(["run", "--out", out_dir] + args) == 0
+        args = ["run", "--out", out_dir, "--scale", "0.02",
+                "--iterations", "1"]
+        assert main(args) == 0
         capsys.readouterr()
-        rc = main(["run", "--out", str(tmp_path / "out2")] + args)
-        assert rc == 1
+        before = tree_bytes(out_dir)
+        assert "study_meta.json" in before
+
+        def must_not_run(self):
+            raise AssertionError("a used --out must be refused first")
+
+        monkeypatch.setattr(pipeline.Study, "run", must_not_run)
+        assert main(args) == 1
         assert "store save refused" in capsys.readouterr().err
-        # The first run's store is untouched and still verifies clean.
-        assert main(["data", "verify", store_dir]) == 0
+        # The first run's directory is byte-identical, meta included,
+        # and its store still verifies clean.
+        assert tree_bytes(out_dir) == before
+        assert main(["data", "verify", out_dir]) == 0
 
     def test_run_chaos_disk_full_exits_zero_marked_partial(
             self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
-        store_dir = str(tmp_path / "store")
         rc = main([
-            "run", "--out", out_dir, "--store-dir", store_dir,
+            "run", "--out", out_dir,
             "--scale", "0.05", "--iterations", "2",
             "--chaos", "disk_full",
         ])
@@ -221,5 +217,5 @@ class TestRunStoreDir:
         with open(os.path.join(out_dir, "study_meta.json")) as handle:
             assert json.load(handle)["partial"] == "disk_full"
         # The flushed prefix is sealed and internally consistent.
-        assert main(["data", "verify", store_dir]) == 0
+        assert main(["data", "verify", out_dir]) == 0
         assert "partial:disk_full" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.money import Money, format_usd, sum_money
+from repro.util.money import Money, format_usd
 
 amounts = st.integers(min_value=-10**12, max_value=10**12)
 
@@ -14,7 +14,7 @@ class TestMoney:
         assert Money.dollars(157.0).as_dollars == 157.0
 
     def test_cents_storage_avoids_float_drift(self):
-        total = sum_money(Money.dollars(0.1) for _ in range(1000))
+        total = sum((Money.dollars(0.1) for _ in range(1000)), Money(0))
         assert total.cents == 10000
 
     def test_arithmetic(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     cdf_points,
     counter_topn,
-    fraction_at_or_below,
     histogram,
     median,
     percentile,
@@ -104,9 +103,6 @@ class TestCdf:
         assert xs == sorted(xs)
         assert ys == sorted(ys)
         assert ys[-1] == pytest.approx(1.0)
-
-    def test_fraction_at_or_below(self):
-        assert fraction_at_or_below([1, 2, 3, 4], 2) == 0.5
 
 
 class TestMisc:

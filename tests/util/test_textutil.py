@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.util.textutil import (
     collapse_whitespace,
     compact_number,
-    oxford_join,
     parse_compact_number,
     slugify,
     strip_numbers,
@@ -83,9 +82,3 @@ class TestMisc:
     def test_truncate_negative_rejected(self):
         with pytest.raises(ValueError):
             truncate("abc", -1)
-
-    def test_oxford_join(self):
-        assert oxford_join([]) == ""
-        assert oxford_join(["a"]) == "a"
-        assert oxford_join(["a", "b"]) == "a and b"
-        assert oxford_join(["a", "b", "c"]) == "a, b, and c"

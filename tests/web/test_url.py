@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.web.url import (
-    is_onion,
     join_url,
     normalize_url,
     parse_query,
     query_pairs,
     url_host,
     url_path,
-    url_scheme,
-    with_query,
 )
 
 
@@ -50,7 +47,6 @@ class TestParts:
     def test_host_and_path(self):
         assert url_host("http://Foo.Example/bar") == "foo.example"
         assert url_path("http://foo.example") == "/"
-        assert url_scheme("HTTPS://x/") == "https"
 
     def test_join_relative(self):
         assert join_url("http://h.example/a/b", "/offer/1") == "http://h.example/offer/1"
@@ -61,11 +57,3 @@ class TestParts:
 
     def test_query_pairs_preserves_order(self):
         assert query_pairs("http://h.example/?b=2&a=1") == [("b", "2"), ("a", "1")]
-
-    def test_with_query_adds_and_replaces(self):
-        url = with_query("http://h.example/p?a=1", a="2", b="3")
-        assert parse_query(url) == {"a": "2", "b": "3"}
-
-    def test_is_onion(self):
-        assert is_onion("http://abcdef.onion/forum")
-        assert not is_onion("http://accsmarket.example/")
