@@ -113,7 +113,6 @@ from repro.obs import (
     BenchError,
     DiffConfig,
     RegistryError,
-    RunDir,
     RunRegistry,
     Telemetry,
     TelemetryDirError,
@@ -527,21 +526,21 @@ def cmd_channels(_args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
-        run = RunDir.load(args.run_dir)
+        document = trace_document(args.run_dir)
     except TelemetryDirError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if getattr(args, "json", False):
-        print(json.dumps(trace_document(run), indent=2, sort_keys=True))
+        print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print(render_trace_summary(run))
+        print(render_trace_summary(document))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     try:
-        run_a = RunDir.load(args.run_a)
-        run_b = RunDir.load(args.run_b)
+        document_a = trace_document(args.run_a)
+        document_b = trace_document(args.run_b)
     except TelemetryDirError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -550,21 +549,21 @@ def cmd_diff(args: argparse.Namespace) -> int:
         sim_duration_tolerance=args.sim_tolerance,
         include_wall=args.wall,
     )
-    diff = diff_runs(run_a, run_b, config)
+    diff = diff_runs(document_a, document_b, config)
     print(diff.render_text())
     return 1 if diff.has_regressions else 0
 
 
 def cmd_health(args: argparse.Namespace) -> int:
     try:
-        run = RunDir.load(args.run_dir)
+        document = trace_document(args.run_dir)
     except TelemetryDirError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     out_path = args.out or os.path.join(args.run_dir, REPORT_FILENAME)
     with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(render_health_html(run))
-    problems = health_problems(run)
+        handle.write(render_health_html(document))
+    problems = health_problems(document)
     print(f"wrote {out_path} ({'healthy' if not problems else 'UNHEALTHY'})")
     for problem in problems:
         print(f"  - {problem}", file=sys.stderr)

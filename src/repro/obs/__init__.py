@@ -12,7 +12,8 @@ package makes it inspectable end to end:
   diffable (config, git revision, stage durations, error counts);
 * :mod:`repro.obs.telemetry` — the facade threading all of the above
   through the pipeline, with a zero-cost disabled mode;
-* :mod:`repro.obs.summary` — rendering for ``repro trace <run-dir>``;
+* :mod:`repro.obs.summary` — the run-dir document every telemetry-dir
+  renderer formats, and its ``repro trace <run-dir>`` text rendering;
 * :mod:`repro.obs.quality` — the end-of-run fidelity scorecard scored
   against ground truth and the paper-shape calibration targets;
 * :mod:`repro.obs.watchdog` — in-flight crawl-health monitors
@@ -101,7 +102,6 @@ from repro.obs.registry import (
 from repro.obs.report_html import (
     FLEET_FILENAME,
     health_problems,
-    health_status,
     render_fleet_html,
     render_health_html,
 )
@@ -223,7 +223,6 @@ __all__ = [
     "diff_runs",
     "git_describe",
     "health_problems",
-    "health_status",
     "load_baseline",
     "load_manifest",
     "load_profile",

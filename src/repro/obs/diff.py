@@ -1,10 +1,12 @@
 """Run-to-run regression diffing: ``repro diff RUN_A RUN_B``.
 
-Compares two telemetry directories and classifies every change as
-informational or a **regression**:
+Compares the run-dir documents of two telemetry directories
+(:func:`~repro.obs.summary.trace_document`) and classifies every change
+as informational or a **regression**:
 
 * scorecard entries whose value dropped by more than the tolerance, or
-  that flipped from passing to failing (or appeared already failing);
+  that flipped from passing to failing (or appeared already failing),
+  including unscorable entries whose value is not a number;
 * error-flavoured metrics (``*error*``, ``robots_blocked_total``,
   ``watchdog_findings``) that increased, and ``crawl_coverage_ratio``
   series that decreased beyond tolerance;
@@ -23,12 +25,15 @@ regressions found, 2 = a directory could not be loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.obs.rundir import RunDir
+from typing import Any, Dict, List, Optional
 
 #: Substrings marking a metric as "more of it is worse".
 _ERROR_METRIC_MARKERS = ("error", "robots_blocked", "watchdog_findings")
+#: Relative growth of an error metric tolerated (0.0 = any increase
+#: regresses).
+_ERROR_METRIC_TOLERANCE = 0.0
+#: Absolute drop in a coverage ratio tolerated.
+_COVERAGE_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,6 @@ class DiffConfig:
 
     #: Absolute drop in a scorecard value that counts as a regression.
     scorecard_tolerance: float = 0.02
-    #: Relative growth of an error metric tolerated (0.0 = any increase
-    #: regresses).
-    error_metric_tolerance: float = 0.0
-    #: Absolute drop in a coverage ratio tolerated.
-    coverage_tolerance: float = 0.02
     #: Relative growth in per-stage *simulated* duration tolerated.
     sim_duration_tolerance: float = 0.25
     #: Include (nondeterministic) wall-clock ratios in the rendering.
@@ -54,14 +54,17 @@ class DiffLine:
 
     section: str  # "scorecard" | "metrics" | "events" | "stages"
     name: str
-    a: Optional[float]
-    b: Optional[float]
+    #: A number, ``None`` when absent, or an unscorable scorecard value.
+    a: Any
+    b: Any
     regression: bool
     note: str = ""
 
     def render(self) -> str:
-        def fmt(value: Optional[float]) -> str:
-            return "-" if value is None else f"{value:g}"
+        def fmt(value: Any) -> str:
+            if value is None:
+                return "-"
+            return f"{value:g}" if isinstance(value, (int, float)) else str(value)
 
         marker = "REGRESSION" if self.regression else "change"
         text = f"  [{marker}] {self.name}: {fmt(self.a)} -> {fmt(self.b)}"
@@ -108,13 +111,13 @@ class RunDiff:
         return "\n".join(out)
 
 
-def diff_runs(a: RunDir, b: RunDir,
+def diff_runs(a: dict, b: dict,
               config: Optional[DiffConfig] = None) -> RunDiff:
-    """Compare two loaded telemetry directories (A = baseline, B = new)."""
+    """Compare two run-dir documents (A = baseline, B = new)."""
     config = config or DiffConfig()
-    diff = RunDiff(run_a=a.path, run_b=b.path)
+    diff = RunDiff(run_a=a["path"], run_b=b["path"])
     _diff_scorecards(diff, a, b, config)
-    _diff_metrics(diff, a, b, config)
+    _diff_metrics(diff, a, b)
     _diff_events(diff, a, b)
     _diff_stages(diff, a, b, config)
     return diff
@@ -124,14 +127,10 @@ def diff_runs(a: RunDir, b: RunDir,
 # sections
 # ---------------------------------------------------------------------------
 
-def _diff_scorecards(diff: RunDiff, a: RunDir, b: RunDir,
+def _diff_scorecards(diff: RunDiff, a: dict, b: dict,
                      config: DiffConfig) -> None:
-    entries_a = {
-        e["name"]: e for e in (a.scorecard or {}).get("entries", [])
-    }
-    entries_b = {
-        e["name"]: e for e in (b.scorecard or {}).get("entries", [])
-    }
+    entries_a = {e["name"]: e for e in (a["scorecard"] or {}).get("entries", [])}
+    entries_b = {e["name"]: e for e in (b["scorecard"] or {}).get("entries", [])}
     for name in sorted(set(entries_a) | set(entries_b)):
         ea, eb = entries_a.get(name), entries_b.get(name)
         if ea is None:
@@ -148,10 +147,11 @@ def _diff_scorecards(diff: RunDiff, a: RunDir, b: RunDir,
                 regression=False, note="entry vanished",
             ))
             continue
-        va, vb = float(ea.get("value", 0.0)), float(eb.get("value", 0.0))
+        va, vb = ea.get("value"), eb.get("value")
         newly_failing = ea.get("passed", True) and not eb.get("passed", True)
         dropped = (
             ea.get("kind") == "ground_truth"
+            and isinstance(va, (int, float)) and isinstance(vb, (int, float))
             and va - vb > config.scorecard_tolerance
         )
         if va != vb or newly_failing:
@@ -166,44 +166,33 @@ def _is_error_metric(name: str) -> bool:
     return any(marker in name for marker in _ERROR_METRIC_MARKERS)
 
 
-def _series_name(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
-
-
-def _diff_metrics(diff: RunDiff, a: RunDir, b: RunDir,
-                  config: DiffConfig) -> None:
-    metrics_a = a.scalar_metrics()
-    metrics_b = b.scalar_metrics()
+def _diff_metrics(diff: RunDiff, a: dict, b: dict) -> None:
+    metrics_a, metrics_b = a["metrics"], b["metrics"]
     for key in sorted(set(metrics_a) | set(metrics_b)):
-        name, labels = key
+        name = key.split("{", 1)[0]
         va = metrics_a.get(key)
         vb = metrics_b.get(key)
-        display = _series_name(name, labels)
         if va is None or vb is None or va != vb:
             regression = False
             note = ""
             if _is_error_metric(name):
                 baseline = va or 0.0
                 current = vb or 0.0
-                allowed = baseline * (1.0 + config.error_metric_tolerance)
+                allowed = baseline * (1.0 + _ERROR_METRIC_TOLERANCE)
                 if current > allowed:
                     regression = True
                     note = "error metric increased"
             elif name == "crawl_coverage_ratio" and va is not None:
-                if (vb or 0.0) < va - config.coverage_tolerance:
+                if (vb or 0.0) < va - _COVERAGE_TOLERANCE:
                     regression = True
                     note = "coverage dropped"
             diff.lines.append(DiffLine(
-                "metrics", display, va, vb, regression=regression, note=note,
+                "metrics", key, va, vb, regression=regression, note=note,
             ))
 
 
-def _diff_events(diff: RunDiff, a: RunDir, b: RunDir) -> None:
-    counts_a = a.event_kind_counts(min_level="warning")
-    counts_b = b.event_kind_counts(min_level="warning")
+def _diff_events(diff: RunDiff, a: dict, b: dict) -> None:
+    counts_a, counts_b = a["warning_events"], b["warning_events"]
     for kind in sorted(set(counts_a) | set(counts_b)):
         ca, cb = counts_a.get(kind), counts_b.get(kind)
         if ca == cb:
@@ -225,10 +214,10 @@ def _diff_events(diff: RunDiff, a: RunDir, b: RunDir) -> None:
             ))
 
 
-def _diff_stages(diff: RunDiff, a: RunDir, b: RunDir,
+def _diff_stages(diff: RunDiff, a: dict, b: dict,
                  config: DiffConfig) -> None:
-    stages_a = {stage["name"]: stage for stage in a.stages}
-    stages_b = {stage["name"]: stage for stage in b.stages}
+    stages_a = {stage["name"]: stage for stage in a["stages"]}
+    stages_b = {stage["name"]: stage for stage in b["stages"]}
     for name in sorted(set(stages_a) | set(stages_b)):
         sa, sb = stages_a.get(name), stages_b.get(name)
         if sa is None or sb is None:

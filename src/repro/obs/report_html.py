@@ -1,6 +1,6 @@
 """``repro health DIR`` — a single-file, zero-dependency HTML dashboard.
 
-Renders one telemetry directory (see :class:`~repro.obs.rundir.RunDir`)
+Renders one run-dir document (:func:`~repro.obs.summary.trace_document`)
 into a self-contained HTML page: run header, fidelity scorecard with
 in-band/out-of-band gauges, watchdog findings, per-stage durations,
 per-marketplace crawl stats, per-host HTTP latency quantiles and
@@ -12,11 +12,9 @@ a CI artifact and opened anywhere.
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.obs.metrics import exported_histogram_quantile
-from repro.obs.prof import profile_stage_coverage
-from repro.obs.rundir import RunDir
+from repro.obs.summary import memory_totals_label
 
 REPORT_FILENAME = "health.html"
 
@@ -62,43 +60,45 @@ def _meter(value: float, low: float, high: float) -> str:
     return f'<div class="meter{out}"><span style="width:{fill:.0f}%"></span></div>'
 
 
-def _section_header(run: RunDir) -> str:
-    manifest = run.manifest or {}
-    bits: List[str] = [f"<h1>Run health: {html.escape(run.path)}</h1>"]
-    meta: List[str] = []
-    config = manifest.get("config") or {}
-    for key in sorted(config):
-        meta.append(f"{key}={config[key]}")
-    if manifest.get("git"):
-        meta.append(f"git={manifest['git']}")
-    if manifest.get("simulated_seconds") is not None:
-        meta.append(f"simulated_seconds={manifest['simulated_seconds']:,.0f}")
+def _section_header(document: dict) -> str:
+    run = document["run"]
+    bits: List[str] = [f"<h1>Run health: {html.escape(document['path'])}</h1>"]
+    meta = [f"{key}={value}" for key, value in run["config"].items()]
+    if run["git"]:
+        meta.append(f"git={run['git']}")
+    if run["simulated_seconds"] is not None:
+        meta.append(f"simulated_seconds={run['simulated_seconds']:,.0f}")
     if meta:
         bits.append(f'<p class="muted">{html.escape(", ".join(meta))}</p>')
     return "\n".join(bits)
 
 
-def _section_scorecard(run: RunDir) -> str:
-    card = run.scorecard
+def _section_scorecard(card: Optional[dict]) -> str:
     if not card:
         return "<h2>Fidelity scorecard</h2><p>no scorecard recorded</p>"
     status = (
-        '<span class="ok">PASS</span>' if card.get("passed")
+        '<span class="ok">PASS</span>' if card["passed"]
         else '<span class="fail">FAIL</span>'
     )
     rows = []
-    for entry in card.get("entries", []):
-        passed = entry.get("passed", False)
+    for entry in card["entries"]:
+        value, passed = entry["value"], entry["passed"]
+        if isinstance(value, (int, float)):
+            shown = f"{value:.4f}"
+            meter = _meter(value, entry["low"], entry["high"])
+        else:
+            # An unscorable entry (e.g. a degraded stage): no band to
+            # place it in, so it is out of band whatever it claims.
+            shown, meter, passed = html.escape(str(value)), "", False
         rows.append([
-            html.escape(entry.get("name", "")),
-            html.escape(entry.get("kind", "")),
-            f"{entry.get('value', 0.0):.4f}",
-            f"[{entry.get('low')}, {entry.get('high')}]",
-            _meter(entry.get("value", 0.0), entry.get("low", 0.0),
-                   entry.get("high", 1.0)),
+            html.escape(entry["name"]),
+            html.escape(entry["kind"]),
+            shown,
+            f"[{entry['low']}, {entry['high']}]",
+            meter,
             '<span class="ok">ok</span>' if passed
             else '<span class="fail">out of band</span>',
-            html.escape(entry.get("detail", "")),
+            html.escape(entry["detail"]),
         ])
     return (
         f"<h2>Fidelity scorecard {status}</h2>"
@@ -107,14 +107,13 @@ def _section_scorecard(run: RunDir) -> str:
     )
 
 
-def _section_watchdog(run: RunDir) -> str:
-    summary = run.watchdog_summary()
-    if not summary:
+def _section_watchdog(watchdog: Optional[dict]) -> str:
+    if not watchdog:
         return "<h2>Watchdog</h2><p>no watchdog summary recorded</p>"
-    counts = summary.get("counts") or {}
-    label = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) or "clean"
+    label = ", ".join(
+        f"{k}: {v}" for k, v in watchdog["counts"].items()) or "clean"
     rows = []
-    for finding in summary.get("findings", []):
+    for finding in watchdog["findings"]:
         severity = finding.get("severity", "warning")
         rows.append([
             f'<span class="{html.escape(severity)}">{html.escape(severity)}</span>',
@@ -130,38 +129,32 @@ def _section_watchdog(run: RunDir) -> str:
     return f"<h2>Watchdog ({html.escape(label)})</h2>" + body
 
 
-def _section_stages(run: RunDir) -> str:
-    if not run.stages:
+def _section_stages(stages: List[dict]) -> str:
+    if not stages:
         return ""
     rows = [
         [
-            html.escape(stage.get("name", "")),
-            f"{stage.get('sim_seconds', 0.0):,.1f}",
-            f"{stage.get('wall_seconds', 0.0):.3f}",
-            str(stage.get("spans", 0)),
+            html.escape(stage["name"]),
+            f"{stage['sim_seconds']:,.1f}",
+            f"{stage['wall_seconds']:.3f}",
+            str(stage["spans"]),
         ]
-        for stage in run.stages
+        for stage in stages
     ]
     return "<h2>Stage durations</h2>" + _table(
         ["stage", "sim s", "wall s", "spans"], rows, numeric=(1, 2, 3)
     )
 
 
-def _section_crawl(run: RunDir) -> str:
-    manifest = run.manifest or {}
-    reports = (manifest.get("crawl") or {}).get("reports") or []
-    if not reports:
+def _section_crawl(crawl: dict) -> str:
+    if not crawl["by_marketplace"]:
         return ""
-    totals: Dict[str, List[int]] = {}
-    for report in reports:
-        row = totals.setdefault(report["marketplace"], [0, 0, 0, 0])
-        row[0] += report.get("pages_fetched", 0)
-        row[1] += report.get("offers_found", 0)
-        row[2] += report.get("offers_parsed", 0)
-        row[3] += report.get("errors", 0)
     rows = [
-        [html.escape(name)] + [str(v) for v in values]
-        for name, values in sorted(totals.items())
+        [html.escape(name)] + [
+            str(row[key]) for key in
+            ("pages_fetched", "offers_found", "offers_parsed", "errors")
+        ]
+        for name, row in crawl["by_marketplace"].items()
     ]
     return "<h2>Crawl totals (summed over iterations)</h2>" + _table(
         ["marketplace", "pages", "offers found", "offers parsed", "errors"],
@@ -169,38 +162,17 @@ def _section_crawl(run: RunDir) -> str:
     )
 
 
-def _section_http(run: RunDir) -> str:
-    latency = run.histogram_series("http_request_sim_seconds")
-    scalars = run.scalar_metrics()
-    if not latency and not scalars:
+def _section_http(http: dict) -> str:
+    if not http:
         return ""
-    waits: Dict[str, List[float]] = {}
-    for (name, labels), value in scalars.items():
-        if name not in ("http_retry_wait_seconds_total",
-                        "http_politeness_wait_seconds_total"):
-            continue
-        host = dict(labels).get("host", "")
-        slot = waits.setdefault(host, [0.0, 0.0])
-        slot[0 if name.startswith("http_retry") else 1] += value
     rows = []
-    hosts = sorted(
-        {(s.get("labels") or {}).get("host", "") for s in latency} | set(waits)
-    )
-    series_by_host = {
-        (s.get("labels") or {}).get("host", ""): s for s in latency
-    }
-    for host in hosts:
-        series = series_by_host.get(host)
-        p50 = exported_histogram_quantile(series, 0.5) if series else 0.0
-        p95 = exported_histogram_quantile(series, 0.95) if series else 0.0
-        count = int(series.get("count", 0)) if series else 0
-        retry, polite = waits.get(host, [0.0, 0.0])
+    for host, row in http.items():
         rows.append([
-            html.escape(host), str(count), f"{p50:.3f}", f"{p95:.3f}",
-            f"{retry:,.1f}", f"{polite:,.1f}",
+            html.escape(host), str(row["requests"]),
+            f"{row['p50_sim_seconds']:.3f}", f"{row['p95_sim_seconds']:.3f}",
+            f"{row['retry_wait_seconds']:,.1f}",
+            f"{row['politeness_wait_seconds']:,.1f}",
         ])
-    if not rows:
-        return ""
     return "<h2>HTTP client, per host (simulated seconds)</h2>" + _table(
         ["host", "requests", "p50 latency", "p95 latency",
          "retry wait", "politeness wait"],
@@ -208,61 +180,47 @@ def _section_http(run: RunDir) -> str:
     )
 
 
-def _section_profile(run: RunDir) -> str:
+def _section_profile(profile: Optional[dict]) -> str:
     """Hot stages (by wall time) and memory peaks from ``profile.json``."""
-    profile = run.profile
     if not profile:
         return ""
-    phases = profile.get("phases") or []
-    hot = sorted(phases, key=lambda p: -p.get("wall_seconds", 0.0))[:10]
+    phases = profile["phases"]
+    hot = sorted(phases, key=lambda p: -(p["wall_seconds"] or 0.0))[:10]
     rows = []
     for phase in hot:
-        throughput = phase.get("throughput") or {}
         rate = ", ".join(
             f"{key.replace('_per_second', '')}: {value:,.0f}/s"
-            for key, value in sorted(throughput.items())
+            for key, value in sorted(phase["throughput"].items())
         )
         rows.append([
-            html.escape(phase.get("name", "")),
-            f"{phase.get('wall_seconds', 0.0):.3f}",
-            f"{phase.get('sim_seconds', 0.0):,.1f}",
+            html.escape(phase["name"]),
+            f"{phase['wall_seconds'] or 0.0:.3f}",
+            f"{phase['sim_seconds'] or 0.0:,.1f}",
             html.escape(rate),
         ])
     sections = ["<h2>Hot stages (profile.json, by wall time)</h2>"]
-    missing = profile_stage_coverage(profile)
-    if missing:
+    if profile["missing_stages"]:
         sections.append(
             '<p class="fail">profile missing analysis stages: '
-            f"{html.escape(', '.join(missing))}</p>"
+            f"{html.escape(', '.join(profile['missing_stages']))}</p>"
         )
     sections.append(_table(
         ["phase", "wall s", "sim s", "throughput"], rows, numeric=(1, 2)
     ))
     mem_rows = []
     for phase in sorted(
-        phases,
-        key=lambda p: -((p.get("memory") or {}).get("peak_bytes", 0)),
+        phases, key=lambda p: -p["memory"]["peak_bytes"],
     )[:10]:
-        memory = phase.get("memory") or {}
-        top = memory.get("top_allocations") or []
-        top_site = top[0]["site"] if top else ""
+        memory = phase["memory"]
         mem_rows.append([
-            html.escape(phase.get("name", "")),
-            f"{memory.get('peak_bytes', 0) / 1e6:,.1f}",
-            f"{memory.get('net_bytes', 0) / 1e6:,.1f}",
-            html.escape(top_site),
+            html.escape(phase["name"]),
+            f"{memory['peak_bytes'] / 1e6:,.1f}",
+            f"{memory['net_bytes'] / 1e6:,.1f}",
+            html.escape(memory["top_site"]),
         ])
     if mem_rows:
-        totals_mem = (profile.get("totals") or {}).get("memory") or {}
-        label_bits = []
-        if totals_mem.get("tracemalloc_peak_bytes"):
-            label_bits.append(
-                f"tracemalloc peak {totals_mem['tracemalloc_peak_bytes'] / 1e6:,.1f} MB"
-            )
-        if totals_mem.get("rss_max_kb"):
-            label_bits.append(f"max RSS {totals_mem['rss_max_kb'] / 1024:,.1f} MB")
-        label = f" ({html.escape(', '.join(label_bits))})" if label_bits else ""
-        sections.append(f"<h2>Memory{label}</h2>")
+        label = html.escape(memory_totals_label(profile))
+        sections.append(f"<h2>Memory{f' ({label})' if label else ''}</h2>")
         sections.append(_table(
             ["phase", "peak MB", "net MB", "top allocation site"],
             mem_rows, numeric=(1, 2),
@@ -270,8 +228,7 @@ def _section_profile(run: RunDir) -> str:
     return "\n".join(sections)
 
 
-def _section_events(run: RunDir) -> str:
-    counts = run.event_kind_counts()
+def _section_events(counts: dict) -> str:
     if not counts:
         return "<h2>Events</h2><p>none recorded</p>"
     rows = [[html.escape(kind), str(count)] for kind, count in counts.items()]
@@ -279,17 +236,18 @@ def _section_events(run: RunDir) -> str:
                                               numeric=(1,))
 
 
-def render_health_html(run: RunDir) -> str:
-    """The full dashboard page for one loaded telemetry directory."""
+def render_health_html(document: dict) -> str:
+    """The full dashboard page for one run-dir document
+    (:func:`~repro.obs.summary.trace_document`)."""
     sections = [
-        _section_header(run),
-        _section_scorecard(run),
-        _section_watchdog(run),
-        _section_stages(run),
-        _section_profile(run),
-        _section_crawl(run),
-        _section_http(run),
-        _section_events(run),
+        _section_header(document),
+        _section_scorecard(document["scorecard"]),
+        _section_watchdog(document["watchdog"]),
+        _section_stages(document["stages"]),
+        _section_profile(document["profile"]),
+        _section_crawl(document["crawl"]),
+        _section_http(document["http"]),
+        _section_events(document["events"]),
     ]
     body = "\n".join(section for section in sections if section)
     return (
@@ -417,7 +375,7 @@ def render_fleet_html(runs, series_list, alert_report=None,
     )
 
 
-def health_problems(run: RunDir) -> List[str]:
+def health_problems(document: dict) -> List[str]:
     """Every reason the run counts as unhealthy, one line each.
 
     Checks: scorecard failed, critical watchdog findings, and — when the
@@ -425,40 +383,31 @@ def health_problems(run: RunDir) -> List[str]:
     analysis stages (surfaced like ``analysis_stage_coverage``).
     """
     problems: List[str] = []
-    if run.scorecard and not run.scorecard.get("passed", False):
+    card = document["scorecard"]
+    if card and not card["passed"]:
         failed = [
-            entry.get("name", "")
-            for entry in run.scorecard.get("entries", [])
-            if not entry.get("passed", False)
+            entry["name"] for entry in card["entries"] if not entry["passed"]
         ]
         problems.append(
             "scorecard failed"
             + (f" ({', '.join(failed)})" if failed else "")
         )
-    summary = run.watchdog_summary() or {}
-    critical = (summary.get("counts") or {}).get("critical")
+    watchdog, profile = document["watchdog"], document["profile"]
+    critical = watchdog and watchdog["counts"].get("critical")
     if critical:
         problems.append(f"watchdog reported {critical} critical finding(s)")
-    if run.profile is not None:
-        missing = profile_stage_coverage(run.profile)
-        if missing:
-            problems.append(
-                "profile.json missing analysis stage(s): "
-                + ", ".join(missing)
-            )
+    missing = profile and profile["missing_stages"]
+    if missing:
+        problems.append(
+            "profile.json missing analysis stage(s): " + ", ".join(missing)
+        )
     return problems
-
-
-def health_status(run: RunDir) -> bool:
-    """True when :func:`health_problems` finds nothing wrong."""
-    return not health_problems(run)
 
 
 __all__ = [
     "FLEET_FILENAME",
     "REPORT_FILENAME",
     "health_problems",
-    "health_status",
     "render_fleet_html",
     "render_health_html",
 ]

@@ -1,12 +1,14 @@
 """Loading a telemetry directory back into memory, defensively.
 
-``repro trace``, ``repro diff`` and ``repro health`` all start from a
-directory written by ``--telemetry-out``.  Any of its files can be
-missing (older runs predate the scorecard), empty, or truncated (a run
-killed mid-export).  :class:`RunDir` loads whatever is present and
-raises :class:`TelemetryDirError` — whose message is a single printable
-line — when the directory is unusable, so every CLI entry point can
-``except TelemetryDirError`` and exit with code 2.
+A directory written by ``--telemetry-out`` is read by
+:func:`~repro.obs.summary.trace_document` (the document ``repro trace``,
+``repro diff`` and ``repro health`` render) and by registry ingest, both
+through :class:`RunDir`.  Any of its files can be missing (older runs
+predate the scorecard), empty, or truncated (a run killed mid-export).
+:class:`RunDir` loads whatever is present and raises
+:class:`TelemetryDirError` — whose message is a single printable line —
+when the directory is unusable, so every CLI entry point can ``except
+TelemetryDirError`` and exit with code 2.
 """
 
 from __future__ import annotations
@@ -143,7 +145,11 @@ class RunDir:
         return []
 
     def event_kind_counts(self, min_level: str = "debug") -> Dict[str, int]:
-        """Event counts by kind, filtered to ``min_level`` and above."""
+        """Event counts by kind, filtered to ``min_level`` and above.
+
+        Only ``events.jsonl`` records levels.  Without it, the unfiltered
+        count falls back to the manifest's per-kind totals, and a
+        filtered count is empty."""
         order = ("debug", "info", "warning", "error")
         floor = order.index(min_level) if min_level in order else 0
         counts: Dict[str, int] = {}
@@ -151,7 +157,7 @@ class RunDir:
             level = event.level if event.level in order else "warning"
             if order.index(level) >= floor:
                 counts[event.kind] = counts.get(event.kind, 0) + 1
-        if not counts and not self.events and self.manifest:
+        if not floor and not self.events and self.manifest:
             counts = dict(self.manifest.get("events") or {})
         return dict(sorted(counts.items()))
 
@@ -171,16 +177,6 @@ class RunDir:
         if isinstance(recorded, str) and recorded:
             return recorded
         return schemas.config_hash(self.config())
-
-    def contracts_summary(self) -> Optional[dict]:
-        if self.manifest:
-            return self.manifest.get("contracts")
-        return None
-
-    def archive_summary(self) -> Optional[dict]:
-        if self.manifest:
-            return self.manifest.get("archive")
-        return None
 
     def content_digest(self) -> str:
         """A short digest over the raw bytes of every telemetry artifact
@@ -202,18 +198,6 @@ class RunDir:
                     digest.update(chunk)
             digest.update(b"\x00")
         return digest.hexdigest()[:16]
-
-    def label(self) -> str:
-        """A short human name for this run (config digest or path)."""
-        config = (self.manifest or {}).get("config") or {}
-        if config:
-            bits = [
-                f"{key}={config[key]}"
-                for key in ("seed", "scale", "iterations") if key in config
-            ]
-            if bits:
-                return f"{self.path} ({', '.join(bits)})"
-        return self.path
 
 
 __all__ = ["RunDir", "TELEMETRY_FILES", "TelemetryDirError"]

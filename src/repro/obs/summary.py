@@ -1,20 +1,26 @@
-"""Rendering for ``repro trace <run-dir>``.
+"""The run-dir document, and its rendering for ``repro trace <run-dir>``.
 
-Reads a telemetry directory through :class:`~repro.obs.rundir.RunDir`
-(manifest.json / metrics.json / trace.jsonl / events.jsonl /
-scorecard.json, any subset) and produces the per-stage
-time-and-error summary, per-host HTTP latency quantiles and
-retry/politeness overhead, watchdog and scorecard status, and event and
-crawl-error breakdowns.
+:func:`trace_document` is the only code that reads a telemetry
+directory's artifacts (manifest.json / metrics.json / trace.jsonl /
+events.jsonl / scorecard.json / profile.json, any subset, loaded through
+:class:`~repro.obs.rundir.RunDir`).  ``repro trace --json`` prints the
+document and the run registry stores it; :func:`render_trace_summary`,
+:mod:`repro.obs.report_html` and :mod:`repro.obs.diff` are pure
+formatters over it.  The text summary shows the per-stage time summary,
+per-host HTTP latency quantiles and retry/politeness overhead, watchdog
+and scorecard status, and event and crawl-error breakdowns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import exported_histogram_quantile
+from repro.obs.prof import profile_stage_coverage
 from repro.obs.rundir import RunDir
 from repro.obs.schemas import TRACE_DOC_SCHEMA, config_hash
+
+_Labels = Tuple[Tuple[str, str], ...]
 
 
 def _format_table(headers: List[str], rows: List[List[str]]) -> str:
@@ -33,53 +39,30 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> str:
     return "\n".join(lines)
 
 
-def _stage_rows(stages: List[dict],
-                errors_by_stage: Optional[Dict[str, int]] = None) -> str:
+def _stage_rows(stages: List[dict]) -> str:
     rows = []
     for stage in stages:
-        name = stage["name"]
         rows.append([
-            name,
-            f"{stage.get('sim_seconds', 0.0):,.1f}",
-            f"{stage.get('wall_seconds', 0.0):.3f}",
-            str(stage.get("spans", 0)),
-            str((errors_by_stage or {}).get(name, "")),
+            stage["name"],
+            f"{stage['sim_seconds']:,.1f}",
+            f"{stage['wall_seconds']:.3f}",
+            str(stage["spans"]),
         ])
-    return _format_table(
-        ["stage", "sim s", "wall s", "spans", "errors"], rows
-    )
+    return _format_table(["stage", "sim s", "wall s", "spans"], rows)
 
 
-def _http_section(run: RunDir) -> Optional[str]:
+def _http_section(http: Dict[str, dict]) -> Optional[str]:
     """Per-host request counts, p50/p95 sim latency, and the retry /
-    politeness wait totals the :class:`~repro.web.client.ClientStats`
-    accumulate."""
-    latency = run.histogram_series("http_request_sim_seconds")
-    scalars = run.scalar_metrics()
-    waits: Dict[str, List[float]] = {}
-    for (name, labels), value in scalars.items():
-        if name not in ("http_retry_wait_seconds_total",
-                        "http_politeness_wait_seconds_total"):
-            continue
-        host = dict(labels).get("host", "")
-        slot = waits.setdefault(host, [0.0, 0.0])
-        slot[0 if name.startswith("http_retry") else 1] += value
-    series_by_host = {
-        (s.get("labels") or {}).get("host", ""): s for s in latency
-    }
-    hosts = sorted(set(series_by_host) | set(waits))
-    if not hosts:
+    politeness wait totals."""
+    if not http:
         return None
     rows = []
-    for host in hosts:
-        series = series_by_host.get(host)
-        count = int(series.get("count", 0)) if series else 0
-        p50 = exported_histogram_quantile(series, 0.5) if series else 0.0
-        p95 = exported_histogram_quantile(series, 0.95) if series else 0.0
-        retry, polite = waits.get(host, [0.0, 0.0])
+    for host, row in http.items():
         rows.append([
-            host, str(count), f"{p50:.3f}", f"{p95:.3f}",
-            f"{retry:,.1f}", f"{polite:,.1f}",
+            host, str(row["requests"]),
+            f"{row['p50_sim_seconds']:.3f}", f"{row['p95_sim_seconds']:.3f}",
+            f"{row['retry_wait_seconds']:,.1f}",
+            f"{row['politeness_wait_seconds']:,.1f}",
         ])
     return (
         "http client, per host (sim seconds):\n"
@@ -90,64 +73,61 @@ def _http_section(run: RunDir) -> Optional[str]:
     )
 
 
-def _profile_sections(run: RunDir) -> List[str]:
-    """"hot stages" and "memory peaks" from ``profile.json``, when the
-    run was profiled (``repro run --profile``)."""
-    profile = run.profile
+def memory_totals_label(profile: dict) -> str:
+    """The run-wide memory high-water marks, e.g. ``tracemalloc peak 1.2
+    MB, max RSS 80.0 MB`` (empty when the profile recorded neither)."""
+    totals = profile["totals"]
+    bits = []
+    if totals["tracemalloc_peak_bytes"]:
+        bits.append(
+            f"tracemalloc peak {totals['tracemalloc_peak_bytes'] / 1e6:,.1f} MB"
+        )
+    if totals["rss_max_kb"]:
+        bits.append(f"max RSS {totals['rss_max_kb'] / 1024:,.1f} MB")
+    return ", ".join(bits)
+
+
+def _profile_sections(profile: Optional[dict]) -> List[str]:
+    """"hot stages" and "memory peaks", when the run was profiled
+    (``repro run --profile``)."""
     if not profile:
         return []
-    phases = profile.get("phases") or []
+    phases = profile["phases"]
     sections: List[str] = []
-    hot = sorted(phases, key=lambda p: -p.get("wall_seconds", 0.0))[:8]
+    hot = sorted(phases, key=lambda p: -(p["wall_seconds"] or 0.0))[:8]
     if hot:
         rows = []
         for phase in hot:
-            throughput = phase.get("throughput") or {}
             rate = ", ".join(
                 f"{key.replace('_per_second', '')} {value:,.0f}/s"
-                for key, value in sorted(throughput.items())
+                for key, value in sorted(phase["throughput"].items())
             )
             rows.append([
-                phase.get("name", ""),
-                f"{phase.get('wall_seconds', 0.0):.3f}",
-                f"{phase.get('sim_seconds', 0.0):,.1f}",
+                phase["name"],
+                f"{phase['wall_seconds'] or 0.0:.3f}",
+                f"{phase['sim_seconds'] or 0.0:,.1f}",
                 rate,
             ])
         sections.append(
             "hot stages (profile.json, by wall time):\n"
             + _format_table(["phase", "wall s", "sim s", "throughput"], rows)
         )
-    by_peak = sorted(
-        phases,
-        key=lambda p: -((p.get("memory") or {}).get("peak_bytes", 0)),
-    )[:8]
+    by_peak = sorted(phases, key=lambda p: -p["memory"]["peak_bytes"])[:8]
     mem_rows = []
     for phase in by_peak:
-        memory = phase.get("memory") or {}
-        if not memory.get("peak_bytes"):
+        memory = phase["memory"]
+        if not memory["peak_bytes"]:
             continue
-        top = memory.get("top_allocations") or []
         mem_rows.append([
-            phase.get("name", ""),
-            f"{memory.get('peak_bytes', 0) / 1e6:,.1f}",
-            f"{memory.get('net_bytes', 0) / 1e6:,.1f}",
-            top[0]["site"] if top else "",
+            phase["name"],
+            f"{memory['peak_bytes'] / 1e6:,.1f}",
+            f"{memory['net_bytes'] / 1e6:,.1f}",
+            memory["top_site"],
         ])
     if mem_rows:
-        totals_mem = (profile.get("totals") or {}).get("memory") or {}
-        label_bits = []
-        if totals_mem.get("tracemalloc_peak_bytes"):
-            label_bits.append(
-                "tracemalloc peak "
-                f"{totals_mem['tracemalloc_peak_bytes'] / 1e6:,.1f} MB"
-            )
-        if totals_mem.get("rss_max_kb"):
-            label_bits.append(
-                f"max RSS {totals_mem['rss_max_kb'] / 1024:,.1f} MB"
-            )
-        label = f" ({', '.join(label_bits)})" if label_bits else ""
+        label = memory_totals_label(profile)
         sections.append(
-            f"memory peaks{label}:\n"
+            f"memory peaks{f' ({label})' if label else ''}:\n"
             + _format_table(
                 ["phase", "peak MB", "net MB", "top allocation site"],
                 mem_rows,
@@ -156,15 +136,13 @@ def _profile_sections(run: RunDir) -> List[str]:
     return sections
 
 
-def _watchdog_section(run: RunDir) -> Optional[str]:
-    summary = run.watchdog_summary()
-    if summary is None:
+def _watchdog_section(watchdog: Optional[dict]) -> Optional[str]:
+    if watchdog is None:
         return None
-    counts = summary.get("counts") or {}
-    findings = summary.get("findings") or []
+    findings = watchdog["findings"]
     if not findings:
         return "watchdog: no findings"
-    label = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    label = ", ".join(f"{k}={v}" for k, v in watchdog["counts"].items())
     rows = [
         [
             finding.get("severity", ""),
@@ -183,29 +161,24 @@ def _watchdog_section(run: RunDir) -> Optional[str]:
     )
 
 
-def _scorecard_section(run: RunDir) -> Optional[str]:
-    card = run.scorecard
+def _scorecard_section(card: Optional[dict]) -> Optional[str]:
     if not card:
         return None
-    status = "PASS" if card.get("passed") else "FAIL"
-    failed = [
-        entry for entry in card.get("entries", [])
-        if not entry.get("passed", False)
-    ]
+    status = "PASS" if card["passed"] else "FAIL"
+    failed = [entry for entry in card["entries"] if not entry["passed"]]
     lines = [
         f"fidelity scorecard: {status} "
-        f"({card.get('n_entries', 0)} metrics, {len(failed)} out of band)"
+        f"({card['n_entries']} metrics, {len(failed)} out of band)"
     ]
     for entry in failed:
         lines.append(
-            f"  {entry.get('name')}: {entry.get('value')} outside "
-            f"[{entry.get('low')}, {entry.get('high')}]"
+            f"  {entry['name']}: {entry['value']} outside "
+            f"[{entry['low']}, {entry['high']}]"
         )
     return "\n".join(lines)
 
 
-def _contracts_section(manifest: Optional[dict]) -> Optional[str]:
-    contracts = (manifest or {}).get("contracts")
+def _contracts_section(contracts: Optional[dict]) -> Optional[str]:
     if not contracts:
         return None
     lines = []
@@ -226,8 +199,7 @@ def _contracts_section(manifest: Optional[dict]) -> Optional[str]:
     return "\n".join(lines) if lines else None
 
 
-def _archive_section(manifest: Optional[dict]) -> Optional[str]:
-    archive = (manifest or {}).get("archive")
+def _archive_section(archive: Optional[dict]) -> Optional[str]:
     if not archive:
         return None
     lines = [
@@ -245,8 +217,7 @@ def _archive_section(manifest: Optional[dict]) -> Optional[str]:
     return "\n".join(lines)
 
 
-def _stage_failures_section(manifest: Optional[dict]) -> Optional[str]:
-    failures = (manifest or {}).get("stage_failures") or []
+def _stage_failures_section(failures: List[dict]) -> Optional[str]:
     if not failures:
         return None
     rows = [
@@ -267,11 +238,21 @@ def _stage_failures_section(manifest: Optional[dict]) -> Optional[str]:
     )
 
 
-def _http_table(run: RunDir) -> Dict[str, dict]:
-    """Per-host request counts, latency quantiles, and wait totals as
-    plain data (the machine-readable twin of :func:`_http_section`)."""
+def _series_name(name: str, labels: _Labels) -> str:
+    """One counter/gauge series as ``repro diff`` prints it:
+    ``name{k=v,...}``, or the bare name when it has no labels."""
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{inner}}}"
+
+
+def _http_table(run: RunDir,
+                scalars: Dict[Tuple[str, _Labels], float]) -> Dict[str, dict]:
+    """Per-host request counts, latency quantiles, and the retry /
+    politeness wait totals the :class:`~repro.web.client.ClientStats`
+    accumulate."""
     latency = run.histogram_series("http_request_sim_seconds")
-    scalars = run.scalar_metrics()
     waits: Dict[str, List[float]] = {}
     for (name, labels), value in scalars.items():
         if name not in ("http_retry_wait_seconds_total",
@@ -320,20 +301,41 @@ def _crawl_totals(manifest: Optional[dict]) -> dict:
     }
 
 
-def trace_document(source: Union[str, RunDir]) -> dict:
-    """The ``repro trace --json`` document: one stable, schema-versioned
-    JSON view over a telemetry directory.
+def _profile_phase(phase: dict) -> dict:
+    memory = phase.get("memory") or {}
+    top = memory.get("top_allocations") or []
+    return {
+        "name": phase.get("name"),
+        "kind": phase.get("kind"),
+        "wall_seconds": phase.get("wall_seconds"),
+        "sim_seconds": phase.get("sim_seconds"),
+        "throughput": phase.get("throughput") or {},
+        "memory": {
+            "peak_bytes": memory.get("peak_bytes", 0),
+            "net_bytes": memory.get("net_bytes", 0),
+            "top_site": top[0]["site"] if top else "",
+        },
+    }
 
-    Scripts and the cross-run :class:`~repro.obs.registry.RunRegistry`
-    ingester both consume this document, so the text renderer and the
-    machine path can never drift apart.  Keys are sorted at serialization
-    time and every float is rounded, so two loads of the same directory
-    produce byte-identical output.  Sections whose artifacts are absent
-    come out as ``None`` rather than being omitted.
+
+def trace_document(source: Union[str, RunDir]) -> dict:
+    """The run-dir document: one stable, schema-versioned JSON view over
+    a telemetry directory (``repro trace --json``).
+
+    Raises :class:`~repro.obs.rundir.TelemetryDirError` on unusable
+    directories.  Every ``repro trace``/``health``/``diff`` rendering and
+    the cross-run :class:`~repro.obs.registry.RunRegistry` ingester
+    consume this document, so they cannot drift apart, and a document
+    loaded back from JSON renders exactly like the directory.  Keys are
+    sorted at serialization time and derived floats are rounded, so two
+    loads of the same directory produce byte-identical output.
+    Sections whose artifacts are absent come out as ``None`` rather than
+    being omitted.
     """
     run = source if isinstance(source, RunDir) else RunDir.load(source)
     manifest = run.manifest or {}
     config = manifest.get("config") or {}
+    scalars = run.scalar_metrics()
 
     scorecard = None
     if run.scorecard:
@@ -349,6 +351,7 @@ def trace_document(source: Union[str, RunDir]) -> dict:
                     "low": entry.get("low"),
                     "high": entry.get("high"),
                     "passed": entry.get("passed"),
+                    "detail": entry.get("detail", ""),
                 }
                 for entry in run.scorecard.get("entries", [])
             ],
@@ -358,9 +361,11 @@ def trace_document(source: Union[str, RunDir]) -> dict:
     watchdog_doc = None
     if watchdog is not None:
         counts = watchdog.get("counts") or {}
+        findings = watchdog.get("findings") or []
         watchdog_doc = {
             "counts": dict(sorted(counts.items())),
-            "findings_total": len(watchdog.get("findings") or []),
+            "findings_total": len(findings),
+            "findings": findings,
         }
 
     profile_doc = None
@@ -369,12 +374,7 @@ def trace_document(source: Union[str, RunDir]) -> dict:
         memory = totals.get("memory") or {}
         profile_doc = {
             "phases": [
-                {
-                    "name": phase.get("name"),
-                    "kind": phase.get("kind"),
-                    "wall_seconds": phase.get("wall_seconds"),
-                    "sim_seconds": phase.get("sim_seconds"),
-                }
+                _profile_phase(phase)
                 for phase in run.profile.get("phases") or []
             ],
             "totals": {
@@ -383,12 +383,14 @@ def trace_document(source: Union[str, RunDir]) -> dict:
                 "tracemalloc_peak_bytes": memory.get("tracemalloc_peak_bytes"),
                 "rss_max_kb": memory.get("rss_max_kb"),
             },
+            "missing_stages": profile_stage_coverage(run.profile),
         }
 
     return {
         "schema": TRACE_DOC_SCHEMA,
         "path": run.path,
         "run": {
+            "manifest_schema": manifest.get("schema"),
             "git": manifest.get("git"),
             "python": manifest.get("python"),
             "seed": manifest.get("seed", config.get("seed")),
@@ -415,70 +417,66 @@ def trace_document(source: Union[str, RunDir]) -> dict:
         "profile": profile_doc,
         "crawl": _crawl_totals(manifest),
         "events": run.event_kind_counts(),
-        "http": _http_table(run),
+        "warning_events": run.event_kind_counts(min_level="warning"),
+        "http": _http_table(run, scalars),
+        "metrics": {
+            _series_name(name, labels): value
+            for (name, labels), value in sorted(scalars.items())
+        },
     }
 
 
-def render_trace_summary(source: Union[str, RunDir]) -> str:
-    """The full ``repro trace`` report for one telemetry directory.
-
-    Accepts a path (raises :class:`~repro.obs.rundir.TelemetryDirError`
-    on unusable directories) or an already-loaded :class:`RunDir`.
-    """
-    run = source if isinstance(source, RunDir) else RunDir.load(source)
+def render_trace_summary(document: dict) -> str:
+    """The full ``repro trace`` report for one :func:`trace_document`."""
     sections: List[str] = []
-    manifest = run.manifest
+    run = document["run"]
 
-    if manifest:
-        header = [f"run manifest: schema={manifest.get('schema')}"]
-        if manifest.get("git"):
-            header.append(f"git={manifest['git']}")
-        config = manifest.get("config") or {}
-        if config:
+    if run["manifest_schema"] is not None:
+        header = [f"run manifest: schema={run['manifest_schema']}"]
+        if run["git"]:
+            header.append(f"git={run['git']}")
+        if run["config"]:
             header.append(
                 "config: " + ", ".join(
-                    f"{key}={config[key]}" for key in sorted(config)
+                    f"{key}={value}" for key, value in run["config"].items()
                 )
             )
         header.append(
-            f"simulated_seconds={manifest.get('simulated_seconds', 0.0):,.1f}"
+            f"simulated_seconds={run['simulated_seconds'] or 0.0:,.1f}"
         )
         sections.append("\n".join(header))
 
-    if run.stages:
-        sections.append("per-stage summary:\n" + _stage_rows(run.stages))
+    if document["stages"]:
+        sections.append(
+            "per-stage summary:\n" + _stage_rows(document["stages"]))
     else:
-        sections.append(f"no trace data found in {run.path}")
+        sections.append(f"no trace data found in {document['path']}")
 
     for section in (
-        _scorecard_section(run),
-        _stage_failures_section(manifest),
-        _contracts_section(manifest),
-        _archive_section(manifest),
-        *_profile_sections(run),
-        _watchdog_section(run),
-        _http_section(run),
+        _scorecard_section(document["scorecard"]),
+        _stage_failures_section(document["stage_failures"]),
+        _contracts_section(document["contracts"]),
+        _archive_section(document["archive"]),
+        *_profile_sections(document["profile"]),
+        _watchdog_section(document["watchdog"]),
+        _http_section(document["http"]),
     ):
         if section:
             sections.append(section)
 
-    counts = run.event_kind_counts()
+    counts = document["events"]
     if counts:
-        rows = [[kind, str(count)] for kind, count in sorted(counts.items())]
+        rows = [[kind, str(count)] for kind, count in counts.items()]
         sections.append("events by kind:\n" + _format_table(["kind", "count"], rows))
     else:
         sections.append("events by kind: none recorded")
 
-    if manifest and manifest.get("crawl", {}).get("reports"):
-        totals: Dict[str, List[int]] = {}
-        for report in manifest["crawl"]["reports"]:
-            row = totals.setdefault(report["marketplace"], [0, 0, 0])
-            row[0] += report["pages_fetched"]
-            row[1] += report["offers_parsed"]
-            row[2] += report["errors"]
+    by_marketplace = document["crawl"]["by_marketplace"]
+    if by_marketplace:
         rows = [
-            [name, str(pages), str(offers), str(errors)]
-            for name, (pages, offers, errors) in totals.items()
+            [name, str(row["pages_fetched"]), str(row["offers_parsed"]),
+             str(row["errors"])]
+            for name, row in by_marketplace.items()
         ]
         sections.append(
             "crawl totals (summed over iterations):\n"

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.schemas import TRENDS_SCHEMA
+from repro.obs.summary import _format_table
 
 #: Metric-name prefixes whose values depend on the machine, not the
 #: seed; rendered for context but excluded from default alerting.
@@ -188,24 +189,11 @@ def render_trends_text(series_list: Sequence[TrendSeries]) -> str:
             _fmt(series.delta, signed=True),
             sparkline(values),
         ])
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(headers[i].ljust(widths[i])
-                  for i in range(len(headers))).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(
-            row[i].ljust(widths[i]) for i in range(len(headers))
-        ).rstrip())
+    text = _format_table(headers, rows)
     if any(series.machine_dependent for series in series_list):
-        lines.append("")
-        lines.append("* machine-dependent (wall clock / memory); "
-                     "excluded from default alerting")
-    return "\n".join(lines)
+        text += ("\n\n* machine-dependent (wall clock / memory); "
+                 "excluded from default alerting")
+    return text
 
 
 def _fmt(value: float, signed: bool = False) -> str:

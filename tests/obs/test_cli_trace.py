@@ -83,6 +83,17 @@ class TestTraceCommand:
         assert document["scorecard"]["n_entries"] > 0
         assert document["crawl"]["pages_total"] > 0
         assert "http" in document
+        assert document["run"]["manifest_schema"] == "repro.run-manifest/v1"
+        assert all(isinstance(entry["detail"], str)
+                   for entry in document["scorecard"]["entries"])
+        watchdog = document["watchdog"]
+        assert len(watchdog["findings"]) == watchdog["findings_total"]
+        assert document["profile"] is None  # not run with --profile
+        assert set(document["warning_events"]) <= set(document["events"])
+        assert any(name.startswith("http_requests_total{host=")
+                   for name in document["metrics"])
+        assert all(isinstance(value, float)
+                   for value in document["metrics"].values())
 
     def test_json_is_byte_stable(self, telemetry_dir, capsys):
         assert main(["trace", telemetry_dir, "--json"]) == 0

@@ -1,6 +1,6 @@
 """Run-to-run regression diffing and the health dashboard.
 
-Covers the library (``diff_runs`` on loaded :class:`RunDir` pairs) and
+Covers the library (``diff_runs`` on run-dir document pairs) and
 the CLI (``repro diff`` / ``repro health`` exit codes): two same-seed
 runs are byte-identical and diff empty; a doctored run regresses; a
 broken directory is a one-line error with exit code 2.
@@ -8,12 +8,23 @@ broken directory is a one-line error with exit code 2.
 
 import json
 import os
+import re
 import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.obs import DiffConfig, RunDir, diff_runs, health_status
+from repro.obs import (
+    PROFILE_FILENAME,
+    PROFILE_SCHEMA,
+    DiffConfig,
+    RunRegistry,
+    diff_runs,
+    health_problems,
+    render_health_html,
+    render_trace_summary,
+    trace_document,
+)
 
 RUN_ARGS = ["--scale", "0.01", "--iterations", "2", "--seed", "321"]
 
@@ -64,6 +75,18 @@ def fail_entry(name):
     return mutate
 
 
+def unscorable_entries(data):
+    """The two unscorable shapes a degraded stage leaves in a scorecard
+    (``value: null`` and a string)."""
+    for entry in data["entries"]:
+        if entry["name"] == "scam_account_recall":
+            entry["value"], entry["passed"] = None, False
+        if entry["name"] == "efficacy_recall":
+            entry["value"], entry["passed"] = "degraded", False
+    data["passed"] = False
+    data["n_failed"] = 2
+
+
 def bump_metric(name):
     """Add 7 to every series of a counter, creating it if the healthy
     run never emitted it (zero-valued counters aren't exported)."""
@@ -93,7 +116,7 @@ class TestSameSeedRuns:
 
     def test_diff_is_empty(self, twin_runs):
         a, b = twin_runs
-        diff = diff_runs(RunDir.load(a), RunDir.load(b))
+        diff = diff_runs(trace_document(a), trace_document(b))
         assert not diff.has_regressions
         assert diff.lines == []
         assert "no differences" in diff.render_text()
@@ -111,7 +134,7 @@ class TestRegressionDetection:
         a, b = twin_runs
         bad = doctor(b, str(tmp_path / "bad"),
                      scorecard=fail_entry("scam_account_recall"))
-        diff = diff_runs(RunDir.load(a), RunDir.load(bad))
+        diff = diff_runs(trace_document(a), trace_document(bad))
         assert diff.has_regressions
         (line,) = [l for l in diff.regressions()
                    if l.name == "scam_account_recall"]
@@ -127,7 +150,7 @@ class TestRegressionDetection:
             entry["value"] = round(entry["value"] - 0.01, 6)
 
         nudged = doctor(b, str(tmp_path / "nudged"), scorecard=nudge)
-        diff = diff_runs(RunDir.load(a), RunDir.load(nudged),
+        diff = diff_runs(trace_document(a), trace_document(nudged),
                          DiffConfig(scorecard_tolerance=0.02))
         assert not diff.has_regressions
         assert diff.lines  # the change is still reported
@@ -136,11 +159,44 @@ class TestRegressionDetection:
         a, b = twin_runs
         noisy = doctor(b, str(tmp_path / "noisy"),
                        metrics=bump_metric("crawl_errors_total"))
-        diff = diff_runs(RunDir.load(a), RunDir.load(noisy))
+        diff = diff_runs(trace_document(a), trace_document(noisy))
         assert any(
             l.regression and "error metric increased" in l.note
             for l in diff.lines
         )
+
+    def test_unscorable_entries_regress_without_crashing(self, twin_runs,
+                                                         tmp_path, capsys):
+        a, b = twin_runs
+        bad = doctor(b, str(tmp_path / "unscorable"),
+                     scorecard=unscorable_entries)
+        assert main(["diff", a, bad]) == 1
+        out = capsys.readouterr().out
+        assert "[REGRESSION] scam_account_recall: " in out
+        assert re.search(r"\[REGRESSION\] efficacy_recall: \S+ -> degraded"
+                         r"  \(now failing\)", out)
+
+    def test_info_event_counts_without_event_log_never_regress(
+            self, twin_runs, tmp_path, capsys):
+        """Only events.jsonl records levels: the manifest's per-kind
+        counts (here info-level ``store.segment_sealed``) are shown by
+        trace and health but are never warning-level regressions."""
+        a, _ = twin_runs
+        with open(os.path.join(a, "manifest.json")) as handle:
+            manifest = json.load(handle)
+        copies = []
+        for sealed in (9, 10):
+            target = tmp_path / f"sealed-{sealed}"
+            target.mkdir()
+            manifest["events"]["store.segment_sealed"] = sealed
+            (target / "manifest.json").write_text(json.dumps(manifest))
+            copies.append(str(target))
+        assert main(["diff", *copies]) == 0
+        out = capsys.readouterr().out
+        assert "no differences" in out
+        document = trace_document(copies[1])
+        assert document["events"]["store.segment_sealed"] == 10
+        assert document["warning_events"] == {}
 
     def test_cli_diff_exits_one_and_prints_marker(self, twin_runs, tmp_path,
                                                   capsys):
@@ -211,9 +267,84 @@ class TestHealthDashboard:
                      scorecard=fail_entry("network_pair_recall"))
         assert main(["health", bad, "--strict"]) == 1
         assert "UNHEALTHY" in capsys.readouterr().out
-        assert not health_status(RunDir.load(bad))
+        assert health_problems(trace_document(bad))
 
     def test_strict_passes_on_healthy_run(self, twin_runs):
         a, _ = twin_runs
         assert main(["health", a, "--strict"]) == 0
-        assert health_status(RunDir.load(a))
+        assert not health_problems(trace_document(a))
+
+    def test_unscorable_entries_shown_out_of_band(self, twin_runs, tmp_path,
+                                                  capsys):
+        _, b = twin_runs
+        bad = doctor(b, str(tmp_path / "unscorable"),
+                     scorecard=unscorable_entries)
+        out = str(tmp_path / "report.html")
+        assert main(["health", bad, "--strict", "--out", out]) == 1
+        assert "UNHEALTHY" in capsys.readouterr().out
+        page = open(out).read()
+        for shown in ("None", "degraded"):
+            # The raw value, no meter, and an out-of-band status.
+            assert re.search(
+                rf'<td class="num">{shown}</td><td>\[[^]]*\]</td><td></td>'
+                r'<td><span class="fail">out of band</span>', page)
+
+
+#: A small profile.json with one expected stage never reported.
+PROFILE = {
+    "schema": PROFILE_SCHEMA,
+    "stages_expected": ["anatomy", "network"],
+    "phases": [
+        {"name": "crawl", "kind": "phase", "wall_seconds": 1.5,
+         "sim_seconds": 3600.0, "throughput": {"pages_per_second": 120.0},
+         "memory": {"peak_bytes": 2_000_000, "net_bytes": 500_000,
+                    "top_allocations": [{"site": "repro/web/html.py:10",
+                                         "bytes": 900_000}]}},
+        {"name": "stage.anatomy", "kind": "stage", "wall_seconds": 0.2,
+         "sim_seconds": 0.0, "throughput": {},
+         "memory": {"peak_bytes": 0, "net_bytes": 0, "top_allocations": []}},
+    ],
+    "totals": {"sim_seconds": 3600.0, "wall_seconds": 1.7,
+               "memory": {"tracemalloc_peak_bytes": 2_000_000,
+                          "rss_max_kb": 81_920}},
+}
+
+
+class TestOneDocument:
+    """trace, health and diff are pure formatters over the run-dir
+    document, so a stored document renders exactly like the directory."""
+
+    def test_stored_documents_render_like_the_directory(self, twin_runs,
+                                                        tmp_path):
+        a, b = twin_runs
+        bad = doctor(b, str(tmp_path / "bad"),
+                     scorecard=fail_entry("scam_account_recall"),
+                     metrics=bump_metric("crawl_errors_total"))
+        with open(os.path.join(bad, PROFILE_FILENAME), "w") as handle:
+            json.dump(PROFILE, handle)
+        live = [trace_document(a), trace_document(bad)]
+        assert live[1]["profile"]["missing_stages"] == ["network"]
+        assert live[1]["profile"]["phases"][0]["memory"] == {
+            "peak_bytes": 2_000_000, "net_bytes": 500_000,
+            "top_site": "repro/web/html.py:10",
+        }
+        reloaded = [json.loads(json.dumps(document)) for document in live]
+        with RunRegistry.open(str(tmp_path / "runs.sqlite")) as registry:
+            stored = [registry.document(registry.ingest(path).run_id)
+                      for path in (a, bad)]
+
+        def render(doc_a, doc_b):
+            return (
+                [render_trace_summary(doc) for doc in (doc_a, doc_b)],
+                [render_health_html(doc) for doc in (doc_a, doc_b)],
+                [health_problems(doc) for doc in (doc_a, doc_b)],
+                diff_runs(doc_a, doc_b,
+                          DiffConfig(include_wall=True)).render_text(),
+            )
+
+        expected = render(*live)
+        assert "memory peaks" in expected[0][1]
+        assert len(expected[2][1]) == 2  # scorecard and profile coverage
+        assert "[REGRESSION]" in expected[3]
+        assert render(*reloaded) == expected
+        assert render(*stored) == expected

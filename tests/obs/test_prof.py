@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.suite import STAGE_NAMES
 from repro.core import Study, StudyConfig
-from repro.obs import Telemetry, health_problems
+from repro.obs import Telemetry, health_problems, trace_document
 from repro.obs.prof import (
     MACHINE_KEYS,
     NULL_PROFILER,
@@ -18,7 +18,6 @@ from repro.obs.prof import (
     load_profile,
     profile_stage_coverage,
 )
-from repro.obs.rundir import RunDir
 from repro.util.simtime import SimClock
 
 CONFIG = StudyConfig(
@@ -251,8 +250,8 @@ class TestHealthStrictProfile:
                 for name in STAGE_NAMES if name != "efficacy"
             ],
         }
-        run = RunDir.load(self._telemetry_dir(tmp_path, doctored))
-        problems = health_problems(run)
+        problems = health_problems(
+            trace_document(self._telemetry_dir(tmp_path, doctored)))
         assert any("efficacy" in problem for problem in problems)
 
     def test_complete_profile_is_healthy(self, tmp_path):
@@ -264,5 +263,5 @@ class TestHealthStrictProfile:
                 for name in STAGE_NAMES
             ],
         }
-        run = RunDir.load(self._telemetry_dir(tmp_path, profile))
-        assert health_problems(run) == []
+        document = trace_document(self._telemetry_dir(tmp_path, profile))
+        assert health_problems(document) == []

@@ -94,12 +94,13 @@ class TestLoading:
 
 class TestConsumersDegrade:
     def test_trace_summary_manifest_only(self, tmp_path):
-        text = render_trace_summary(str(manifest_only_dir(tmp_path)))
+        text = render_trace_summary(
+            trace_document(str(manifest_only_dir(tmp_path))))
         assert "seed" in text
 
     def test_trace_summary_no_scorecard(self, full_dir, tmp_path):
         run_dir = subset(full_dir, tmp_path, ["manifest.json"])
-        text = render_trace_summary(str(run_dir))
+        text = render_trace_summary(trace_document(str(run_dir)))
         assert "per-stage summary" in text
         assert "fidelity scorecard" not in text.lower()
 
@@ -119,8 +120,8 @@ class TestConsumersDegrade:
         json.dumps(document)
 
     def test_health_html_partial(self, full_dir, tmp_path):
-        run = RunDir.load(str(subset(full_dir, tmp_path, ["manifest.json"])))
-        page = render_health_html(run)
+        page = render_health_html(trace_document(str(
+            subset(full_dir, tmp_path, ["manifest.json"]))))
         assert "<html" in page
 
     def test_cli_trace_partial_exits_0(self, full_dir, tmp_path, capsys):
