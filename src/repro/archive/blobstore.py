@@ -21,8 +21,9 @@ Layout under ``<root>``::
                              ({"offset", "sha256", "size"}, append order)
 
 A pack is written once, by the phase that owns it, and never touched
-again; the sidecar is written (atomically, write-then-rename) when the
-phase closes, so a sidecar on disk always describes a complete pack.  A
+again; the sidecar is written atomically (write-then-rename, by
+:func:`~repro.util.jsonl.write_records`) when the phase closes, so a
+sidecar on disk always describes a complete pack.  A
 phase that stored no new bodies leaves no pack at all.  Crash mid-phase
 leaves a torn pack *without* a sidecar — invisible to readers, and the
 archive's resume path drops it (:meth:`drop_phase`) before re-crawling
@@ -37,9 +38,10 @@ first-seen order, two same-seed runs write byte-identical packs.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
+
+from repro.util.jsonl import read_records, write_records
 
 PACK_SUFFIX = ".pack"
 SIDECAR_SUFFIX = ".pack.idx"
@@ -105,14 +107,11 @@ class BlobStore:
 
     def sidecar_entries(self, phase: str) -> Iterator[Tuple[str, int, int]]:
         try:
-            with open(self.sidecar_path(phase), "r", encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        yield row["sha256"], row["offset"], row["size"]
+            rows = read_records(self.sidecar_path(phase))
         except FileNotFoundError:
             return
+        for row in rows:
+            yield row["sha256"], row["offset"], row["size"]
 
     # -- phase lifecycle -----------------------------------------------------
 
@@ -132,14 +131,10 @@ class BlobStore:
             self._handle = None
             phase = self._phase
             assert phase is not None  # set before the handle ever opens
-            sidecar = self.sidecar_path(phase)
-            with open(sidecar + ".tmp", "w", encoding="utf-8") as f:
-                for digest, (offset, size) in self._phase_index.items():
-                    f.write(json.dumps(
-                        {"offset": offset, "sha256": digest, "size": size},
-                        sort_keys=True,
-                    ) + "\n")
-            os.replace(sidecar + ".tmp", sidecar)
+            write_records(self.sidecar_path(phase), (
+                {"offset": offset, "sha256": digest, "size": size}
+                for digest, (offset, size) in self._phase_index.items()
+            ))
             entries = self._load()
             for digest, (offset, size) in self._phase_index.items():
                 entries.setdefault(digest, (phase, offset, size))

@@ -28,6 +28,7 @@ from repro.archive.writer import (
     chain_sha256,
     file_sha256,
 )
+from repro.util.jsonl import read_records
 from repro.web.http import Response
 
 
@@ -99,16 +100,14 @@ class ArchiveReader:
         for name in names:
             path = os.path.join(self._index_dir, name)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if line:
-                            yield ExchangeRecord.from_json(line)
+                records = [ExchangeRecord.from_dict(payload)
+                           for payload in read_records(path)]
             except FileNotFoundError:
                 raise ArchiveError(f"index file {name} listed in the "
                                    f"manifest is missing from {self.root}")
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ArchiveError(f"corrupt index file {name}: {exc}")
+            yield from records
 
     def outcome_streams(self) -> Dict[str, List[ExchangeRecord]]:
         """Per-client outcome sequences — the replay scripts."""

@@ -15,15 +15,17 @@ Two roles share the schema:
     script: :mod:`repro.archive.replay` feeds it back to the crawlers
     verbatim.
 
-Serialization is sorted-key JSON with a fixed field set, so two
-same-seed runs write byte-identical index lines.
+Serialization is :func:`~repro.util.jsonl.dump_line` over a fixed field
+set (sorted keys, compact separators), so two same-seed runs write
+byte-identical index lines.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
+
+from repro.util.jsonl import dump_line
 
 ROLE_EXCHANGE = "exchange"
 ROLE_OUTCOME = "outcome"
@@ -66,29 +68,8 @@ class ExchangeRecord:
         return self.status is not None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "client": self.client,
-                "elapsed": self.elapsed,
-                "error": self.error,
-                "form": self.form,
-                "headers": self.headers,
-                "method": self.method,
-                "note": self.note,
-                "params": self.params,
-                "phase": self.phase,
-                "response_url": self.response_url,
-                "role": self.role,
-                "seq": self.seq,
-                "set_cookies": self.set_cookies,
-                "sha256": self.sha256,
-                "sim_at": self.sim_at,
-                "size": self.size,
-                "status": self.status,
-                "url": self.url,
-            },
-            sort_keys=True,
-        )
+        """The record's index line, without its newline."""
+        return dump_line(asdict(self))[:-1]
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExchangeRecord":
@@ -96,16 +77,8 @@ class ExchangeRecord:
             raise TypeError(
                 f"expected a JSON object, got {type(payload).__name__}"
             )
-        known = {
-            "seq", "role", "phase", "client", "method", "url", "params",
-            "form", "status", "sha256", "size", "headers", "set_cookies",
-            "response_url", "elapsed", "sim_at", "error", "note",
-        }
+        known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
-
-    @classmethod
-    def from_json(cls, line: str) -> "ExchangeRecord":
-        return cls.from_dict(json.loads(line))
 
 
 __all__ = ["ArchiveError", "ExchangeRecord", "ROLE_EXCHANGE", "ROLE_OUTCOME"]

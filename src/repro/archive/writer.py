@@ -20,6 +20,8 @@ Layout under ``archive_dir``::
     archive.json                  sealed manifest: config, counts,
                                   per-file SHA-256s, and a hash chain
 
+Each index is a :class:`~repro.util.jsonl.RecordLog`, flushed per line.
+
 The manifest's ``chain_sha256`` folds every index file's hash in phase
 order, then every pack's and sidecar's, so a single flipped byte
 anywhere invalidates the seal — ``repro archive verify`` re-derives the
@@ -36,15 +38,16 @@ seals an archive byte-identical to an uninterrupted twin's.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
-from typing import Dict, List, Optional, Set, TextIO, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.archive.blobstore import BlobStore
 from repro.archive.records import ROLE_EXCHANGE, ROLE_OUTCOME, ArchiveError
 from repro.obs.schemas import ARCHIVE_SCHEMA
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.util.fileio import atomic_write_json, file_sha256
+from repro.util.jsonl import RecordLog, read_records
 
 ARCHIVE_MANIFEST = "archive.json"
 INDEX_DIRNAME = "index"
@@ -71,14 +74,6 @@ def phase_sort_key(filename: str) -> Tuple[int, int, str]:
         except ValueError:
             pass
     return (1, 0, stem)
-
-
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def chain_sha256(index_hashes: List[str]) -> str:
@@ -124,7 +119,7 @@ class ArchiveWriter:
         # rescan the whole store per request (quadratic in crawl size).
         self._blob_count = self.blobs.count() if resume else 0
         self._phase: Optional[str] = None
-        self._handle: Optional[TextIO] = None
+        self._log: Optional[RecordLog] = None
         # Per-index [entries, outcomes, exchange bodies] and the set of
         # every referenced digest, tallied as records are written (and
         # recounted from the kept files once on resume) so seal() never
@@ -184,23 +179,18 @@ class ArchiveWriter:
         for name in self._index_files():
             stats = self._index_stats[name] = [0, 0, 0]
             path = os.path.join(self._index_dir, name)
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    payload = json.loads(line)
-                    self._seq = max(self._seq, payload["seq"] + 1)
-                    stats[0] += 1
-                    role = payload.get("role")
-                    if role == ROLE_OUTCOME:
-                        stats[1] += 1
-                    digest = payload.get("sha256")
-                    if digest is not None:
-                        self._referenced.add(digest)
-                        if role == ROLE_EXCHANGE:
-                            stats[2] += 1
-                            self._bodies_stored += 1
+            for payload in read_records(path):
+                self._seq = max(self._seq, payload["seq"] + 1)
+                stats[0] += 1
+                role = payload.get("role")
+                if role == ROLE_OUTCOME:
+                    stats[1] += 1
+                digest = payload.get("sha256")
+                if digest is not None:
+                    self._referenced.add(digest)
+                    if role == ROLE_EXCHANGE:
+                        stats[2] += 1
+                        self._bodies_stored += 1
 
     def begin_iteration(self, iteration: int) -> None:
         self._open_phase(iteration_phase(iteration))
@@ -218,15 +208,17 @@ class ArchiveWriter:
         self._close_phase()
         self._phase = phase
         self.blobs.begin_phase(phase)
-        path = os.path.join(self._index_dir, index_filename(phase))
-        self._handle = open(path, "w", encoding="utf-8")
-        # "w" truncated the file, so its tallies restart too.
-        self._current_stats = self._index_stats[index_filename(phase)] = [0, 0, 0]
+        name = index_filename(phase)
+        # Fresh runs and begin_resume deleted every index this run
+        # writes, so the log starts empty and so do its tallies.
+        self._log = RecordLog(os.path.join(self._index_dir, name),
+                              events=self.telemetry.events)
+        self._current_stats = self._index_stats[name] = [0, 0, 0]
 
     def _close_phase(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
         self._phase = None
         # Every blob the just-closed index references must be durable
         # (pack closed, sidecar written) before the checkpoint may claim
@@ -284,7 +276,7 @@ class ArchiveWriter:
     ) -> None:
         if self.sealed:
             raise ArchiveError("archive is sealed; no further captures")
-        if self._handle is None:
+        if self._log is None:
             raise ArchiveError(
                 f"capture before any archive phase began ({method} {url})"
             )
@@ -293,7 +285,7 @@ class ArchiveWriter:
         # the dataclass only to re-read its 18 fields in to_json() is a
         # measurable share of the crawl's archive overhead.  The key set
         # MUST stay in lockstep with ExchangeRecord — the read side
-        # (replay, verify, diff) parses these lines via from_json, so any
+        # (replay, verify, diff) parses these lines via from_dict, so any
         # drift fails the archive test suite.
         payload = {
             "client": client,
@@ -357,9 +349,7 @@ class ArchiveWriter:
         self._current_stats[0] += 1
         if role == ROLE_OUTCOME:
             self._current_stats[1] += 1
-        # Same bytes ExchangeRecord.to_json produces: sorted keys, default
-        # separators — index files stay canonical either way.
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        self._log.append(payload)
 
     def _dedup_ratio_live(self) -> float:
         stored = self._bodies_stored
@@ -456,12 +446,8 @@ class ArchiveWriter:
             "dedup_ratio": round(dedup_ratio, 6),
             "sealed": True,
         }
-        path = os.path.join(self.root, ARCHIVE_MANIFEST)
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, path)
+        atomic_write_json(os.path.join(self.root, ARCHIVE_MANIFEST),
+                          manifest, trailing_newline=True)
         self.sealed = True
         self._m_dedup.set(round(dedup_ratio, 6))
         self.telemetry.events.emit(

@@ -10,15 +10,17 @@ segmented-store loader could not read back (a corrupt segment, an
 undecodable line, a payload of the wrong shape; ``source:
 "store_load"``) and, under ``--strict-contracts``, turns any quarantine
 into a :class:`ContractViolationError` so CI can prove a clean pipeline
-stays clean.
+stays clean.  The file is replaced atomically
+(:func:`~repro.util.jsonl.write_records`).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
+
+from repro.util.jsonl import read_records, write_records
 
 QUARANTINE_FILENAME = "quarantine.jsonl"
 
@@ -49,14 +51,7 @@ class QuarantinedRecord:
     raw: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "record_type": self.record_type,
-            "rule": self.rule,
-            "reason": self.reason,
-            "source": self.source,
-            "record": self.record,
-            "raw": self.raw,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuarantinedRecord":
@@ -142,24 +137,17 @@ class QuarantineStore:
     # -- persistence -------------------------------------------------------
 
     def write_jsonl(self, directory: str) -> str:
-        """Write ``quarantine.jsonl`` (written even when empty, so
-        tooling can rely on its presence in a completed run dir)."""
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, QUARANTINE_FILENAME)
-        with open(path, "w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-        return path
+        """Write ``quarantine.jsonl`` atomically, even when empty, so
+        tooling can rely on its presence in a completed run dir."""
+        return write_records(
+            os.path.join(directory, QUARANTINE_FILENAME),
+            (entry.to_dict() for entry in self.entries),
+        )
 
     @staticmethod
     def load_jsonl(path: str) -> List[QuarantinedRecord]:
-        entries: List[QuarantinedRecord] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(QuarantinedRecord.from_dict(json.loads(line)))
-        return entries
+        return [QuarantinedRecord.from_dict(data)
+                for data in read_records(path)]
 
 
 __all__ = [

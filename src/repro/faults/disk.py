@@ -21,42 +21,19 @@ derived from ``(seed, op, path)`` — the path keyed by *basename* so two
 same-seed runs in different scratch directories inject byte-identical
 fault sequences.  Every injected fault is observable: a
 ``fault.disk_<kind>`` event plus ``disk_faults_injected_total{op,kind}``.
+The disk errors are defined in :mod:`repro.util.jsonl`, beside the
+:class:`~repro.util.jsonl.RecordLog` that raises them.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 from typing import Dict, Optional
 
 from repro.faults.profiles import FaultProfile
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.util.jsonl import DiskFullError, DiskWriteError, is_disk_full
 from repro.util.rng import RngTree
-
-
-class DiskFullError(OSError):
-    """The disk has no room for this write (injected or real ENOSPC).
-
-    An :class:`OSError` with ``errno == ENOSPC`` so callers that already
-    catch real disk-full conditions handle the injected kind for free.
-    """
-
-    def __init__(self, detail: str = "no space left on device"):
-        super().__init__(errno.ENOSPC, detail)
-
-
-class DiskWriteError(OSError):
-    """A write or fsync failed in a way retrying did not fix (torn
-    write, fsync EIO).  Unlike :class:`DiskFullError` this is not
-    gracefully degradable: the store cannot promise durability past it."""
-
-    def __init__(self, detail: str = "I/O error"):
-        super().__init__(errno.EIO, detail)
-
-
-def is_disk_full(exc: BaseException) -> bool:
-    """True for any disk-full condition, injected or from the OS."""
-    return isinstance(exc, OSError) and exc.errno == errno.ENOSPC
 
 
 def _path_key(path: str) -> str:
@@ -68,11 +45,12 @@ def _path_key(path: str) -> str:
 class DiskFaultInjector:
     """Injects seeded storage faults at explicit write/fsync/read seams.
 
-    Durable writers (:mod:`repro.store`, :func:`repro.util.fileio
-    .atomic_write`) route their file operations through an optional
-    injector; ``None`` (the default everywhere) means the plain
-    filesystem.  The injector is deliberately *not* a global — callers
-    own their wiring, the same way telemetry is threaded.
+    Durable writers (:class:`repro.util.jsonl.RecordLog`,
+    :func:`repro.util.fileio.atomic_write`) route their file operations
+    through an optional injector; ``None`` (the default everywhere)
+    means the plain filesystem.  The injector is deliberately *not* a
+    global — callers own their wiring, the same way telemetry is
+    threaded.
     """
 
     def __init__(self, profile: FaultProfile, seed: int,
@@ -105,7 +83,7 @@ class DiskFaultInjector:
         against ``disk_enospc_after_bytes`` — metadata (footers,
         manifests) models the reserved blocks real filesystems keep.
         May write a prefix and raise (torn write): the caller owns
-        truncate-and-retry recovery.
+        truncate-and-retry recovery (:class:`~repro.util.jsonl.RecordLog`).
         """
         if not self.active:
             handle.write(text)

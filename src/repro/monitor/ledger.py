@@ -2,10 +2,13 @@
 
 The ledger is the daemon's only memory of what it has done.  Every cycle
 walks ``planned → running → ingested | failed | skipped``; each
-transition is one appended line, flushed and fsynced before the daemon
-acts on it, so a SIGKILL at any instant leaves a prefix of the true
-history plus at most one torn final line (which loading tolerates and
-drops — the write it belonged to never happened).
+transition is one :class:`~repro.util.jsonl.RecordLog` line, flushed and
+fsynced before the daemon acts on it, so a SIGKILL at any instant leaves
+a prefix of the true history plus at most one torn tail — the bytes
+after the last newline.  Loading drops the torn tail (the write it
+belonged to never returned, so the daemon never acted on it) and the
+next append truncates it from the file before writing, so the ledger
+stays readable however often the daemon is killed mid-append.
 
 A cycle whose last recorded status is ``running`` is a **torn cycle**:
 the daemon died mid-cycle.  Restart recovery quarantines its partial
@@ -24,13 +27,13 @@ deterministic config refuses rather than silently mixing histories.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.monitor.errors import MonitorError
-from repro.obs.schemas import MONITOR_LEDGER_SCHEMA, canonical_json
+from repro.obs.schemas import MONITOR_LEDGER_SCHEMA
+from repro.util.jsonl import RecordLog, load_line, split_lines
 
 LEDGER_FILENAME = "ledger.jsonl"
 
@@ -88,8 +91,7 @@ class ScheduleLedger:
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str, config_hash: str,
-             extra_header: Optional[dict] = None) -> "ScheduleLedger":
+    def open(cls, path: str, config_hash: str) -> "ScheduleLedger":
         """Open (creating if absent) the ledger at ``path``.
 
         ``config_hash`` digests the monitor's deterministic config; a
@@ -97,22 +99,17 @@ class ScheduleLedger:
         measurement series and refuses to continue.
         """
         if os.path.exists(path):
-            header, entries = cls._load(path)
-            if header.get("schema") != MONITOR_LEDGER_SCHEMA:
-                raise MonitorError(
-                    f"{path}: ledger schema {header.get('schema')!r} does "
-                    f"not match expected {MONITOR_LEDGER_SCHEMA!r}"
-                )
-            if header.get("config_hash") != config_hash:
+            ledger = cls.read(path)
+            if ledger.header.get("config_hash") != config_hash:
                 raise MonitorError(
                     f"{path}: ledger belongs to monitor config "
-                    f"{header.get('config_hash')!r}, not {config_hash!r} — "
-                    "refusing to mix measurement series in one state dir"
+                    f"{ledger.header.get('config_hash')!r}, not "
+                    f"{config_hash!r} — refusing to mix measurement "
+                    "series in one state dir"
                 )
-            return cls(path, header, entries)
+            return ledger
         header = {"schema": MONITOR_LEDGER_SCHEMA,
                   "config_hash": config_hash}
-        header.update(extra_header or {})
         ledger = cls(path, header)
         ledger._append_line(header)
         return ledger
@@ -120,52 +117,36 @@ class ScheduleLedger:
     @classmethod
     def read(cls, path: str) -> "ScheduleLedger":
         """Open an existing ledger for inspection (``monitor status``)
-        without asserting a config hash; never creates the file."""
+        without asserting a config hash; never creates or modifies it.
+
+        A torn tail is the signature of a crash mid-append: the entry
+        was never durable, so it is dropped.  A corrupt complete line
+        means the file was edited or the disk lied — that is a
+        :class:`MonitorError`, not something to silently skip.
+        """
         if not os.path.exists(path):
             raise MonitorError(f"no monitor ledger at {path}")
-        header, entries = cls._load(path)
+        with open(path, "rb") as handle:
+            lines, _torn = split_lines(handle.read())
+        records: List[dict] = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(load_line(line))
+            except ValueError as exc:
+                raise MonitorError(
+                    f"{path}: corrupt ledger line {number}: {exc}"
+                ) from None
+        if not records:
+            raise MonitorError(f"{path}: ledger has no header line")
+        header = records[0]
         if header.get("schema") != MONITOR_LEDGER_SCHEMA:
             raise MonitorError(
                 f"{path}: ledger schema {header.get('schema')!r} does "
                 f"not match expected {MONITOR_LEDGER_SCHEMA!r}"
             )
-        return cls(path, header, entries)
-
-    @staticmethod
-    def _load(path: str) -> Tuple[dict, List[dict]]:
-        """Parse the ledger, tolerating exactly one torn final line.
-
-        A torn tail is the signature of a crash mid-append: the entry
-        was never durable, so it is dropped.  A corrupt line anywhere
-        else means the file was edited or the disk lied — that is a
-        :class:`MonitorError`, not something to silently skip.
-        """
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-        lines = raw.split("\n")
-        # A complete file ends with "\n": the final split element is "".
-        torn_tail = lines and lines[-1] != ""
-        if not torn_tail:
-            lines = lines[:-1]
-        records: List[dict] = []
-        for index, line in enumerate(lines):
-            is_last = index == len(lines) - 1
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("entry is not an object")
-            except ValueError as exc:
-                if is_last and torn_tail:
-                    break  # crash mid-append; the entry never happened
-                raise MonitorError(
-                    f"{path}: corrupt ledger line {index + 1}: {exc}"
-                ) from None
-            records.append(record)
-        if not records:
-            raise MonitorError(f"{path}: ledger has no header line")
-        return records[0], records[1:]
+        return cls(path, header, records[1:])
 
     # -- writing -----------------------------------------------------------
 
@@ -179,10 +160,9 @@ class ScheduleLedger:
         return record
 
     def _append_line(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        with RecordLog(self.path) as log:
+            log.append(record)
+            log.sync()
 
     # -- views -------------------------------------------------------------
 

@@ -7,17 +7,17 @@ marketplace, iteration, exception class).  Events carry the simulated
 timestamp, never wall time, so the stream is byte-identical across two
 runs with the same seed.
 
-The log exports to JSONL (one event per line) and loads back, so tests
-and the ``repro trace`` subcommand can round-trip it.
+The log exports to JSONL (one event per line, through
+:func:`~repro.util.jsonl.write_records`) and loads back, so tests and
+the ``repro trace`` subcommand can round-trip it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.util.fileio import atomic_write
+from repro.util.jsonl import read_records, write_records
 from repro.util.simtime import SimClock
 
 LEVELS = ("debug", "info", "warning", "error")
@@ -33,12 +33,7 @@ class Event:
     fields: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sim_time": self.sim_time,
-            "level": self.level,
-            "fields": self.fields,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
@@ -82,19 +77,11 @@ class EventLog:
         return dict(sorted(counts.items()))
 
     def export_jsonl(self, path: str) -> None:
-        with atomic_write(path) as handle:
-            for event in self.events:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        write_records(path, (event.to_dict() for event in self.events))
 
     @staticmethod
     def load_jsonl(path: str) -> List[Event]:
-        events: List[Event] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(Event.from_dict(json.loads(line)))
-        return events
+        return [Event.from_dict(data) for data in read_records(path)]
 
 
 class NullEventLog:

@@ -10,17 +10,16 @@ across runs).
 Spans nest through an explicit stack: ``tracer.span(...)`` parents the
 new span under whichever span is currently open.  Finished spans land in
 ``tracer.spans`` in completion order and export to JSONL one object per
-line.
+line (:func:`~repro.util.jsonl.write_records`).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.util.fileio import atomic_write
+from repro.util.jsonl import read_records, write_records
 from repro.util.simtime import SimClock
 
 
@@ -141,19 +140,11 @@ class SpanTracer:
         return stage_summary(self.spans)
 
     def export_jsonl(self, path: str) -> None:
-        with atomic_write(path) as handle:
-            for span in self.spans:
-                handle.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
+        write_records(path, (span.to_dict() for span in self.spans))
 
     @staticmethod
     def load_jsonl(path: str) -> List[SpanRecord]:
-        spans: List[SpanRecord] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    spans.append(SpanRecord.from_dict(json.loads(line)))
-        return spans
+        return [SpanRecord.from_dict(data) for data in read_records(path)]
 
 
 def stage_summary(spans: List[SpanRecord]) -> List[dict]:

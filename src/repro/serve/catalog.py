@@ -45,7 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.schemas import CATALOG_SCHEMA, artifact_schema, canonical_json
 from repro.store.segments import StoreReader, existing_store_artifact
-from repro.util.fileio import atomic_write_json
+from repro.util.fileio import atomic_write_json, file_sha256
 from repro.util.money import is_valid_price
 from repro.util.stats import median
 
@@ -152,14 +152,6 @@ class BuildResult:
 # -- source digest ----------------------------------------------------------
 
 
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _run_source_files(run_dir: str) -> List[str]:
     """Relative paths of the digestable artifacts inside one run dir."""
     names: List[str] = []
@@ -187,7 +179,7 @@ def source_digest(run_dirs: Iterable[str]) -> str:
     digest = hashlib.sha256(b"repro.catalog/v1\n")
     for cycle, run_dir in enumerate(run_dirs):
         for name in _run_source_files(run_dir):
-            file_hash = _file_sha256(os.path.join(run_dir, name))
+            file_hash = file_sha256(os.path.join(run_dir, name))
             digest.update(f"{cycle}\0{name}\0{file_hash}\n".encode("utf-8"))
     return digest.hexdigest()
 
@@ -397,7 +389,7 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
             and artifact_schema(existing) == CATALOG_SCHEMA
             and existing.get("content_digest") == digest
             and os.path.exists(db_path)
-            and _file_sha256(db_path) == existing.get("db_sha256")):
+            and file_sha256(db_path) == existing.get("db_sha256")):
         return BuildResult(out_dir, digest, rebuilt=False,
                            tables=dict(existing.get("tables") or {}))
 
@@ -428,7 +420,7 @@ def build_catalog(run_dirs: List[str], out_dir: str) -> BuildResult:
     atomic_write_json(manifest_path, {
         "schema": CATALOG_SCHEMA,
         "content_digest": digest,
-        "db_sha256": _file_sha256(db_path),
+        "db_sha256": file_sha256(db_path),
         "cycles": len(run_dirs),
         # Sources are described by cycle label and relative file names
         # only — no absolute or basename paths — so twin runs ingested
@@ -483,7 +475,7 @@ class Catalog:
             raise CatalogError(f"{manifest_path}: missing content_digest")
         if not os.path.exists(db_path):
             raise CatalogError(f"catalog database {db_path} is missing")
-        if verify and _file_sha256(db_path) != manifest.get("db_sha256"):
+        if verify and file_sha256(db_path) != manifest.get("db_sha256"):
             raise CatalogError(
                 f"catalog database {db_path} does not match the manifest "
                 f"db_sha256 — rebuild with 'repro serve build'"

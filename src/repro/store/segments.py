@@ -37,9 +37,10 @@ dict at a time, holding at most one segment's bytes in memory, and
 keys + counts in one pass, per-group iteration by re-scan) so analyses
 need never materialize the whole world.
 
-All writes route through an optional
+Each segment is a :class:`~repro.util.jsonl.RecordLog`, and every
+write routes through an optional
 :class:`~repro.faults.disk.DiskFaultInjector`: ENOSPC raises
-:class:`~repro.faults.disk.DiskFullError` after the store has truncated
+:class:`~repro.util.jsonl.DiskFullError` after the log has truncated
 away any partial line (callers flush what fits via
 :meth:`StoreWriter.seal` with a ``partial`` reason); torn writes are
 truncated back and retried once; fsync failures fail the seal loudly —
@@ -53,10 +54,10 @@ import json
 import os
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.faults.disk import DiskFullError, DiskWriteError, is_disk_full
 from repro.obs.schemas import STORE_SCHEMA, artifact_schema
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.fileio import atomic_write_json
+from repro.util.jsonl import DiskWriteError, RecordLog, split_lines
 
 STORE_MANIFEST_FILENAME = "store.json"
 SEGMENTS_DIRNAME = "segments"
@@ -89,12 +90,6 @@ class StoreCorruptError(StoreError):
     verify`` exit 2)."""
 
 
-def _dump_line(payload: dict) -> str:
-    """One record as its canonical stored line (stable key order, so
-    same-seed twin runs write byte-identical segments)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def segment_name(record_type: str, seq: int) -> str:
     return f"{record_type}-{seq:06d}{SEGMENT_SUFFIX}"
 
@@ -112,16 +107,13 @@ def _parse_segment_name(name: str) -> Optional[Tuple[str, int]]:
 class _OpenSegment:
     """Write-side bookkeeping of the active (unsealed) tail segment."""
 
-    __slots__ = ("record_type", "seq", "path", "handle", "records",
-                 "bytes", "hasher")
+    __slots__ = ("record_type", "name", "log", "records", "hasher")
 
-    def __init__(self, record_type: str, seq: int, path: str) -> None:
+    def __init__(self, record_type: str, log: RecordLog) -> None:
         self.record_type = record_type
-        self.seq = seq
-        self.path = path
-        self.handle = open(path, "a", encoding="utf-8")
+        self.name = os.path.basename(log.path)
+        self.log = log
         self.records = 0
-        self.bytes = 0
         self.hasher = hashlib.sha256()
 
 
@@ -211,11 +203,8 @@ class StoreWriter:
         segment = self._open.get(record_type)
         if segment is None:
             segment = self._new_segment(record_type)
-        line = _dump_line(payload)
-        self._write_line(segment, line)
-        encoded = line.encode("utf-8")
+        encoded = segment.log.append(payload)
         segment.records += 1
-        segment.bytes += len(encoded)
         segment.hasher.update(encoded)
         self._counts[record_type] = self._counts.get(record_type, 0) + 1
         self._m_bytes.inc(len(encoded), record_type=record_type)
@@ -267,93 +256,42 @@ class StoreWriter:
         seq = self._next_seq.get(record_type, 0)
         path = os.path.join(self.segments_dir,
                             segment_name(record_type, seq))
-        segment = _OpenSegment(record_type, seq, path)
+        log = RecordLog(path, faults=self.faults, events=self.telemetry.events)
+        segment = _OpenSegment(record_type, log)
         self._open[record_type] = segment
         self._next_seq[record_type] = seq + 1
         return segment
 
     def _drop_open(self, segment: _OpenSegment) -> None:
-        try:
-            segment.handle.close()
-        except OSError:
-            pass
+        segment.log.close()
         self._open.pop(segment.record_type, None)
-
-    def _write_line(self, segment: _OpenSegment, line: str,
-                    data: bool = True) -> None:
-        """One durable line append with torn-write recovery.
-
-        A failed write (injected or real) may leave a partial line; the
-        file is truncated back to the last good byte before retrying
-        once or raising, so the segment never holds a torn *middle*.
-        """
-        for attempt in (1, 2):
-            try:
-                if self.faults is not None:
-                    self.faults.write(segment.handle, segment.path, line,
-                                      data=data)
-                else:
-                    segment.handle.write(line)
-                segment.handle.flush()
-                return
-            except OSError as exc:
-                self._truncate_back(segment)
-                if is_disk_full(exc):
-                    raise DiskFullError(str(exc)) if not isinstance(
-                        exc, DiskFullError) else exc
-                if attempt == 2:
-                    raise DiskWriteError(
-                        f"segment append failed twice: {exc}"
-                    ) from exc
-                self.telemetry.events.emit(
-                    "store.write_retry", level="warning",
-                    segment=os.path.basename(segment.path),
-                    detail=str(exc),
-                )
-
-    def _truncate_back(self, segment: _OpenSegment) -> None:
-        """Rewind the segment file to its last known-good byte."""
-        try:
-            segment.handle.close()
-        except OSError:
-            pass
-        os.truncate(segment.path, segment.bytes)
-        segment.handle = open(segment.path, "a", encoding="utf-8")
 
     def _seal_segment(self, segment: _OpenSegment) -> None:
         """Footer + fsync + manifest update: the segment becomes part of
         the store's durable, checksummed prefix."""
-        footer = {FOOTER_KEY: {
+        payload_bytes = segment.log.size
+        segment.log.append({FOOTER_KEY: {
             "records": segment.records,
             "sha256": segment.hasher.hexdigest(),
-        }}
-        self._write_line(segment, _dump_line(footer), data=False)
+        }}, data=False)
         try:
-            if self.faults is not None:
-                self.faults.fsync(segment.path, segment.handle.fileno())
-            else:
-                os.fsync(segment.handle.fileno())
+            segment.log.sync()
         except OSError as exc:
             raise DiskWriteError(
                 f"segment fsync failed: {exc}"
             ) from exc
-        finally:
-            if segment.handle.closed:
-                pass
-        segment.handle.close()
-        self._open.pop(segment.record_type, None)
+        self._drop_open(segment)
         self._sealed.append({
-            "name": os.path.basename(segment.path),
+            "name": segment.name,
             "record_type": segment.record_type,
             "records": segment.records,
-            "bytes": segment.bytes,
+            "bytes": payload_bytes,
             "sha256": segment.hasher.hexdigest(),
         })
         self._m_segments.inc()
         self.telemetry.events.emit(
             "store.segment_sealed", level="info",
-            segment=os.path.basename(segment.path),
-            records=segment.records,
+            segment=segment.name, records=segment.records,
         )
         atomic_write_json(
             os.path.join(self.directory, STORE_MANIFEST_FILENAME),
@@ -552,7 +490,8 @@ class StoreReader:
             if problem is not None:
                 self._quarantine_segment(view, problem)
                 return
-            for line in payload.splitlines()[:-1]:  # last line = footer
+            lines, _torn = split_lines(payload)
+            for line in lines[:-1]:  # last line = footer
                 yield json.loads(line)
             return
         # Unsealed tail (or a sealed-but-unclaimed segment after a crash
@@ -560,36 +499,22 @@ class StoreReader:
         yield from self._iter_tail(view, payload)
 
     def _iter_tail(self, view: _SegmentView, payload: bytes) -> Iterator[dict]:
-        lines = payload.split(b"\n")
-        torn_final = lines and lines[-1] != b""
-        if not torn_final and lines and lines[-1] == b"":
-            lines = lines[:-1]
+        lines, torn = split_lines(payload)
         for index, raw in enumerate(lines):
-            final = index == len(lines) - 1
-            if final and torn_final:
-                # Truncated final line: the classic SIGKILL artifact.
-                if raw:
-                    self._recover_tail(view, raw)
-                continue
             if not raw:
                 continue
             try:
                 parsed = json.loads(raw)
             except json.JSONDecodeError as exc:
-                if final:
-                    # A complete-looking but undecodable final line is
-                    # still torn-tail shaped (e.g. killed mid-flush).
-                    self._recover_tail(view, raw)
-                else:
-                    self._quarantine_line(view, raw, str(exc), index)
+                self._quarantine_line(view, raw, str(exc), index)
                 continue
             if isinstance(parsed, dict) and FOOTER_KEY in parsed:
                 # A footer seals the segment: everything before it was
                 # verified implicitly by arriving intact, and nothing
                 # legitimately appends past it.  Quarantine any trailing
                 # bytes instead of serving them as data.
-                for extra_index in range(index + 1, len(lines)):
-                    extra = lines[extra_index]
+                for extra_index, extra in enumerate(
+                        lines[index + 1:] + [torn], index + 1):
                     if extra:
                         self._quarantine_line(
                             view, extra, "record after sealed footer",
@@ -597,6 +522,9 @@ class StoreReader:
                         )
                 return
             yield parsed
+        if torn:
+            # Truncated final line: the classic SIGKILL artifact.
+            self._recover_tail(view, torn)
 
     # -- recovery bookkeeping ----------------------------------------------
 
@@ -694,21 +622,20 @@ class StoreReader:
 def _sealed_segment_problem(payload: bytes, entry: dict) -> Optional[str]:
     """Why a sealed segment's bytes do not match its manifest claim
     (None when clean)."""
-    lines = payload.split(b"\n")
-    if not lines or lines[-1] != b"":
+    lines, torn = split_lines(payload)
+    if torn:
         return "sealed segment does not end in a newline"
-    lines = lines[:-1]
     if not lines:
         return "sealed segment is empty"
     try:
         footer_line = json.loads(lines[-1])
     except json.JSONDecodeError:
         return "sealed segment footer is undecodable"
-    footer = (footer_line or {}).get(FOOTER_KEY) \
+    footer = footer_line.get(FOOTER_KEY) \
         if isinstance(footer_line, dict) else None
     if not isinstance(footer, dict):
         return "sealed segment has no footer line"
-    body = b"\n".join(lines[:-1]) + b"\n" if len(lines) > 1 else b""
+    body = memoryview(payload)[:len(payload) - len(lines[-1]) - 1]
     digest = hashlib.sha256(body).hexdigest()
     records = len(lines) - 1
     if footer.get("records") != records:
@@ -730,9 +657,7 @@ def _tail_segment_problems(payload: bytes) -> List[str]:
     undecodable complete line is, and so is any data past a footer
     (nothing legitimately appends to a sealed segment)."""
     problems: List[str] = []
-    lines = payload.split(b"\n")
-    if lines and lines[-1] != b"":
-        lines = lines[:-1]  # torn final line: recovered, fine
+    lines, _torn = split_lines(payload)  # a torn tail is recovered, fine
     footer_seen = False
     for raw in lines:
         if not raw:

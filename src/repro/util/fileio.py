@@ -24,6 +24,7 @@ plain path would have written atomically.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 from typing import Iterator, TextIO
@@ -91,9 +92,19 @@ def atomic_write_text(path: str, text: str, fsync: bool = False,
     return path
 
 
+def file_sha256(path: str) -> str:
+    """The SHA-256 hex digest of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 __all__ = [
     "atomic_write",
     "atomic_write_json",
     "atomic_write_text",
+    "file_sha256",
 ]
 

@@ -6,6 +6,7 @@ papers over still lands in the archive as an ``exchange``, while the
 ``outcome`` stream records only what the caller actually received.
 """
 
+import json
 import os
 
 import pytest
@@ -43,7 +44,7 @@ def records_by_role(writer):
         with open(os.path.join(index_dir, name), encoding="utf-8") as handle:
             for line in handle:
                 if line.strip():
-                    record = ExchangeRecord.from_json(line)
+                    record = ExchangeRecord.from_dict(json.loads(line))
                     (exchanges if record.role == ROLE_EXCHANGE
                      else outcomes).append(record)
     return exchanges, outcomes
@@ -176,4 +177,5 @@ class TestWriterLifecycle:
         lines = [l for l in open(index, encoding="utf-8") if l.strip()]
         assert lines
         for line in lines:
-            assert ExchangeRecord.from_json(line).to_json() == line.strip()
+            assert ExchangeRecord.from_dict(json.loads(line)).to_json() \
+                == line.strip()

@@ -45,7 +45,7 @@ class TestRoundTrip:
     @given(record=_records())
     @settings(max_examples=80, deadline=None)
     def test_json_round_trip_preserves_every_field(self, record):
-        assert ExchangeRecord.from_json(record.to_json()) == record
+        assert ExchangeRecord.from_dict(json.loads(record.to_json())) == record
 
     @given(record=_records())
     @settings(max_examples=40, deadline=None)
@@ -72,7 +72,7 @@ class TestSchemaEvolution:
 
     def test_non_object_line_raises(self):
         with pytest.raises(TypeError):
-            ExchangeRecord.from_json('["not", "an", "object"]')
+            ExchangeRecord.from_dict(json.loads('["not", "an", "object"]'))
 
     def test_is_response_tracks_status(self):
         record = ExchangeRecord(

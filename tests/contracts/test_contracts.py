@@ -313,3 +313,19 @@ def test_store_round_trip(tmp_path):
 def test_empty_store_still_writes_file(tmp_path):
     QuarantineStore().write_jsonl(str(tmp_path))
     assert (tmp_path / QUARANTINE_FILENAME).read_text() == ""
+
+
+def test_failed_export_leaves_previous_file_intact(tmp_path):
+    good = QuarantineStore()
+    good.quarantine("listings", "offer_url.missing", "no url")
+    good.quarantine("sellers", "name.missing", "no name")
+    path = good.write_jsonl(str(tmp_path))
+    before = open(path, "rb").read()
+    bad = QuarantineStore()
+    bad.quarantine("profiles", "handle.missing", "no handle")
+    bad.quarantine("posts", "text.invalid", "unencodable",
+                   record={"tags": {"a", "b"}})  # a set is not JSON
+    with pytest.raises(TypeError):
+        bad.write_jsonl(str(tmp_path))
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == [QUARANTINE_FILENAME]

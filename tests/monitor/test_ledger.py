@@ -73,6 +73,23 @@ class TestDurability:
         reloaded = ScheduleLedger.open(path, "h")
         assert reloaded.entries == [{"cycle": 0, "status": "planned"}]
 
+    def test_append_after_torn_tail_stays_readable(self, path):
+        # Restart after a crash mid-append: the next append must land
+        # after the last complete line, not on the torn bytes.
+        ledger = ScheduleLedger.open(path, "h")
+        ledger.append({"cycle": 0, "status": "planned"})
+        with open(path, "a") as handle:
+            handle.write('{"cycle":0,"status":"run')  # crash mid-append
+        ScheduleLedger.open(path, "h").append(
+            {"cycle": 0, "status": "quarantined"})
+        content = open(path).read()
+        assert content.endswith("\n")
+        assert all(json.loads(line) for line in content.splitlines())
+        assert ScheduleLedger.open(path, "h").entries == [
+            {"cycle": 0, "status": "planned"},
+            {"cycle": 0, "status": "quarantined"},
+        ]
+
     def test_corrupt_middle_line_is_fatal(self, path):
         ledger = ScheduleLedger.open(path, "h")
         ledger.append({"cycle": 0, "status": "planned"})

@@ -228,6 +228,27 @@ class TestCorruption:
         assert reader.recovered_tails == 1
         assert reader.recovered_lines_dropped == 1
 
+    def test_undecodable_final_tail_line_is_quarantined(self, tmp_path):
+        # Appends end in their newline and failed writes are truncated
+        # back, so a complete line that does not decode is corruption,
+        # not a torn tail — the reader dead-letters what verify reports.
+        directory = str(tmp_path / "store")
+        _fill(directory, 3, segment_max=100, seal=False)
+        with open(_segment_path(directory), "ab") as handle:
+            handle.write(b'{"i": 3, corrupt}\n')
+        quarantine = QuarantineStore()
+        reader = StoreReader.open(directory, quarantine=quarantine)
+        assert [r["i"] for r in reader.iter_records("listings")] == \
+            [0, 1, 2]
+        assert reader.recovered_tails == 0
+        assert quarantine.counts_by_rule() == {
+            "listings/store_decode_error": 1,
+        }
+        assert reader.verify() == [
+            f"{segment_name('listings', 0)}: "
+            f"undecodable line in tail segment"
+        ]
+
     def test_records_after_footer_are_quarantined_not_served(
             self, tmp_path):
         # A sealed-but-unclaimed segment with bytes appended past its
