@@ -25,7 +25,8 @@ from repro.analysis.sellers import SellerActivityAnalysis
 from repro.analysis.underground_analysis import UndergroundAnalysis
 from repro.contracts.supervisor import StageFailure, StageSupervisor
 from repro.core.dataset import MeasurementDataset
-from repro.obs.prof import NULL_PROFILER
+from repro.obs.prof import STAGE_PREFIX
+from repro.obs.telemetry import NULL_TELEMETRY
 
 #: The nine analysis stages, in canonical execution order.
 STAGE_NAMES = (
@@ -79,7 +80,7 @@ def run_analysis_suite(
     """
     scam_config = scam_config or ScamPipelineConfig(dbscan_eps=0.9)
     results = AnalysisResults()
-    profiler = getattr(telemetry, "profiler", NULL_PROFILER)
+    telemetry = telemetry or NULL_TELEMETRY
 
     # Per-stage record throughput: how many input records each stage
     # chews through (the profiler divides by sim time for records/s).
@@ -96,11 +97,10 @@ def run_analysis_suite(
     }
 
     def stage(name: str, fn, *args, **kwargs):
-        with profiler.stage(name):
+        phase = STAGE_PREFIX + name
+        with telemetry.tracer.span(phase):
             results.reports[name] = supervisor.run(name, fn, *args, **kwargs)
-        profiler.add_counts(
-            profiler.stage_key(name), records=sizes.get(name, 0)
-        )
+        telemetry.profiler.add_counts(phase, records=sizes.get(name, 0))
         return results.reports[name]
 
     stage("anatomy", MarketplaceAnatomy().run, dataset)

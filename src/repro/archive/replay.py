@@ -181,8 +181,16 @@ def run_replay(
     scorecard are byte-identical to the live run that wrote the archive.
     Raises :class:`~repro.archive.records.ArchiveError` for a missing or
     unsealed archive, :class:`ReplayMismatch` when the replayed code
-    requests anything other than the recorded sequence.
+    requests anything other than the recorded sequence.  The run is
+    traced under one ``replay`` root span, so its ``replay.*`` phases
+    are the trace's stages.
     """
+    telemetry = telemetry or NULL_TELEMETRY
+    with telemetry.tracer.span("replay"):
+        return _replay(archive_dir, telemetry)
+
+
+def _replay(archive_dir: str, telemetry: Telemetry):
     from repro.analysis.suite import run_analysis_suite
     from repro.core.pipeline import StudyResult
     from repro.contracts.quarantine import QuarantineStore
@@ -198,7 +206,6 @@ def run_replay(
     from repro.util.rng import RngTree
     from repro.web.captcha import HumanSolver
 
-    telemetry = telemetry or NULL_TELEMETRY
     reader = ArchiveReader.open(archive_dir)
     config = _study_config_from(reader.config)
     clock = ReplayClock()

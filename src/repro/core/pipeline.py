@@ -167,8 +167,8 @@ class Study:
         # telemetry unless the caller already supplied one.
         if (self.config.profile_enabled and self.telemetry.enabled
                 and not self.telemetry.profiler.enabled):
-            self.telemetry.profiler = StageProfiler(
-                stages_expected=STAGE_NAMES
+            self.telemetry.use_profiler(
+                StageProfiler(stages_expected=STAGE_NAMES)
             )
 
     # -- module 1: collect marketplaces ------------------------------------
@@ -181,16 +181,10 @@ class Study:
     # -- modules 1+2: run -----------------------------------------------------
 
     def run(self) -> StudyResult:
-        telemetry = self.telemetry
-        telemetry.profiler.start()
-        try:
-            with telemetry.tracer.span(
-                "study", seed=self.config.seed, scale=self.config.scale
-            ):
-                result = self._run_instrumented(telemetry)
-        finally:
-            telemetry.profiler.finish()
-        return result
+        with self.telemetry.tracer.span(
+            "study", seed=self.config.seed, scale=self.config.scale
+        ):
+            return self._run_instrumented(self.telemetry)
 
     def _run_instrumented(self, telemetry: Telemetry) -> StudyResult:
         tracer = telemetry.tracer
@@ -219,9 +213,9 @@ class Study:
                 fault_profile, seed=self.config.seed, telemetry=telemetry,
             )
 
-        with tracer.span("build_world"), profiler.phase("build_world"):
+        with tracer.span("build_world"):
             world = WorldBuilder(self.config.world_config()).build()
-        with tracer.span("deploy"), profiler.phase("deploy"):
+        with tracer.span("deploy"):
             # Collection runs against the pre-ban state of the platforms;
             # the Section-8 status sweep at the end sees enforcement.
             platform_sites = deploy_platforms(
@@ -296,7 +290,7 @@ class Study:
             archive=archive,
             disk_faults=disk_faults,
         )
-        with tracer.span("iteration_crawl"), profiler.phase("iteration_crawl"):
+        with tracer.span("iteration_crawl"):
             dataset = crawl.run()
         profiler.add_counts(
             "iteration_crawl",
@@ -322,7 +316,7 @@ class Study:
 
         # Payment pages, once per marketplace (Table 3).
         payments: Dict[str, List[Tuple[str, str]]] = {}
-        with tracer.span("payment_pages"), profiler.phase("payment_pages"):
+        with tracer.span("payment_pages"):
             for name, spec in MARKETPLACES.items():
                 crawler = MarketplaceCrawler(
                     client, name, f"http://{spec.host}/listings",
@@ -337,7 +331,7 @@ class Study:
         # Profile metadata + timelines for visible accounts, collected
         # while the accounts are still live.
         collector = ProfileCollector(client, telemetry=telemetry)
-        with tracer.span("profile_collection"), profiler.phase("profile_collection"):
+        with tracer.span("profile_collection"):
             profiles, posts = collector.collect(dataset.listings)
         dataset.profiles = profiles
         dataset.posts = posts
@@ -347,7 +341,7 @@ class Study:
         )
 
         # End-of-study status sweep (Section 8): bans are now visible.
-        with tracer.span("status_sweep"), profiler.phase("status_sweep"):
+        with tracer.span("status_sweep"):
             enable_moderation(platform_sites)
             collector.sweep_status(dataset.profiles)
         profiler.add_counts("status_sweep", records=len(dataset.profiles))
@@ -366,8 +360,7 @@ class Study:
                 solver=HumanSolver(self._rng.child("solver")),
                 telemetry=telemetry,
             )
-            with tracer.span("underground_collection"), \
-                    profiler.phase("underground_collection"):
+            with tracer.span("underground_collection"):
                 for market, site in underground_sites.items():
                     dataset.underground.extend(
                         manual.collect_market(market, site.host)
@@ -381,7 +374,7 @@ class Study:
         # GC unreferenced blobs, write archive.json).
         archive_summary: Optional[dict] = None
         if archive is not None:
-            with tracer.span("archive_seal"), profiler.phase("archive_seal"):
+            with tracer.span("archive_seal"):
                 archive_summary = archive.summary(archive.seal(self.config))
 
         # Contract boundary: validate everything collection produced
@@ -393,7 +386,7 @@ class Study:
         )
         contracts: Optional[ValidationReport] = None
         if self.config.contracts_enabled:
-            with tracer.span("contracts"), profiler.phase("contracts"):
+            with tracer.span("contracts"):
                 contracts = validate_dataset(
                     dataset, quarantine,
                     telemetry if telemetry.enabled else None,
@@ -430,12 +423,12 @@ class Study:
                 strict=self.config.strict_contracts,
                 fail_stages=self.config.fail_stages,
             )
-            with tracer.span("analysis_suite"), profiler.phase("analysis_suite"):
+            with tracer.span("analysis_suite"):
                 result.analyses = run_analysis_suite(
                     dataset, supervisor, telemetry=telemetry,
                 )
             result.stage_failures = list(supervisor.failures)
-            with tracer.span("scorecard"), profiler.phase("scorecard"):
+            with tracer.span("scorecard"):
                 result.scorecard = compute_scorecard(
                     result, analyses=result.analyses,
                 )

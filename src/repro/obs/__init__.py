@@ -21,8 +21,9 @@ package makes it inspectable end to end:
 * :mod:`repro.obs.rundir` — defensive loading of telemetry dirs;
 * :mod:`repro.obs.diff` — run-to-run regression diffing;
 * :mod:`repro.obs.report_html` — the single-file health dashboard;
-* :mod:`repro.obs.prof` — the ``--profile`` performance profiler
-  (per-phase/per-stage wall, sim, memory, throughput → profile.json);
+* :mod:`repro.obs.prof` — the ``--profile`` performance profiler, an
+  observer of the tracer's phase and stage spans (their wall and sim
+  time, plus memory and throughput → profile.json);
 * :mod:`repro.obs.bench` — the ``repro bench`` harness behind the
   committed ``BENCH_pipeline.json`` perf baseline;
 * :mod:`repro.obs.schemas` — the single registry of schema ids every

@@ -1,9 +1,10 @@
 """The ``repro bench`` harness: ``BENCH_pipeline.json`` baselines.
 
 Runs the scale-0.02 throughput study (the same configuration as
-``benchmarks/test_pipeline_throughput.py``) N times with a timing-only
-:class:`~repro.obs.prof.StageProfiler` (no tracemalloc, so the numbers
-are undistorted), plus one dedicated memory round with full tracing, and
+``benchmarks/test_pipeline_throughput.py``) N times with a memory-off
+:class:`~repro.obs.prof.StageProfiler`, which reads each phase's wall
+and sim time off its span (no tracemalloc, so the numbers are
+undistorted), plus one dedicated memory round with full tracing, and
 writes a schema-versioned baseline:
 
 * median/p95/min/max wall seconds, total and per stage;

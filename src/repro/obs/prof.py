@@ -1,17 +1,25 @@
 """Continuous performance profiling: ``--profile`` / ``profile.json``.
 
-A :class:`StageProfiler` wraps every pipeline phase and every supervised
-analysis stage and records, per phase:
+A :class:`StageProfiler` keeps no clock of its own: it observes the
+run's :class:`~repro.obs.trace.SpanTracer` (installed by
+:meth:`~repro.obs.telemetry.Telemetry.use_profiler`) and reads every
+time off the spans.  A *phase* is every child of the run's root span —
+the same spans the manifest lists as ``stages`` — plus every
+``stage.<name>`` analysis-stage span at any depth.  Per phase it records:
 
-* **wall time** (``time.perf_counter``) — where the run actually spends
-  its machine time;
-* **sim time** (the :class:`~repro.util.simtime.SimClock`) — the
+* **wall time** and **sim time** — the phase span's own durations, so a
+  phase has one wall time wherever it is reported; sim time is the
   deterministic twin of wall time, identical across same-seed runs;
 * **item counts** (pages fetched, records processed) and the derived
   throughput (pages/s, records/s against wall time);
-* **memory** via :mod:`tracemalloc`: peak traced bytes inside the phase
-  (child peaks propagate to parents), net allocated bytes, and the
-  top-N allocation sites attributed to ``repro`` modules.
+* **memory** via :mod:`tracemalloc`, traced while the root span is
+  open: peak traced bytes inside the phase (child peaks propagate to
+  parents), net allocated bytes, and the top-N allocation sites
+  attributed to ``repro`` modules.
+
+The tracer calls the profiler before a span's wall clock starts and
+after it stops, so the tracemalloc snapshots are never charged to the
+phase they measure.  Totals are the root span's durations.
 
 The profile exports as a byte-stable ``profile.json``
 (:data:`PROFILE_FILENAME`, schema :data:`PROFILE_SCHEMA`) next to the
@@ -23,17 +31,16 @@ from wall durations, the profile separates *deterministic* fields
 runs must agree byte-for-byte on what remains — that is the determinism
 gate for profiled runs.
 
-Profiling is opt-in (the CLI's ``--profile``); when off, call sites hold
-the shared :data:`NULL_PROFILER` and pay one attribute lookup plus an
-empty context manager, the same bargain the tracer makes, so the <5%
-telemetry-overhead budget is unaffected.
+Profiling is opt-in (the CLI's ``--profile``); when off, the tracer has
+no observer and call sites hold the shared :data:`NULL_PROFILER`, whose
+count hooks are empty methods, so the <5% telemetry-overhead budget is
+unaffected.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,8 +51,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None
 
 from repro.obs.schemas import PROFILE_SCHEMA
+from repro.obs.trace import SpanRecord
 from repro.util.fileio import atomic_write_json
-from repro.util.simtime import SimClock
 
 PROFILE_FILENAME = "profile.json"
 
@@ -100,37 +107,18 @@ class PhaseProfile:
         }
 
 
-class _NullPhase:
-    """Shared, stateless no-op context manager."""
+class _MemoryWindow:
+    """The tracemalloc window of one open phase span."""
 
-    __slots__ = ()
+    __slots__ = ("span_id", "profile", "start_current", "snapshot",
+                 "child_peak")
 
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-class _OpenPhase:
-    """Context-manager handle for one in-flight profiled phase."""
-
-    __slots__ = ("_profiler", "record", "_wall_start", "_start_current",
-                 "_snapshot", "_child_peak")
-
-    def __init__(self, profiler: "StageProfiler", record: PhaseProfile) -> None:
-        self._profiler = profiler
-        self.record = record
-        self._wall_start = 0.0
-        self._start_current = 0
-        self._snapshot = None
-        self._child_peak = 0
-
-    def __enter__(self) -> PhaseProfile:
-        return self.record
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._profiler._finish(self)
+    def __init__(self, span_id: int, profile: PhaseProfile) -> None:
+        self.span_id = span_id
+        self.profile = profile
+        self.start_current = 0
+        self.snapshot = None
+        self.child_peak = 0
 
 
 def _repro_site(filename: str, lineno: int) -> Optional[str]:
@@ -149,104 +137,89 @@ def _repro_site(filename: str, lineno: int) -> Optional[str]:
 
 
 class StageProfiler:
-    """Collects per-phase wall/sim/memory/throughput profiles.
+    """Collects per-phase wall/sim/memory/throughput profiles from spans.
 
-    ``memory=False`` skips all :mod:`tracemalloc` work — used by the
-    bench harness, whose timing rounds must not pay the (roughly 2x on
-    allocation-heavy code) tracing overhead; a dedicated memory round
-    records peaks separately.
+    The tracer drives it through :meth:`span_opened` and
+    :meth:`span_closed`.  ``memory=False`` skips all :mod:`tracemalloc`
+    work — used by the bench harness, whose timing rounds must not pay
+    the (roughly 2x on allocation-heavy code) tracing overhead; a
+    dedicated memory round records peaks separately.
     """
 
     def __init__(self, memory: bool = True, top_allocations: int = 5,
-                 stages_expected: Sequence[str] = (),
-                 clock: Optional[SimClock] = None) -> None:
+                 stages_expected: Sequence[str] = ()) -> None:
         self.enabled = True
         self.memory = memory
         self.top_allocations = top_allocations
         self.stages_expected: Tuple[str, ...] = tuple(stages_expected)
         self.phases: List[PhaseProfile] = []
         self.clients: List[dict] = []
-        self._clock = clock
-        self._stack: List[_OpenPhase] = []
+        self._root: Optional[SpanRecord] = None
+        self._windows: List[_MemoryWindow] = []
         self._started_tracing = False
-        self._wall_started = 0.0
         self._wall_total = 0.0
         self._sim_total = 0.0
-        self._running = False
 
-    # -- lifecycle -------------------------------------------------------
+    # -- tracer observer -------------------------------------------------
 
-    def set_clock(self, clock: SimClock) -> None:
-        self._clock = clock
-
-    def _sim_now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
-    def start(self) -> None:
-        """Begin a profiled run (starts tracemalloc when memory is on)."""
-        self._running = True
-        self._wall_started = time.perf_counter()
-        if self.memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracing = True
-
-    def finish(self) -> None:
-        """End the run: record totals, stop tracing if we started it."""
-        if not self._running:
+    def span_opened(self, record: SpanRecord, depth: int) -> None:
+        """The first root span starts the run (and tracemalloc); a phase
+        span opens a memory window."""
+        if self._root is None and depth == 0:
+            self._root = record
+            if self.memory and not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._started_tracing = True
             return
-        self._running = False
-        self._wall_total = time.perf_counter() - self._wall_started
-        self._sim_total = self._sim_now()
-        if self._started_tracing:
-            tracemalloc.stop()
-            self._started_tracing = False
-
-    # -- phases ----------------------------------------------------------
-
-    def phase(self, name: str, kind: str = "phase") -> _OpenPhase:
-        record = PhaseProfile(name=name, kind=kind, sim_start=self._sim_now())
-        handle = _OpenPhase(self, record)
+        if record.name.startswith(STAGE_PREFIX):
+            kind = "stage"
+        elif self._root is not None and record.parent_id == self._root.span_id:
+            kind = "phase"
+        else:
+            return
+        window = _MemoryWindow(record.span_id, PhaseProfile(
+            name=record.name, kind=kind, sim_start=record.sim_start,
+        ))
         if self.memory and tracemalloc.is_tracing():
-            handle._start_current = tracemalloc.get_traced_memory()[0]
+            window.start_current = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             if self.top_allocations:
-                handle._snapshot = tracemalloc.take_snapshot()
-        handle._wall_start = time.perf_counter()
-        self._stack.append(handle)
-        return handle
+                window.snapshot = tracemalloc.take_snapshot()
+        self._windows.append(window)
 
-    @staticmethod
-    def stage_key(name: str) -> str:
-        """The phase name a stage records under (``stage.<name>``)."""
-        return f"{STAGE_PREFIX}{name}"
-
-    def stage(self, name: str) -> _OpenPhase:
-        """A profiled analysis stage (``stage.<name>``)."""
-        return self.phase(self.stage_key(name), kind="stage")
-
-    def _finish(self, handle: _OpenPhase) -> None:
-        record = handle.record
-        record.wall_seconds = time.perf_counter() - handle._wall_start
-        record.sim_seconds = self._sim_now() - record.sim_start
+    def span_closed(self, record: SpanRecord) -> None:
+        """The root span ends the run; a phase span closes its window."""
+        if record is self._root:
+            self._wall_total = record.wall_duration
+            self._sim_total = record.sim_end
+            self._windows.clear()
+            if self._started_tracing:
+                tracemalloc.stop()
+                self._started_tracing = False
+            return
+        # Windows opened after this span and still open belong to
+        # abandoned children (same defense as the tracer's stack).
+        while self._windows and self._windows[-1].span_id > record.span_id:
+            self._windows.pop()
+        if not self._windows or self._windows[-1].span_id != record.span_id:
+            return
+        window = self._windows.pop()
+        profile = window.profile
+        profile.sim_seconds = record.sim_duration
+        profile.wall_seconds = record.wall_duration
         if self.memory and tracemalloc.is_tracing():
             current, peak = tracemalloc.get_traced_memory()
-            record.mem_net_bytes = current - handle._start_current
-            record.mem_peak_bytes = max(peak, handle._child_peak)
-            if handle._snapshot is not None:
-                record.top_allocations = self._top_diff(handle._snapshot)
-                handle._snapshot = None
+            profile.mem_net_bytes = current - window.start_current
+            profile.mem_peak_bytes = max(peak, window.child_peak)
+            if window.snapshot is not None:
+                profile.top_allocations = self._top_diff(window.snapshot)
             # Fresh peak window for whatever the parent does next; the
             # child's peak has already been folded into the parent below.
             tracemalloc.reset_peak()
-        # Pop through abandoned children too (same defense as the tracer).
-        while self._stack:
-            top = self._stack.pop()
-            if top is handle:
-                break
-        if self._stack:
-            parent = self._stack[-1]
-            parent._child_peak = max(parent._child_peak, record.mem_peak_bytes)
-        self.phases.append(record)
+        if self._windows:
+            parent = self._windows[-1]
+            parent.child_peak = max(parent.child_peak, profile.mem_peak_bytes)
+        self.phases.append(profile)
 
     def _top_diff(self, before) -> List[dict]:
         after = tracemalloc.take_snapshot()
@@ -279,9 +252,9 @@ class StageProfiler:
                 target = record
                 break
         if target is None:
-            for handle in reversed(self._stack):
-                if handle.record.name == name:
-                    target = handle.record
+            for window in reversed(self._windows):
+                if window.profile.name == name:
+                    target = window.profile
                     break
         if target is None:
             return
@@ -373,50 +346,14 @@ class StageProfiler:
 
 
 class NullProfiler:
-    """Profiler stand-in for unprofiled runs; everything is a no-op."""
+    """Profiler stand-in for unprofiled runs; the count hooks are no-ops."""
 
     enabled = False
-    memory = False
-    phases: List[PhaseProfile] = []
-    clients: List[dict] = []
-    stages_expected: Tuple[str, ...] = ()
-    _phase = _NullPhase()
-
-    def set_clock(self, clock) -> None:
-        pass
-
-    def start(self) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
-
-    def phase(self, name: str, kind: str = "phase") -> _NullPhase:
-        return self._phase
-
-    @staticmethod
-    def stage_key(name: str) -> str:
-        return f"{STAGE_PREFIX}{name}"
-
-    def stage(self, name: str) -> _NullPhase:
-        return self._phase
 
     def add_counts(self, name: str, **counts: int) -> None:
         pass
 
     def add_client(self, client_id: str, stats) -> None:
-        pass
-
-    def stage_names(self) -> List[str]:
-        return []
-
-    def summary(self) -> dict:
-        return {}
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def export_json(self, path: str) -> None:
         pass
 
 

@@ -10,6 +10,11 @@ disabled path costs one attribute lookup and an empty method call.
 ``set_clock`` binds the simulated clock once the :class:`Internet`
 exists, so spans and events are stamped in simulated seconds and stay
 deterministic across same-seed runs.
+
+The span tracer is the only timer.  A ``--profile`` run installs a
+:class:`~repro.obs.prof.StageProfiler` as the tracer's observer
+(:meth:`Telemetry.use_profiler`); it adds memory, counts and per-client
+tallies to the phase spans, and needs enabled telemetry to see any.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class Telemetry:
         self.enabled = enabled
         #: The performance profiler (``--profile``); the shared no-op
         #: unless one is supplied or installed later by the pipeline.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        self.profiler = NULL_PROFILER
         if enabled:
             self.metrics: Union[MetricsRegistry, NullRegistry] = MetricsRegistry()
             self.tracer: Union[SpanTracer, NullTracer] = SpanTracer(clock)
@@ -47,6 +52,13 @@ class Telemetry:
             self.metrics = NullRegistry()
             self.tracer = NullTracer()
             self.events = NullEventLog()
+        if profiler is not None:
+            self.use_profiler(profiler)
+
+    def use_profiler(self, profiler: StageProfiler) -> None:
+        """Profile this telemetry's spans (see :mod:`repro.obs.prof`)."""
+        self.profiler = profiler
+        self.tracer.observer = profiler
 
     @classmethod
     def disabled(cls) -> "Telemetry":
@@ -56,7 +68,6 @@ class Telemetry:
     def set_clock(self, clock: SimClock) -> None:
         self.tracer.set_clock(clock)
         self.events.set_clock(clock)
-        self.profiler.set_clock(clock)
 
     def export(self, directory: str) -> List[str]:
         """Write metrics.json, trace.jsonl, events.jsonl — plus

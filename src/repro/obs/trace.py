@@ -11,6 +11,12 @@ Spans nest through an explicit stack: ``tracer.span(...)`` parents the
 new span under whichever span is currently open.  Finished spans land in
 ``tracer.spans`` in completion order and export to JSONL one object per
 line (:func:`~repro.util.jsonl.write_records`).
+
+The tracer is the pipeline's only timer.  An optional ``observer`` (the
+``--profile`` :class:`~repro.obs.prof.StageProfiler`) hears
+``span_opened(record, depth)`` before a span's wall clock starts and
+``span_closed(record)`` after it stops, so whatever the observer does —
+tracemalloc snapshots, say — is never charged to the span it observes.
 """
 
 from __future__ import annotations
@@ -97,6 +103,8 @@ class SpanTracer:
         self._stack: List[SpanRecord] = []
         self._next_id = 1
         self.spans: List[SpanRecord] = []
+        #: Notified as spans open and close; None when nothing listens.
+        self.observer = None
 
     def set_clock(self, clock: SimClock) -> None:
         self._clock = clock
@@ -112,15 +120,17 @@ class SpanTracer:
             name=name,
             attrs=attrs,
             sim_start=self._sim_now(),
-            wall_start=time.perf_counter(),
         )
         self._next_id += 1
+        if self.observer is not None:
+            self.observer.span_opened(record, len(self._stack))
+        record.wall_start = time.perf_counter()
         self._stack.append(record)
         return _OpenSpan(self, record)
 
     def _finish(self, record: SpanRecord) -> None:
-        record.sim_end = self._sim_now()
         record.wall_end = time.perf_counter()
+        record.sim_end = self._sim_now()
         # Pop through abandoned children too, so an exception that skips
         # inner __exit__ calls cannot wedge the stack.
         while self._stack:
@@ -128,6 +138,8 @@ class SpanTracer:
             if top.span_id == record.span_id:
                 break
         self.spans.append(record)
+        if self.observer is not None:
+            self.observer.span_closed(record)
 
     @property
     def current(self) -> Optional[SpanRecord]:
@@ -152,9 +164,9 @@ def stage_summary(spans: List[SpanRecord]) -> List[dict]:
 
     A *stage* is a span one level below a root (e.g. the children of the
     ``study`` span: deploy, iteration_crawl, profile_collection, ...)
-    plus any childless root (e.g. the nlp.* analysis spans recorded
-    after the study finished).  Container roots themselves are omitted;
-    rows come out in completion order.
+    plus any childless root (e.g. a span recorded outside any run).
+    Container roots themselves are omitted; rows come out in completion
+    order.
     """
     children_of: Dict[Optional[int], int] = {}
     for span in spans:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.archive import ArchiveError, ArchiveReader, run_replay
 from repro.core.pipeline import Study, StudyConfig
+from repro.obs import Telemetry
 
 CONFIG = dict(seed=41, scale=0.02, iterations=2, include_underground=True)
 
@@ -84,6 +85,23 @@ def test_replay_analyses_match_live(archived_run):
     assert replayed.stage_failures == live.stage_failures
     assert sorted(replayed.analyses.reports) == sorted(live.analyses.reports)
     assert replayed.analyses.coverage() == live.analyses.coverage()
+
+
+def test_replay_trace_stages_are_the_replay_phases(archived_run):
+    _live, archive_dir = archived_run
+    telemetry = Telemetry()
+    run_replay(archive_dir, telemetry=telemetry)
+    assert [row["name"] for row in telemetry.tracer.stage_summary()] == [
+        "replay.iteration_crawl", "replay.payment_pages",
+        "replay.profile_collection", "replay.status_sweep",
+        "replay.underground_collection", "replay.contracts",
+        "replay.analysis_suite", "replay.scorecard",
+    ]
+    spans = telemetry.tracer.spans
+    (suite,) = [s for s in spans if s.name == "replay.analysis_suite"]
+    stages = [s for s in spans if s.name.startswith("stage.")]
+    assert len(stages) == 9
+    assert all(s.parent_id == suite.span_id for s in stages)
 
 
 def test_replay_refuses_unsealed_archive(tmp_path):

@@ -18,6 +18,7 @@ from repro.obs.prof import (
     load_profile,
     profile_stage_coverage,
 )
+from repro.obs.trace import SpanTracer
 from repro.util.simtime import SimClock
 
 CONFIG = StudyConfig(
@@ -33,14 +34,21 @@ def profiled_run():
     return result, study.telemetry
 
 
+def profiled_tracer(profiler, clock=None):
+    """A span tracer with ``profiler`` as its observer."""
+    tracer = SpanTracer(clock)
+    tracer.observer = profiler
+    return tracer
+
+
 class TestStageProfiler:
     def test_phase_records_sim_and_wall(self):
         clock = SimClock()
-        profiler = StageProfiler(memory=False, clock=clock)
-        profiler.start()
-        with profiler.phase("crawl"):
-            clock.advance(120.0)
-        profiler.finish()
+        profiler = StageProfiler(memory=False)
+        tracer = profiled_tracer(profiler, clock)
+        with tracer.span("run"):
+            with tracer.span("crawl"):
+                clock.advance(120.0)
         (record,) = profiler.phases
         assert record.name == "crawl"
         assert record.sim_seconds == pytest.approx(120.0)
@@ -48,30 +56,53 @@ class TestStageProfiler:
 
     def test_stage_phases_carry_prefix_and_kind(self):
         profiler = StageProfiler(memory=False)
-        with profiler.stage("network"):
-            pass
+        tracer = profiled_tracer(profiler)
+        with tracer.span("run"):
+            with tracer.span("stage.network"):
+                pass
         (record,) = profiler.phases
         assert record.name == "stage.network"
         assert record.kind == "stage"
         assert profiler.stage_names() == ["network"]
-        assert profiler.stage_key("network") == "stage.network"
 
     def test_nested_phases_all_recorded(self):
         profiler = StageProfiler(memory=False)
-        with profiler.phase("outer"):
-            with profiler.phase("inner"):
-                pass
+        tracer = profiled_tracer(profiler)
+        with tracer.span("run"):
+            with tracer.span("outer"):
+                with tracer.span("stage.inner"):
+                    pass
         names = [record.name for record in profiler.phases]
-        assert names == ["inner", "outer"]
+        assert names == ["stage.inner", "outer"]
+
+    def test_phases_are_root_children_and_stage_spans(self):
+        clock = SimClock()
+        profiler = StageProfiler(memory=False)
+        tracer = profiled_tracer(profiler, clock)
+        with tracer.span("run"):
+            with tracer.span("crawl"):
+                with tracer.span("page"):
+                    clock.advance(5.0)
+                with tracer.span("stage.deep"):
+                    pass
+        with tracer.span("second_root"):
+            with tracer.span("late"):
+                pass
+        assert [record.name for record in profiler.phases] \
+            == ["stage.deep", "crawl"]
+        root = next(span for span in tracer.spans if span.name == "run")
+        totals = profiler.snapshot()["totals"]
+        assert totals["sim_seconds"] == 5.0
+        assert totals["wall_seconds"] == round(root.wall_duration, 6)
 
     def test_memory_tracks_allocations_and_child_peaks(self):
         profiler = StageProfiler(memory=True, top_allocations=3)
-        profiler.start()
+        tracer = profiled_tracer(profiler)
         keep = []
-        with profiler.phase("outer"):
-            with profiler.phase("inner"):
-                keep.append(bytearray(4_000_000))
-        profiler.finish()
+        with tracer.span("run"):
+            with tracer.span("outer"):
+                with tracer.span("stage.inner"):
+                    keep.append(bytearray(4_000_000))
         inner, outer = profiler.phases
         assert inner.mem_peak_bytes >= 4_000_000
         # The child's peak propagates into the enclosing phase.
@@ -80,8 +111,10 @@ class TestStageProfiler:
 
     def test_add_counts_and_throughput(self):
         profiler = StageProfiler(memory=False)
-        with profiler.phase("crawl"):
-            pass
+        tracer = profiled_tracer(profiler)
+        with tracer.span("run"):
+            with tracer.span("crawl"):
+                pass
         profiler.add_counts("crawl", pages=100, records=250)
         (record,) = profiler.phases
         assert record.counts == {"pages": 100, "records": 250}
@@ -109,22 +142,18 @@ class TestStageProfiler:
         assert client["hosts"][0]["bytes"] == 400
 
     def test_null_profiler_is_inert(self):
-        with NULL_PROFILER.phase("x"):
-            pass
-        with NULL_PROFILER.stage("y"):
-            pass
         NULL_PROFILER.add_counts("x", pages=1)
         assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.snapshot() == {}
-        assert NULL_PROFILER.stage_names() == []
 
     def test_snapshot_totals_do_not_double_count_stage_records(self):
         profiler = StageProfiler(memory=False)
-        with profiler.phase("analysis"):
-            with profiler.stage("anatomy"):
-                pass
+        tracer = profiled_tracer(profiler)
+        with tracer.span("run"):
+            with tracer.span("analysis"):
+                with tracer.span("stage.anatomy"):
+                    pass
         profiler.add_counts("analysis", records=10)
-        profiler.add_counts(profiler.stage_key("anatomy"), records=10)
+        profiler.add_counts("stage.anatomy", records=10)
         snapshot = profiler.snapshot()
         assert snapshot["totals"]["counts"]["records"] == 10
 
@@ -226,6 +255,26 @@ class TestProfiledStudy:
         view_b = deterministic_view(twin.telemetry.profiler.snapshot())
         assert json.dumps(view_a, sort_keys=True) \
             == json.dumps(view_b, sort_keys=True)
+
+    def test_phase_times_are_their_spans(self, profiled_run):
+        _result, telemetry = profiled_run
+        phases = telemetry.profiler.snapshot()["phases"]
+        rows = {row["name"]: row for row in telemetry.tracer.stage_summary()}
+        pipeline_phases = [p for p in phases if p["kind"] == "phase"]
+        assert {p["name"] for p in pipeline_phases} == set(rows)
+        for phase in pipeline_phases:
+            row = rows[phase["name"]]
+            assert phase["wall_seconds"] == row["wall_seconds"], phase["name"]
+            assert phase["sim_seconds"] == row["sim_seconds"], phase["name"]
+        spans = {span.name: span for span in telemetry.tracer.spans}
+        for phase in phases:
+            if phase["kind"] == "stage":
+                span = spans[phase["name"]]
+                assert phase["wall_seconds"] == round(span.wall_duration, 6)
+        nlp = [s for s in telemetry.tracer.spans if s.name.startswith("nlp.")]
+        assert nlp
+        assert all(s.parent_id == spans["stage.scam_posts"].span_id
+                   for s in nlp)
 
     def test_unprofiled_run_stays_on_null_profiler(self):
         study = Study(StudyConfig(seed=515, scale=0.01, iterations=1,

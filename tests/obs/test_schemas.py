@@ -112,8 +112,6 @@ class TestEveryEmittedArtifactCarriesAKnownId:
 
     def test_profile_snapshot(self):
         profiler = StageProfiler(memory=False)
-        profiler.start()
-        profiler.finish()
         self._assert_known(profiler.snapshot())
 
     def test_manifest(self):

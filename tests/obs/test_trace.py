@@ -1,4 +1,6 @@
-"""Span tracer: nesting, sim-clock charging, JSONL round-trip."""
+"""Span tracer: nesting, sim-clock charging, observer, JSONL round-trip."""
+
+import time
 
 from repro.obs.trace import NullTracer, SpanTracer, stage_summary
 from repro.util.simtime import SimClock
@@ -66,6 +68,27 @@ class TestSimClockCharging:
         with tracer.span("s"):
             pass
         assert tracer.spans[0].wall_duration >= 0.0
+
+
+class TestObserver:
+    def test_observer_is_never_charged_to_a_span(self):
+        calls = []
+
+        class SlowObserver:
+            def span_opened(self, record, depth):
+                calls.append(("opened", record.name, depth))
+                time.sleep(0.02)
+
+            def span_closed(self, record):
+                calls.append(("closed", record.name))
+                time.sleep(0.02)
+
+        tracer = SpanTracer()
+        tracer.observer = SlowObserver()
+        with tracer.span("root"):
+            pass
+        assert calls == [("opened", "root", 0), ("closed", "root")]
+        assert tracer.spans[0].wall_duration < 0.02
 
 
 class TestJsonlRoundTrip:
