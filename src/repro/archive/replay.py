@@ -6,10 +6,13 @@ to the crawlers — final responses after redirects and retries, or the
 errors it raised.  :class:`ReplayClient` exposes the same ``get``/
 ``post``/``request`` surface and feeds that sequence back, validating on
 every call that the replayed code asked for the same request the live
-run made.  The crawlers, profile collector, and underground collector
-then re-run *for real* — Module-2 extraction genuinely re-executes over
-the archived bytes — followed by contracts, the supervised nine-stage
-analysis suite, and the fidelity scorecard.
+run made.  :func:`run_replay` hands those clients to the pipeline's own phase
+sequence (:func:`~repro.core.pipeline.collect_and_analyze`, the function
+a live :class:`~repro.core.pipeline.Study` runs), so the crawlers,
+profile collector, and underground collector re-run *for real* —
+Module-2 extraction genuinely re-executes over the archived bytes —
+followed by contracts, the supervised nine-stage analysis suite, and
+the fidelity scorecard, with no second copy of the sequence to drift.
 
 Nothing else from the live run happens: no synthetic Internet is built,
 no sites deploy, no faults inject, no politeness waits or retries burn
@@ -24,7 +27,7 @@ network in the live pipeline either.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 from repro.archive.reader import ArchiveReader
 from repro.archive.records import ExchangeRecord
@@ -191,20 +194,10 @@ def run_replay(
 
 
 def _replay(archive_dir: str, telemetry: Telemetry):
-    from repro.analysis.suite import run_analysis_suite
-    from repro.core.pipeline import StudyResult
-    from repro.contracts.quarantine import QuarantineStore
-    from repro.contracts.schema import validate_dataset
-    from repro.contracts.supervisor import StageSupervisor
-    from repro.crawler.crawler import IterationCrawl, MarketplaceCrawler
-    from repro.crawler.profile_collector import ProfileCollector
-    from repro.crawler.underground_collector import UndergroundCollector
-    from repro.marketplaces.registry import MARKETPLACES
-    from repro.marketplaces.underground import onion_host
-    from repro.obs.quality import compute_scorecard
+    from repro.core.pipeline import collect_and_analyze, seed_urls
+    from repro.crawler.crawler import IterationCrawl
     from repro.synthetic.world import WorldBuilder
     from repro.util.rng import RngTree
-    from repro.web.captcha import HumanSolver
 
     reader = ArchiveReader.open(archive_dir)
     config = _study_config_from(reader.config)
@@ -225,104 +218,50 @@ def _replay(archive_dir: str, telemetry: Telemetry):
         clients.append(client)
         return client
 
-    client = replay_client("crawler")
     crawl = IterationCrawl(
-        client=client,
-        seed_urls={
-            name: f"http://{spec.host}/listings"
-            for name, spec in MARKETPLACES.items()
-        },
+        client=replay_client("crawler"),
+        seed_urls=seed_urls(),
         set_iteration=lambda iteration: None,  # no sites to advance
         iterations=config.iterations,
         telemetry=telemetry,
     )
-    with telemetry.tracer.span("replay.iteration_crawl"):
-        dataset = crawl.run()
-
-    payments: Dict[str, List[Tuple[str, str]]] = {}
-    with telemetry.tracer.span("replay.payment_pages"):
-        for name, spec in MARKETPLACES.items():
-            crawler = MarketplaceCrawler(
-                client, name, f"http://{spec.host}/listings",
-                telemetry=telemetry,
-            )
-            payments[name] = crawler.collect_payment_methods()
-
-    collector = ProfileCollector(client, telemetry=telemetry)
-    with telemetry.tracer.span("replay.profile_collection"):
-        profiles, posts = collector.collect(dataset.listings)
-    dataset.profiles = profiles
-    dataset.posts = posts
-    with telemetry.tracer.span("replay.status_sweep"):
-        collector.sweep_status(dataset.profiles)
-
+    # The live run deploys one forum per market with postings, in sorted
+    # order, and archives a manual-analyst stream only when it has any.
+    markets: List[str] = []
+    manual_client: Optional[ReplayClient] = None
     if config.include_underground and "manual-analyst" in streams:
-        tor_client = replay_client("manual-analyst")
-        # Same solver RNG the live pipeline derives: children of an
-        # RngTree come from (seed, name), so skipping the deploy stage
-        # does not perturb the stream.
-        solver_rng = RngTree(config.seed, name="study").child("solver")
-        manual = UndergroundCollector(
-            client=tor_client,
-            solver=HumanSolver(solver_rng),
-            telemetry=telemetry,
-        )
         markets = sorted({
             posting.market for posting in world.underground_postings
         })
-        with telemetry.tracer.span("replay.underground_collection"):
-            for market in markets:
-                dataset.underground.extend(
-                    manual.collect_market(market, onion_host(market))
+        manual_client = replay_client("manual-analyst")
+
+    def end_collection() -> dict:
+        for replayed in clients:
+            if replayed.remaining:
+                raise ReplayMismatch(
+                    f"client {replayed.client_id!r} left {replayed.remaining} "
+                    "archived outcomes unconsumed — the replayed code diverged "
+                    "from the recorded run"
                 )
+        # Pin the clock to the archived end-of-run instant so
+        # ``simulated_seconds`` matches even if the final archived
+        # exchanges carried no outcome for this stream.
+        clock.set_at_least(reader.sim_seconds)
+        return reader.summary()
 
-    # Contract boundary re-validates the replayed records, exactly as the
-    # live run validated the originals.
-    quarantine = QuarantineStore(telemetry if telemetry.enabled else None)
-    with telemetry.tracer.span("replay.contracts"):
-        contracts = validate_dataset(
-            dataset, quarantine, telemetry if telemetry.enabled else None
-        )
-
-    for replayed in clients:
-        if replayed.remaining:
-            raise ReplayMismatch(
-                f"client {replayed.client_id!r} left {replayed.remaining} "
-                "archived outcomes unconsumed — the replayed code diverged "
-                "from the recorded run"
-            )
-
-    # Pin the clock to the archived end-of-run instant so
-    # ``simulated_seconds`` matches even if the final archived exchanges
-    # carried no outcome for this stream.
-    clock.set_at_least(reader.sim_seconds)
-
-    result = StudyResult(
-        dataset=dataset,
-        world=world,
-        active_per_iteration=crawl.active_per_iteration,
-        cumulative_per_iteration=crawl.cumulative_per_iteration,
-        payment_methods=payments,
-        crawl_reports=crawl.reports,
-        simulated_seconds=clock.now(),
-        telemetry=telemetry,
-        contracts=contracts,
-        quarantine=quarantine,
-        archive=reader.summary(),
-    )
     # Replay exists to analyze many times: always run the supervised
     # suite and score the result, telemetry or not.
-    supervisor = StageSupervisor(telemetry if telemetry.enabled else None)
-    with telemetry.tracer.span("replay.analysis_suite"):
-        result.analyses = run_analysis_suite(
-            dataset, supervisor, telemetry=telemetry
-        )
-    result.stage_failures = list(supervisor.failures)
-    with telemetry.tracer.span("replay.scorecard"):
-        result.scorecard = compute_scorecard(result, analyses=result.analyses)
-    if telemetry.enabled:
-        result.scorecard.register_gauges(telemetry.metrics)
-    return result
+    return collect_and_analyze(
+        config, world, crawl, telemetry,
+        prefix="replay.",
+        manual_client=manual_client,
+        markets=markets,
+        # Children of an RngTree come from (seed, name), so this is the
+        # live run's solver stream although no deploy stage ran.
+        solver_rng=RngTree(config.seed, name="study").child("solver"),
+        analyze=True,
+        end_collection=end_collection,
+    )
 
 
 __all__ = [

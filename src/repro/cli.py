@@ -116,7 +116,6 @@ from repro.obs import (
     RunRegistry,
     Telemetry,
     TelemetryDirError,
-    build_manifest,
     compare_bench,
     compute_trends,
     configure_logging,
@@ -133,8 +132,8 @@ from repro.obs import (
     trends_document,
     write_alerts,
     write_bench,
-    write_manifest,
     write_scorecard,
+    write_telemetry_dir,
 )
 from repro.monitor import (
     MonitorConfig,
@@ -207,13 +206,8 @@ def _export_telemetry(args: argparse.Namespace, config: StudyConfig,
     out_dir = getattr(args, "telemetry_out", None)
     if not out_dir or not telemetry.enabled:
         return
-    telemetry.export(out_dir)
-    if getattr(result, "scorecard", None) is not None:
-        write_scorecard(out_dir, result.scorecard)
-    if getattr(result, "quarantine", None) is not None:
-        result.quarantine.write_jsonl(out_dir)
-    manifest = build_manifest(config, result, telemetry, command=sys.argv[1:])
-    write_manifest(out_dir, manifest)
+    write_telemetry_dir(out_dir, config, result, telemetry,
+                        command=sys.argv[1:])
     print(f"telemetry written to {out_dir}", file=sys.stderr)
 
 

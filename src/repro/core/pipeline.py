@@ -10,13 +10,20 @@ manual-protocol collector over the underground forums.
 Module 3 — *tracking and analysis* lives in :mod:`repro.analysis`; this
 module hands it a complete :class:`~repro.core.dataset.MeasurementDataset`
 plus the crawl artifacts (Figure-2 series, payment-method matrix).
+
+:func:`collect_and_analyze` is the one copy of the phase sequence
+(iteration crawl → payment pages → profiles → status sweep →
+underground → contracts → analysis suite → scorecard).  :class:`Study`
+runs it over the live synthetic Internet and ``repro replay``
+(:mod:`repro.archive.replay`) over a sealed archive; each caller
+supplies only its clients, its span prefix and its hooks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.suite import AnalysisResults, STAGE_NAMES, run_analysis_suite
 from repro.archive.writer import POST_COLLECTION_PHASE, ArchiveWriter
@@ -28,13 +35,14 @@ from repro.crawler.crawler import CrawlReport, IterationCrawl, MarketplaceCrawle
 from repro.faults import DiskFaultInjector, FaultInjector, resolve_profile
 from repro.crawler.profile_collector import ProfileCollector
 from repro.crawler.underground_collector import UndergroundCollector
-from repro.marketplaces.channels import monitored_channels, triage, websites
+from repro.marketplaces.channels import triage, websites
 from repro.marketplaces.deploy import (
     deploy_public_marketplaces,
     deploy_underground,
     set_iteration,
 )
 from repro.marketplaces.registry import MARKETPLACES
+from repro.marketplaces.underground import onion_host
 from repro.obs.prof import StageProfiler
 from repro.obs.quality import Scorecard, compute_scorecard
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -56,8 +64,6 @@ class StudyConfig:
     scale: float = 0.05
     iterations: int = 4
     include_underground: bool = True
-    #: Politeness spacing between same-host requests (simulated seconds).
-    per_host_delay_seconds: float = 0.0
     #: Record metrics/spans/events during the run.  Off by default so
     #: benchmark timings are unaffected; the CLI's ``--telemetry-out``
     #: switches it on.  An explicit ``Telemetry`` passed to
@@ -86,9 +92,6 @@ class StudyConfig:
     #: Resume from an existing checkpoint in ``checkpoint_dir`` instead
     #: of starting fresh (the CLI's ``repro run --resume``).
     resume: bool = False
-    #: Run every record through its contract after collection (repairs,
-    #: degrades, quarantines — see :mod:`repro.contracts`).
-    contracts_enabled: bool = True
     #: Turn the first quarantine or stage failure into a hard error
     #: (the CLI's ``--strict-contracts``).
     strict_contracts: bool = False
@@ -137,7 +140,7 @@ class StudyResult:
     #: so a byte budget spans checkpoints *and* the final dataset — one
     #: disk, one budget.
     disk_faults: Optional[DiskFaultInjector] = None
-    #: Contract-validation tally (None when contracts disabled).
+    #: Contract-validation tally (every study and replay sets it).
     contracts: Optional[ValidationReport] = None
     #: The dead-letter store for quarantined records (always present).
     quarantine: Optional[QuarantineStore] = None
@@ -240,10 +243,19 @@ class Study:
 
         client = HttpClient(
             network,
-            ClientConfig(per_host_delay_seconds=self.config.per_host_delay_seconds),
+            ClientConfig(per_host_delay_seconds=0.0),
             telemetry=telemetry,
             capture=archive,
         )
+        tor_client: Optional[HttpClient] = None
+        if underground_sites:
+            tor_client = HttpClient(
+                network,
+                ClientConfig(via_tor=True, per_host_delay_seconds=0.0),
+                client_id="manual-analyst",
+                telemetry=telemetry,
+                capture=archive,
+            )
         checkpoint_path: Optional[str] = None
         if self.config.checkpoint_dir:
             checkpoint_path = os.path.join(
@@ -254,17 +266,20 @@ class Study:
                 # previous crawl's state.
                 os.remove(checkpoint_path)
 
-        def advance_iteration(iteration: int) -> None:
-            set_iteration(market_sites, iteration)
+        def begin_epoch(epoch: int) -> None:
             if injector is not None:
-                injector.begin_iteration(iteration)
+                injector.begin_iteration(epoch)
             if injector is not None or checkpoint_path:
                 # Reset per-host transport state (breakers, retry budget,
                 # politeness) at the iteration boundary: iterations are
                 # days apart in simulated time, and a resumed run must
                 # enter iteration k with the same client state an
                 # uninterrupted run would have.
-                client.begin_epoch(iteration)
+                client.begin_epoch(epoch)
+
+        def advance_iteration(iteration: int) -> None:
+            set_iteration(market_sites, iteration)
+            begin_epoch(iteration)
 
         watchdog: Optional[CrawlWatchdog] = None
         if telemetry.enabled and self.config.watchdogs_enabled:
@@ -278,10 +293,7 @@ class Study:
             )
         crawl = IterationCrawl(
             client=client,
-            seed_urls={
-                name: f"http://{spec.host}/listings"
-                for name, spec in MARKETPLACES.items()
-            },
+            seed_urls=seed_urls(),
             set_iteration=advance_iteration,
             iterations=self.config.iterations,
             checkpoint_path=checkpoint_path,
@@ -290,150 +302,195 @@ class Study:
             archive=archive,
             disk_faults=disk_faults,
         )
-        with tracer.span("iteration_crawl"):
-            dataset = crawl.run()
-        profiler.add_counts(
-            "iteration_crawl",
-            pages=sum(r.pages_fetched for r in crawl.reports),
-            records=len(dataset.listings),
-        )
-        if watchdog is not None:
-            watchdog.finish()
-        if archive is not None:
-            # Everything after the iteration crawl (payments, profiles,
-            # sweep, underground) archives into one post-collection index.
-            archive.begin_phase(POST_COLLECTION_PHASE)
 
-        # Post-crawl stages get their own fault epoch and fresh client
-        # state.  Without this, a run resumed from an already-complete
-        # checkpoint (which skips the crawl entirely) would enter the
-        # payment/profile/underground stages with different RNG-stream
-        # offsets than an uninterrupted run — and diverge.
-        if injector is not None:
-            injector.begin_iteration(self.config.iterations)
-        if injector is not None or checkpoint_path:
-            client.begin_epoch(self.config.iterations)
+        def after_crawl() -> None:
+            if watchdog is not None:
+                watchdog.finish()
+            if archive is not None:
+                # Everything after the iteration crawl (payments,
+                # profiles, sweep, underground) archives into one
+                # post-collection index.
+                archive.begin_phase(POST_COLLECTION_PHASE)
+            # Post-crawl stages get their own fault epoch and fresh
+            # client state.  Without this, a run resumed from an
+            # already-complete checkpoint (which skips the crawl
+            # entirely) would enter the payment/profile/underground
+            # stages with different RNG-stream offsets than an
+            # uninterrupted run — and diverge.
+            begin_epoch(self.config.iterations)
 
-        # Payment pages, once per marketplace (Table 3).
-        payments: Dict[str, List[Tuple[str, str]]] = {}
-        with tracer.span("payment_pages"):
-            for name, spec in MARKETPLACES.items():
-                crawler = MarketplaceCrawler(
-                    client, name, f"http://{spec.host}/listings",
-                    telemetry=telemetry,
-                )
-                payments[name] = crawler.collect_payment_methods()
-        profiler.add_counts(
-            "payment_pages",
-            records=sum(len(pairs) for pairs in payments.values()),
-        )
-
-        # Profile metadata + timelines for visible accounts, collected
-        # while the accounts are still live.
-        collector = ProfileCollector(client, telemetry=telemetry)
-        with tracer.span("profile_collection"):
-            profiles, posts = collector.collect(dataset.listings)
-        dataset.profiles = profiles
-        dataset.posts = posts
-        profiler.add_counts(
-            "profile_collection",
-            records=len(profiles) + len(posts),
-        )
-
-        # End-of-study status sweep (Section 8): bans are now visible.
-        with tracer.span("status_sweep"):
-            enable_moderation(platform_sites)
-            collector.sweep_status(dataset.profiles)
-        profiler.add_counts("status_sweep", records=len(dataset.profiles))
-
-        # Underground manual-protocol collection.
-        if underground_sites:
-            tor_client = HttpClient(
-                network,
-                ClientConfig(via_tor=True, per_host_delay_seconds=0.0),
-                client_id="manual-analyst",
-                telemetry=telemetry,
-                capture=archive,
-            )
-            manual = UndergroundCollector(
-                client=tor_client,
-                solver=HumanSolver(self._rng.child("solver")),
-                telemetry=telemetry,
-            )
-            with tracer.span("underground_collection"):
-                for market, site in underground_sites.items():
-                    dataset.underground.extend(
-                        manual.collect_market(market, site.host)
-                    )
-            profiler.add_counts(
-                "underground_collection", records=len(dataset.underground)
-            )
-            profiler.add_client("manual-analyst", tor_client.stats)
-
-        # Collection is over: seal the archive (hash-chain the indexes,
-        # GC unreferenced blobs, write archive.json).
-        archive_summary: Optional[dict] = None
-        if archive is not None:
+        def seal_archive() -> Optional[dict]:
+            # Collection is over: seal the archive (hash-chain the
+            # indexes, GC unreferenced blobs, write archive.json).
+            if archive is None:
+                return None
             with tracer.span("archive_seal"):
-                archive_summary = archive.summary(archive.seal(self.config))
+                return archive.summary(archive.seal(self.config))
 
-        # Contract boundary: validate everything collection produced
-        # before any analysis sees it.  Quarantined records leave the
-        # dataset for the dead-letter store.
-        quarantine = QuarantineStore(
-            telemetry if telemetry.enabled else None,
-            strict=self.config.strict_contracts,
+        result = collect_and_analyze(
+            self.config, world, crawl, telemetry,
+            prefix="",
+            manual_client=tor_client,
+            markets=list(underground_sites),
+            solver_rng=self._rng.child("solver"),
+            analyze=telemetry.enabled and self.config.scorecard_enabled,
+            after_crawl=after_crawl,
+            # The Section-8 sweep sees enforcement: bans are now visible.
+            before_sweep=lambda: enable_moderation(platform_sites),
+            end_collection=seal_archive,
         )
-        contracts: Optional[ValidationReport] = None
-        if self.config.contracts_enabled:
-            with tracer.span("contracts"):
-                contracts = validate_dataset(
-                    dataset, quarantine,
-                    telemetry if telemetry.enabled else None,
-                )
-            if contracts is not None:
-                profiler.add_counts(
-                    "contracts", records=contracts.checked_total
-                )
-
+        if tor_client is not None:
+            profiler.add_client("manual-analyst", tor_client.stats)
         profiler.add_client("crawler", client.stats)
-        result = StudyResult(
-            dataset=dataset,
-            world=world,
-            active_per_iteration=crawl.active_per_iteration,
-            cumulative_per_iteration=crawl.cumulative_per_iteration,
-            payment_methods=payments,
-            crawl_reports=crawl.reports,
-            simulated_seconds=internet.clock.now(),
-            telemetry=telemetry,
-            watchdog=watchdog,
-            fault_injector=injector,
-            disk_faults=disk_faults,
-            contracts=contracts,
-            quarantine=quarantine,
-            archive=archive_summary,
-        )
-        # Fidelity scorecard: run the supervised analysis suite, then
-        # score the collected dataset against the world's ground truth
-        # and the paper-shape targets (§quality).  A failed stage
-        # degrades its scorecard sections instead of killing the run.
-        if telemetry.enabled and self.config.scorecard_enabled:
-            supervisor = StageSupervisor(
-                telemetry,
-                strict=self.config.strict_contracts,
-                fail_stages=self.config.fail_stages,
-            )
-            with tracer.span("analysis_suite"):
-                result.analyses = run_analysis_suite(
-                    dataset, supervisor, telemetry=telemetry,
-                )
-            result.stage_failures = list(supervisor.failures)
-            with tracer.span("scorecard"):
-                result.scorecard = compute_scorecard(
-                    result, analyses=result.analyses,
-                )
-            result.scorecard.register_gauges(telemetry.metrics)
+        result.watchdog = watchdog
+        result.fault_injector = injector
+        result.disk_faults = disk_faults
         return result
 
 
-__all__ = ["Study", "StudyConfig", "StudyResult"]
+def seed_urls() -> Dict[str, str]:
+    """The iteration crawl's seeds: each marketplace's listing index."""
+    return {
+        name: f"http://{spec.host}/listings"
+        for name, spec in MARKETPLACES.items()
+    }
+
+
+def _no_op() -> None:
+    return None
+
+
+def collect_and_analyze(
+    config: StudyConfig,
+    world: World,
+    crawl: IterationCrawl,
+    telemetry: Telemetry,
+    *,
+    prefix: str,
+    manual_client,
+    markets: Sequence[str],
+    solver_rng: RngTree,
+    analyze: bool,
+    after_crawl: Callable[[], None] = _no_op,
+    before_sweep: Callable[[], None] = _no_op,
+    end_collection: Callable[[], Optional[dict]] = _no_op,
+) -> StudyResult:
+    """Module 2 then Module 3: the study's one phase sequence.
+
+    Runs ``crawl`` (whose client also fetches payment pages, profiles
+    and the status sweep), then ``manual_client`` over each underground
+    market in ``markets``, then contracts, and — with ``analyze`` — the
+    supervised analysis suite and the fidelity scorecard.  Each phase
+    runs in a span named ``prefix + phase``.  The hooks run after the
+    crawl, inside the sweep span before the sweep, and at the end of
+    collection (its return value becomes ``StudyResult.archive``).
+    Callers: :class:`Study` (live) and ``repro replay`` (archived).
+    """
+    tracer = telemetry.tracer
+    profiler = telemetry.profiler
+    client = crawl.client
+    recording = telemetry if telemetry.enabled else None
+
+    with tracer.span(prefix + "iteration_crawl"):
+        dataset = crawl.run()
+    profiler.add_counts(
+        prefix + "iteration_crawl",
+        pages=sum(r.pages_fetched for r in crawl.reports),
+        records=len(dataset.listings),
+    )
+    after_crawl()
+
+    # Payment pages, once per marketplace (Table 3).
+    payments: Dict[str, List[Tuple[str, str]]] = {}
+    with tracer.span(prefix + "payment_pages"):
+        for name, url in seed_urls().items():
+            crawler = MarketplaceCrawler(client, name, url, telemetry=telemetry)
+            payments[name] = crawler.collect_payment_methods()
+    profiler.add_counts(
+        prefix + "payment_pages",
+        records=sum(len(pairs) for pairs in payments.values()),
+    )
+
+    # Profile metadata + timelines for visible accounts, collected
+    # while the accounts are still live.
+    collector = ProfileCollector(client, telemetry=telemetry)
+    with tracer.span(prefix + "profile_collection"):
+        dataset.profiles, dataset.posts = collector.collect(dataset.listings)
+    profiler.add_counts(
+        prefix + "profile_collection",
+        records=len(dataset.profiles) + len(dataset.posts),
+    )
+
+    # End-of-study status sweep (Section 8).
+    with tracer.span(prefix + "status_sweep"):
+        before_sweep()
+        collector.sweep_status(dataset.profiles)
+    profiler.add_counts(prefix + "status_sweep", records=len(dataset.profiles))
+
+    # Underground manual-protocol collection.
+    if markets:
+        manual = UndergroundCollector(
+            client=manual_client,
+            solver=HumanSolver(solver_rng),
+            telemetry=telemetry,
+        )
+        with tracer.span(prefix + "underground_collection"):
+            for market in markets:
+                dataset.underground.extend(
+                    manual.collect_market(market, onion_host(market))
+                )
+        profiler.add_counts(
+            prefix + "underground_collection", records=len(dataset.underground)
+        )
+    archive_summary = end_collection()
+
+    # Contract boundary: validate everything collection produced before
+    # any analysis sees it.  Quarantined records leave the dataset for
+    # the dead-letter store.
+    quarantine = QuarantineStore(recording, strict=config.strict_contracts)
+    with tracer.span(prefix + "contracts"):
+        contracts = validate_dataset(dataset, quarantine, recording)
+    profiler.add_counts(prefix + "contracts", records=contracts.checked_total)
+
+    result = StudyResult(
+        dataset=dataset,
+        world=world,
+        active_per_iteration=crawl.active_per_iteration,
+        cumulative_per_iteration=crawl.cumulative_per_iteration,
+        payment_methods=payments,
+        crawl_reports=crawl.reports,
+        simulated_seconds=client.clock.now(),
+        telemetry=telemetry,
+        contracts=contracts,
+        quarantine=quarantine,
+        archive=archive_summary,
+    )
+    if not analyze:
+        return result
+    # Fidelity scorecard: run the supervised analysis suite, then score
+    # the collected dataset against the world's ground truth and the
+    # paper-shape targets (§quality).  A failed stage degrades its
+    # scorecard sections instead of killing the run.
+    supervisor = StageSupervisor(
+        recording,
+        strict=config.strict_contracts,
+        fail_stages=config.fail_stages,
+    )
+    with tracer.span(prefix + "analysis_suite"):
+        result.analyses = run_analysis_suite(
+            dataset, supervisor, telemetry=telemetry,
+        )
+    result.stage_failures = list(supervisor.failures)
+    with tracer.span(prefix + "scorecard"):
+        result.scorecard = compute_scorecard(result, result.analyses)
+    result.scorecard.register_gauges(telemetry.metrics)
+    return result
+
+
+__all__ = [
+    "Study",
+    "StudyConfig",
+    "StudyResult",
+    "collect_and_analyze",
+    "seed_urls",
+]

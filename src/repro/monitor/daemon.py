@@ -39,7 +39,7 @@ import os
 import shutil
 import signal as _signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.pipeline import Study, StudyConfig
@@ -53,8 +53,7 @@ from repro.monitor.supervisor import (
     DegradedCycleFault,
 )
 from repro.obs.alerts import AlertConfig, evaluate_alerts, write_alerts
-from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.quality import write_scorecard
+from repro.obs.manifest import write_telemetry_dir
 from repro.obs.registry import REGISTRY_FILENAME, RunRegistry
 from repro.obs.schemas import config_hash
 from repro.obs.telemetry import Telemetry
@@ -409,16 +408,10 @@ class MonitorDaemon:
         telemetry = Telemetry()
         result = Study(study_config, telemetry=telemetry).run()
 
-        telemetry.export(run_dir)
-        if result.scorecard is not None:
-            write_scorecard(run_dir, result.scorecard)
-        if result.quarantine is not None:
-            result.quarantine.write_jsonl(run_dir)
-        manifest = build_manifest(
-            study_config, result, telemetry,
+        write_telemetry_dir(
+            run_dir, study_config, result, telemetry,
             command=["monitor", run_id_for_cycle(cycle)],
         )
-        write_manifest(run_dir, manifest)
 
         if result.stage_failures and self.config.degraded_policy == "fail":
             stages = ",".join(

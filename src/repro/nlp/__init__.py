@@ -11,10 +11,9 @@ offline, so each stage has an equivalent implemented from scratch:
   English stopword filtering;
 * :mod:`repro.nlp.embeddings` — hashed TF-IDF embeddings (token unigrams
   + bigrams, no character n-grams), L2-normalized;
-* :mod:`repro.nlp.reduce` — PCA and sparse random projection (the scam-post
-  pipeline clusters the embeddings without reduction);
 * :mod:`repro.nlp.cluster` — DBSCAN for small corpora and a scalable
-  density-merged k-means for large ones;
+  density-merged k-means for large ones, both over the unreduced
+  embeddings (UMAP has no counterpart);
 * :mod:`repro.nlp.keywords` — class-based TF-IDF keyword extraction
   (the BERTopic/KeyBERT role);
 * :mod:`repro.nlp.similarity` — normalized word-sequence similarity for
@@ -25,7 +24,6 @@ from repro.nlp.cluster import DBSCAN, ScalableDensityClusterer
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.keywords import class_tfidf_keywords
 from repro.nlp.langdetect import LanguageDetector
-from repro.nlp.reduce import pca_reduce, random_projection
 from repro.nlp.similarity import normalized_word_similarity, reuse_groups
 from repro.nlp.stopwords import STOPWORDS, remove_stopwords
 from repro.nlp.tokenize import tokenize
@@ -38,8 +36,6 @@ __all__ = [
     "ScalableDensityClusterer",
     "class_tfidf_keywords",
     "normalized_word_similarity",
-    "pca_reduce",
-    "random_projection",
     "remove_stopwords",
     "reuse_groups",
     "tokenize",

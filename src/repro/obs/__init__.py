@@ -65,6 +65,7 @@ from repro.obs.manifest import (
     git_describe,
     load_manifest,
     write_manifest,
+    write_telemetry_dir,
 )
 from repro.obs.metrics import (
     Counter,
@@ -236,4 +237,5 @@ __all__ = [
     "write_bench",
     "write_manifest",
     "write_scorecard",
+    "write_telemetry_dir",
 ]

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from typing import List, Optional
 
+from repro.obs.quality import write_scorecard
 from repro.obs.schemas import MANIFEST_SCHEMA, config_hash
 from repro.util.fileio import atomic_write_json
 
@@ -130,6 +131,21 @@ def write_manifest(directory: str, manifest: dict) -> str:
     return atomic_write_json(path, manifest)
 
 
+def write_telemetry_dir(directory: str, config, result, telemetry,
+                        command: List[str]) -> str:
+    """Write one run's telemetry dir: metrics/trace/events (plus
+    ``profile.json``), ``scorecard.json`` and ``quarantine.jsonl`` when
+    the run has them, and the manifest last.  Returns the manifest path.
+    """
+    telemetry.export(directory)
+    if getattr(result, "scorecard", None) is not None:
+        write_scorecard(directory, result.scorecard)
+    if getattr(result, "quarantine", None) is not None:
+        result.quarantine.write_jsonl(directory)
+    manifest = build_manifest(config, result, telemetry, command=command)
+    return write_manifest(directory, manifest)
+
+
 def load_manifest(directory: str) -> Optional[dict]:
     path = os.path.join(directory, MANIFEST_FILENAME)
     if not os.path.exists(path):
@@ -145,4 +161,5 @@ __all__ = [
     "git_describe",
     "load_manifest",
     "write_manifest",
+    "write_telemetry_dir",
 ]

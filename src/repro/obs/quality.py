@@ -19,9 +19,9 @@ Determinism: every score derives from the dataset and world (both
 seed-deterministic) and floats are rounded before serialization, so two
 same-seed runs produce byte-identical ``scorecard.json`` files.
 
-Analysis imports are deferred into function bodies: ``repro.analysis``
-imports ``repro.core.dataset``, and ``repro.core.pipeline`` imports this
-module, so a top-level import would be circular.
+The scorecard runs no analysis itself: it scores the reports of the
+supervised suite (:func:`~repro.analysis.suite.run_analysis_suite`) its
+caller already ran, so a degraded stage stays degraded here.
 """
 
 from __future__ import annotations
@@ -29,9 +29,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.obs.schemas import SCORECARD_SCHEMA
+from repro.synthetic.calibration import (
+    MARKETPLACE_TABLE1,
+    PRICE_MEDIANS,
+    TOTAL_LISTINGS,
+    TOTAL_VISIBLE,
+)
 from repro.util.fileio import atomic_write_json
 
 SCORECARD_FILENAME = "scorecard.json"
@@ -192,67 +198,27 @@ def _median(values: List[float]) -> float:
 # scorecard computation
 # ---------------------------------------------------------------------------
 
-def compute_scorecard(
-    result,
-    thresholds: Optional[Dict[str, Tuple[float, float]]] = None,
-    scam=None,
-    network=None,
-    efficacy=None,
-    underground=None,
-    analyses=None,
-) -> Scorecard:
+def compute_scorecard(result, analyses) -> Scorecard:
     """Score a :class:`~repro.core.pipeline.StudyResult` against its own
     world's ground truth and the calibration targets.
 
-    Analysis reports already computed elsewhere (e.g. by ``repro
-    tables``) can be passed in to avoid recomputation; any left ``None``
-    is run here on ``result.dataset``.  When a supervised
-    :class:`~repro.analysis.suite.AnalysisResults` is passed as
-    ``analyses``, its reports are used instead — and a stage it recorded
-    as *failed* is honoured: its sections are skipped (degraded), never
-    silently recomputed.
+    ``analyses`` is the supervised
+    :class:`~repro.analysis.suite.AnalysisResults` of the same dataset.
+    A stage it recorded as *failed* has no report, so its sections are
+    skipped (degraded).
     """
-    from repro.analysis.efficacy import EfficacyAnalysis
-    from repro.analysis.network import NetworkAnalysis
-    from repro.analysis.scam_posts import ScamPipelineConfig, ScamPostAnalysis
-    from repro.analysis.underground_analysis import UndergroundAnalysis
-
     dataset = result.dataset
     world = result.world
-    bands = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        bands.update(thresholds)
-
-    failed_stages: Set[str] = set()
-    if analyses is not None:
-        failed_stages = {f.stage for f in analyses.failures}
-        scam = scam if scam is not None else analyses.report("scam_posts")
-        network = network if network is not None else analyses.report("network")
-        efficacy = (
-            efficacy if efficacy is not None else analyses.report("efficacy")
-        )
-        underground = (
-            underground if underground is not None
-            else analyses.report("underground")
-        )
-
-    if scam is None and "scam_posts" not in failed_stages:
-        scam = ScamPostAnalysis(
-            ScamPipelineConfig(dbscan_eps=0.9),
-            telemetry=getattr(result, "telemetry", None),
-        ).run(dataset)
-    if network is None and "network" not in failed_stages:
-        network = NetworkAnalysis().run(dataset)
-    if efficacy is None and "efficacy" not in failed_stages:
-        efficacy = EfficacyAnalysis().run(dataset)
-    if (underground is None and dataset.underground
-            and "underground" not in failed_stages):
-        underground = UndergroundAnalysis().run(dataset.underground)
+    failed_stages: Set[str] = {f.stage for f in analyses.failures}
+    scam = analyses.report("scam_posts")
+    network = analyses.report("network")
+    efficacy = analyses.report("efficacy")
+    underground = analyses.report("underground")
 
     card = Scorecard(seed=world.seed, scale=world.scale)
 
     def add(name: str, kind: str, value: float, detail: str = "") -> None:
-        low, high = bands.get(name, (0.0, float("inf")))
+        low, high = DEFAULT_THRESHOLDS.get(name, (0.0, float("inf")))
         card.entries.append(
             ScoreEntry(name=name, kind=kind, value=float(value),
                        low=low, high=high, detail=detail)
@@ -353,22 +319,14 @@ def compute_scorecard(
         add("contract_record_coverage", "coverage", contracts.coverage(),
             f"{contracts.quarantined} of {contracts.checked_total} "
             "collected records quarantined")
-    if analyses is not None:
-        add("analysis_stage_coverage", "coverage", analyses.coverage(),
-            f"{analyses.succeeded}/{len(analyses.reports)} stages reported"
-            + ("" if not failed_stages
-               else "; degraded: " + ", ".join(sorted(failed_stages))))
+    add("analysis_stage_coverage", "coverage", analyses.coverage(),
+        f"{analyses.succeeded}/{len(analyses.reports)} stages reported"
+        + ("" if not failed_stages
+           else "; degraded: " + ", ".join(sorted(failed_stages))))
     return card
 
 
 def _add_calibration_entries(add, dataset, scam, network, efficacy) -> None:
-    from repro.synthetic.calibration import (
-        MARKETPLACE_TABLE1,
-        PRICE_MEDIANS,
-        TOTAL_LISTINGS,
-        TOTAL_VISIBLE,
-    )
-
     # Table 2: share of listings exposing a profile link (~30%).
     if dataset.listings:
         add("calib_visible_listing_share", "calibration",

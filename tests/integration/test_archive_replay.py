@@ -8,11 +8,13 @@ constructor) and must reproduce the live run's dataset, meta series,
 simulated clock, and fidelity scorecard exactly.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.archive import ArchiveError, ArchiveReader, run_replay
+from repro.core.dataset import MeasurementDataset
 from repro.core.pipeline import Study, StudyConfig
 from repro.obs import Telemetry
 
@@ -56,15 +58,10 @@ def test_replay_touches_no_synthetic_internet(archived_run, monkeypatch):
     assert result.dataset.listings
 
 
-def test_replay_is_byte_identical_to_live(archived_run):
-    live, archive_dir = archived_run
-    replayed = run_replay(archive_dir)
-
-    assert replayed.dataset.listings == live.dataset.listings
-    assert replayed.dataset.sellers == live.dataset.sellers
-    assert replayed.dataset.profiles == live.dataset.profiles
-    assert replayed.dataset.posts == live.dataset.posts
-    assert replayed.dataset.underground == live.dataset.underground
+def assert_replay_matches(live, replayed):
+    for records in dataclasses.fields(MeasurementDataset):
+        assert (getattr(replayed.dataset, records.name)
+                == getattr(live.dataset, records.name)), records.name
     assert replayed.active_per_iteration == live.active_per_iteration
     assert replayed.cumulative_per_iteration == live.cumulative_per_iteration
     assert replayed.payment_methods == live.payment_methods
@@ -76,6 +73,40 @@ def test_replay_is_byte_identical_to_live(archived_run):
         json.dumps(replayed.scorecard.to_dict(), sort_keys=True)
         == json.dumps(live.scorecard.to_dict(), sort_keys=True)
     )
+
+
+def test_replay_is_byte_identical_to_live(archived_run):
+    live, archive_dir = archived_run
+    assert_replay_matches(live, run_replay(archive_dir))
+
+
+def test_chaos_replay_is_byte_identical_to_live(tmp_path):
+    """Under injected faults the live client retries, trips breakers and
+    enters a fresh fault epoch after the crawl; the archive holds what
+    it finally saw, so the replay still reproduces the run exactly."""
+    archive_dir = str(tmp_path / "crawl_archive")
+    live = Study(StudyConfig(
+        seed=7, scale=0.01, iterations=2, include_underground=True,
+        chaos_profile="moderate", archive_dir=archive_dir,
+        telemetry_enabled=True,
+    )).run()
+    assert live.fault_injector is not None and live.fault_injector.counts
+    assert_replay_matches(live, run_replay(archive_dir))
+
+
+def test_replay_runs_the_live_phase_sequence(archived_run):
+    """Live and replay share one phase sequence: the live stages, less
+    its world setup and archive seal, are the replay stages."""
+    live, archive_dir = archived_run
+    telemetry = Telemetry()
+    run_replay(archive_dir, telemetry=telemetry)
+    live_phases = [
+        row["name"] for row in live.telemetry.tracer.stage_summary()
+        if row["name"] not in ("build_world", "deploy", "archive_seal")
+    ]
+    assert [
+        row["name"] for row in telemetry.tracer.stage_summary()
+    ] == ["replay." + name for name in live_phases]
 
 
 def test_replay_analyses_match_live(archived_run):

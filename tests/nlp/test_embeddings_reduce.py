@@ -1,4 +1,4 @@
-"""Tests for embeddings and dimensionality reduction."""
+"""Tests for the hashed TF-IDF embedder."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.embeddings import HashedTfidfEmbedder
-from repro.nlp.reduce import pca_reduce, random_projection
 
 
 class TestEmbedder:
@@ -56,43 +55,3 @@ class TestEmbedder:
         norms = np.linalg.norm(matrix, axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
 
-
-class TestReduce:
-    def test_pca_shape(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(50, 20))
-        reduced = pca_reduce(data, 5)
-        assert reduced.shape == (50, 5)
-
-    def test_pca_preserves_dominant_separation(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(loc=0.0, size=(30, 10))
-        b = rng.normal(loc=8.0, size=(30, 10))
-        reduced = pca_reduce(np.vstack([a, b]), 2)
-        da = reduced[:30].mean(axis=0)
-        db = reduced[30:].mean(axis=0)
-        assert np.linalg.norm(da - db) > 5
-
-    def test_pca_caps_components(self):
-        data = np.random.default_rng(2).normal(size=(4, 10))
-        assert pca_reduce(data, 99).shape[1] <= 3
-
-    def test_pca_rejects_1d(self):
-        with pytest.raises(ValueError):
-            pca_reduce(np.zeros(5), 2)
-
-    def test_random_projection_shape_and_determinism(self):
-        data = np.random.default_rng(3).normal(size=(40, 64))
-        a = random_projection(data, 16, seed=7)
-        b = random_projection(data, 16, seed=7)
-        assert a.shape == (40, 16)
-        assert np.array_equal(a, b)
-
-    def test_random_projection_roughly_preserves_distances(self):
-        rng = np.random.default_rng(4)
-        data = rng.normal(size=(30, 256))
-        reduced = random_projection(data, 64, seed=1)
-        i, j = 3, 17
-        original = np.linalg.norm(data[i] - data[j])
-        projected = np.linalg.norm(reduced[i] - reduced[j])
-        assert 0.5 * original < projected < 1.7 * original

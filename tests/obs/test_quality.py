@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.analysis.suite import run_analysis_suite
+from repro.contracts.supervisor import StageSupervisor
 from repro.core import Study, StudyConfig
 from repro.obs.quality import (
     SCORECARD_FILENAME,
@@ -81,12 +83,18 @@ def small_result():
 
 @pytest.fixture(scope="module")
 def small_scorecard(small_result):
-    return compute_scorecard(small_result)
+    return compute_scorecard(
+        small_result,
+        analyses=run_analysis_suite(small_result.dataset, StageSupervisor()),
+    )
 
 
 class TestScorecardOnSeededWorlds:
     def test_session_scale_passes(self, study_result):
-        card = compute_scorecard(study_result)
+        card = compute_scorecard(
+            study_result,
+            analyses=run_analysis_suite(study_result.dataset, StageSupervisor()),
+        )
         assert card.scale == study_result.world.scale
         failed = [f"{e.name}={e.value}" for e in card.failures()]
         assert card.passed, f"out of band: {failed}"
@@ -133,8 +141,13 @@ class TestDeterminismAndPersistence:
     def test_same_seed_byte_identical_scorecards(self, small_result, tmp_path):
         other = Study(StudyConfig(seed=1307, scale=0.02, iterations=3)).run()
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        write_scorecard(str(a_dir), compute_scorecard(small_result))
-        write_scorecard(str(b_dir), compute_scorecard(other))
+        write_scorecard(str(a_dir), compute_scorecard(
+            small_result,
+            analyses=run_analysis_suite(small_result.dataset, StageSupervisor()),
+        ))
+        write_scorecard(str(b_dir), compute_scorecard(
+            other, analyses=run_analysis_suite(other.dataset, StageSupervisor()),
+        ))
         bytes_a = (a_dir / SCORECARD_FILENAME).read_bytes()
         bytes_b = (b_dir / SCORECARD_FILENAME).read_bytes()
         assert bytes_a == bytes_b
