@@ -37,6 +37,7 @@ from repro.archive.replay import (
     ReplayError,
     ReplayMismatch,
     run_replay,
+    study_config_from,
 )
 from repro.archive.writer import (
     ARCHIVE_MANIFEST,
@@ -66,4 +67,5 @@ __all__ = [
     "body_sha256",
     "diff_iterations",
     "run_replay",
+    "study_config_from",
 ]

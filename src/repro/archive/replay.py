@@ -162,7 +162,12 @@ class ReplayClient:
         return record
 
 
-def _study_config_from(manifest_config: dict):
+def study_config_from(manifest_config: dict):
+    """The :class:`StudyConfig` an archive's ``config`` section records.
+
+    Archives written before chaos profiles were recorded replay as
+    ``"off"``.
+    """
     # Imported here, not at module top: repro.core.pipeline imports the
     # archive writer, so a top-level import would be circular.
     from repro.core.pipeline import StudyConfig
@@ -172,6 +177,7 @@ def _study_config_from(manifest_config: dict):
         scale=float(manifest_config["scale"]),
         iterations=int(manifest_config["iterations"]),
         include_underground=bool(manifest_config["include_underground"]),
+        chaos_profile=str(manifest_config.get("chaos_profile", "off")),
     )
 
 
@@ -200,7 +206,7 @@ def _replay(archive_dir: str, telemetry: Telemetry):
     from repro.util.rng import RngTree
 
     reader = ArchiveReader.open(archive_dir)
-    config = _study_config_from(reader.config)
+    config = study_config_from(reader.config)
     clock = ReplayClock()
     telemetry.set_clock(clock)
 
@@ -270,4 +276,5 @@ __all__ = [
     "ReplayError",
     "ReplayMismatch",
     "run_replay",
+    "study_config_from",
 ]

@@ -80,6 +80,7 @@ the exit code is 130.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -93,6 +94,7 @@ from repro.archive import (
     ReplayError,
     diff_iterations,
     run_replay,
+    study_config_from,
 )
 from repro.analysis.figures import fig3_outlier, fig5_descriptions, listing_dynamics
 from repro.analysis.suite import STAGE_NAMES, AnalysisResults, run_analysis_suite
@@ -637,14 +639,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                      scorecard=result.scorecard)
     if code:
         return code
-    config = StudyConfig(
-        seed=archive_config["seed"],
-        scale=archive_config["scale"],
-        iterations=archive_config["iterations"],
-        include_underground=archive_config["include_underground"],
-        telemetry_enabled=telemetry.enabled,
-        archive_dir=args.archive_dir,
-    )
+    config = dataclasses.replace(study_config_from(archive_config),
+                                 telemetry_enabled=telemetry.enabled,
+                                 archive_dir=args.archive_dir)
     _export_telemetry(args, config, result, telemetry)
     print(f"replayed {args.archive_dir} into {args.out}: "
           f"{result.dataset.summary()}")

@@ -22,6 +22,10 @@ import numpy as np
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
+#: Rows per slice for the elementwise passes over point-sized arrays.
+_SLICE_ROWS = 1024
+
+
 def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray,
                        block_norms: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared Euclidean distances between block rows and all points.
@@ -32,14 +36,36 @@ def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray,
     cross = block @ points.T
     if block_norms is None:
         block_norms = (block * block).sum(axis=1)[:, None]
-    point_norms = (points * points).sum(axis=1)[None, :]
-    # (block_norms + point_norms) - 2.0 * cross, without two more
-    # block-sized temporaries.
+    return _sq_dists_from_cross(cross, block_norms,
+                                (points * points).sum(axis=1)[None, :])
+
+
+def _sq_dists_from_cross(cross: np.ndarray, block_norms: np.ndarray,
+                         point_norms: np.ndarray) -> np.ndarray:
+    """``(block_norms + point_norms) - 2.0 * cross``, clipped at zero.
+
+    Scales ``cross`` in place instead of allocating ``2.0 * cross``: one
+    distance-sized temporary, not three.
+    """
     d2 = block_norms + point_norms
     cross *= 2.0
     d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _row_sq_norms(points: np.ndarray) -> np.ndarray:
+    """``(points * points).sum(axis=1)[:, None]``, one row slice at a time.
+
+    Every row is reduced by the same call on the same values, so the
+    result is identical; the ``points * points`` temporary stays one
+    slice big.
+    """
+    norms = np.empty((len(points), 1), dtype=points.dtype)
+    for start in range(0, len(points), _SLICE_ROWS):
+        rows = points[start : start + _SLICE_ROWS]
+        norms[start : start + _SLICE_ROWS, 0] = (rows * rows).sum(axis=1)
+    return norms
 
 
 class DBSCAN:
@@ -114,7 +140,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     """
     n = len(points)
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
-    point_norms = (points * points).sum(axis=1)[:, None]
+    point_norms = _row_sq_norms(points)
     first = rng.integers(0, n)
     centers[0] = points[first]
     closest = _pairwise_sq_dists(points, centers[0:1], point_norms).ravel()
@@ -133,14 +159,27 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def _assign_blockwise(points: np.ndarray, centers: np.ndarray,
                       block_size: int = 8192) -> np.ndarray:
-    """argmin-distance assignment computed in row blocks (memory-bounded)."""
+    """argmin-distance assignment computed in row blocks (memory-bounded).
+
+    Each block's products come from one ``block @ centers.T``, so BLAS
+    sees the same shapes whatever the slicing below; the distances and
+    their argmin then run one row slice at a time, so only the block's
+    products are block-sized.
+    """
     assignments = np.empty(len(points), dtype=np.int64)
+    center_norms = (centers * centers).sum(axis=1)[None, :]
     for start in range(0, len(points), block_size):
         block = points[start : start + block_size]
-        # No name holds the block's distances, so they are freed before
-        # the next block's are computed.
-        assignments[start : start + len(block)] = (
-            _pairwise_sq_dists(block, centers).argmin(axis=1))
+        cross = block @ centers.T
+        for offset in range(0, len(block), _SLICE_ROWS):
+            rows = block[offset : offset + _SLICE_ROWS]
+            d2 = _sq_dists_from_cross(cross[offset : offset + _SLICE_ROWS],
+                                      (rows * rows).sum(axis=1)[:, None],
+                                      center_norms)
+            assignments[start + offset : start + offset + len(rows)] = (
+                d2.argmin(axis=1))
+        # Freed before the next block's products are computed.
+        del cross
     return assignments
 
 

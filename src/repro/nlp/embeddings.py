@@ -26,6 +26,10 @@ from repro.nlp.tokenize import bigrams, tokenize
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
+#: Rows per slice when normalizing the embedding matrix.
+_NORM_ROWS = 1024
+
+
 def _hash_feature(feature: str, dims: int) -> tuple:
     """Stable (index, sign) for a feature string."""
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
@@ -142,9 +146,14 @@ class HashedTfidfEmbedder:
                 index, sign = hashed[feature_id]
                 values[index] += sign * weight
             matrix[row] = values
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        matrix /= norms
+        # Normalized in row slices: each row's norm is the same call on
+        # the same values, and the ``matrix * matrix`` temporary inside
+        # ``np.linalg.norm`` stays one slice big.
+        for start in range(0, len(matrix), _NORM_ROWS):
+            rows = matrix[start : start + _NORM_ROWS]
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            rows /= norms
         return matrix
 
     def fit_transform(self, texts: Sequence[str]) -> np.ndarray:

@@ -81,11 +81,37 @@ class Element:
         return name in self.classes
 
     def iter(self) -> Iterator["Element"]:
-        """Depth-first iteration over this element and all descendants."""
+        """Depth-first iteration over this element and all descendants.
+
+        The walk keeps an explicit stack of child iterators, so yielding
+        a deep element costs one generator resume, not one per ancestor.
+        """
         yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
+
+    def _matches(
+        self, tag: Optional[str], class_: Optional[str], attrs: Dict[str, str]
+    ) -> Iterator["Element"]:
+        """The elements of :meth:`iter` that match tag / class / attrs."""
+        if tag is not None:
+            tag = tag.lower()
+        for el in self.iter():
+            if tag is not None and el.tag != tag:
+                continue
+            # has_class, inlined: this runs for every element a query walks.
+            if class_ is not None and class_ not in el.attrs.get("class", "").split():
+                continue
+            if attrs and any(el.attrs.get(k) != v for k, v in attrs.items()):
+                continue
+            yield el
 
     def find_all(
         self,
@@ -94,16 +120,7 @@ class Element:
         **attrs: str,
     ) -> List["Element"]:
         """All descendants (including self) matching tag / class / attrs."""
-        results = []
-        for el in self.iter():
-            if tag is not None and el.tag != tag.lower():
-                continue
-            if class_ is not None and not el.has_class(class_):
-                continue
-            if any(el.attrs.get(k) != v for k, v in attrs.items()):
-                continue
-            results.append(el)
-        return results
+        return list(self._matches(tag, class_, attrs))
 
     def find(
         self,
@@ -112,15 +129,7 @@ class Element:
         **attrs: str,
     ) -> Optional["Element"]:
         """First match of :meth:`find_all`, or None."""
-        for el in self.iter():
-            if tag is not None and el.tag != tag.lower():
-                continue
-            if class_ is not None and not el.has_class(class_):
-                continue
-            if any(el.attrs.get(k) != v for k, v in attrs.items()):
-                continue
-            return el
-        return None
+        return next(self._matches(tag, class_, attrs), None)
 
     @property
     def text(self) -> str:

@@ -117,3 +117,24 @@ class TestManifestSurface:
         names = {m["name"] for m in metrics["metrics"]}
         assert "archive_exchanges_total" in names
         assert "archive_dedup_ratio" in names
+
+    def test_replay_manifest_keeps_the_chaos_profile(self, tmp_path):
+        # The archive records the live run's chaos profile; the replay's
+        # manifest (and so its registry row and config hash) must carry
+        # it instead of describing a clean run.
+        archive_dir = str(tmp_path / "archive")
+        assert main([
+            "run", "--scale", "0.01", "--iterations", "1", "--seed", "5",
+            "--no-underground", "--chaos", "moderate",
+            "--out", str(tmp_path / "out"), "--archive-dir", archive_dir,
+            "--telemetry-out", str(tmp_path / "live_telemetry"),
+        ]) == 0
+        replay_telemetry = str(tmp_path / "replay_telemetry")
+        assert main([
+            "replay", archive_dir, "--out", str(tmp_path / "replay_out"),
+            "--telemetry-out", replay_telemetry,
+        ]) == 0
+        live = json.load(open(tmp_path / "live_telemetry" / "manifest.json"))
+        replayed = json.load(open(os.path.join(replay_telemetry, "manifest.json")))
+        assert replayed["config"]["chaos_profile"] == "moderate"
+        assert live["config"]["chaos_profile"] == "moderate"

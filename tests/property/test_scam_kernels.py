@@ -18,6 +18,7 @@ import hashlib
 import math
 import re
 import string
+import tracemalloc
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -29,7 +30,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis.scam_posts import ClusterVetter, ScamPipelineConfig
 from repro.nlp import cluster as cluster_module
-from repro.nlp.cluster import _kmeans_pp_init, _sum_by_center, kmeans
+from repro.nlp.cluster import (
+    _assign_blockwise,
+    _kmeans_pp_init,
+    _sum_by_center,
+    kmeans,
+)
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.langdetect import (
     _SEED_TEXT,
@@ -425,6 +431,22 @@ class TestKmeansKernel:
             assert np.array_equal(kmeans(points, k, seed=k),
                                   reference_kmeans(points, k, seed=k))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_past_one_slice(self, dtype):
+        # Seeding norms and the assignment's distances run in 1024-row
+        # slices, and the assignment's products in 8192-row blocks:
+        # 9,500 points cross both boundaries and end on a partial slice.
+        rng = np.random.default_rng(17)
+        points = rng.normal(size=(9_500, 12)).astype(dtype)
+        rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+        centers = _kmeans_pp_init(points, 40, rng_new)
+        assert np.array_equal(centers,
+                              reference_kmeans_pp_init(points, 40, rng_ref))
+        assert np.array_equal(_assign_blockwise(points, centers),
+                              _reference_assign_blockwise(points, centers))
+        assert np.array_equal(kmeans(points, 40, iterations=4, seed=3),
+                              reference_kmeans(points, 40, iterations=4, seed=3))
+
 
 # -- language filter ---------------------------------------------------------------------
 
@@ -516,3 +538,61 @@ class TestEmbeddingKernel:
         assert embedder._idf == reference._idf
         assert np.array_equal(embedder.transform(texts),
                               reference_transform(reference, texts))
+
+    def test_matrix_past_one_slice(self):
+        # Rows are normalized in 1024-row slices; 2,600 documents end on
+        # a partial slice.
+        rng = np.random.default_rng(23)
+        words = [f"w{i}" for i in range(400)] + ["the", "and", "crypto"]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 20))))
+                 for _ in range(2_600)]
+        embedder = HashedTfidfEmbedder()
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.fit_transform(texts),
+                              reference_fit_transform(reference, texts))
+
+
+# -- transient memory -----------------------------------------------------------------------
+
+
+def _traced_peak(function, *args):
+    """``function(*args)`` and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """The kernels' temporaries stay a slice big, not an input big.
+
+    Each bound sits between the two measured peaks on its input:
+    whole-array temporaries (2.0x the output for the embedder and the
+    assignment, 1.0x the points for seeding) and row slices (1.18x,
+    1.26x, 0.13x).
+    """
+
+    def test_embedder_peak(self):
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(3_000)]
+        texts = [" ".join(rng.choice(words, size=12)) for _ in range(6_000)]
+        matrix, peak = _traced_peak(HashedTfidfEmbedder(dims=192).fit_transform,
+                                    texts)
+        assert peak < 1.5 * matrix.nbytes
+
+    def test_assignment_peak(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(8_192, 64)).astype(np.float32)
+        centers = points[:473].copy()
+        _, peak = _traced_peak(_assign_blockwise, points, centers)
+        products = len(points) * len(centers) * points.itemsize
+        assert peak < 1.5 * products
+
+    def test_seeding_peak(self):
+        points = np.random.default_rng(7).normal(size=(20_000, 64)).astype(np.float32)
+        _, peak = _traced_peak(_kmeans_pp_init, points, 8, np.random.default_rng(1))
+        assert peak < 0.5 * points.nbytes

@@ -1,6 +1,30 @@
 """Tests for the tolerant HTML parser."""
 
-from repro.web.html_parser import parse_html
+import pytest
+
+from repro.core import Study, StudyConfig
+from repro.web import html_parser
+from repro.web.html_parser import _parse_canonical, _TreeBuilder, parse_html
+
+
+def reference_parse(markup):
+    """The tree the stdlib ``HTMLParser`` path builds for ``markup``."""
+    builder = _TreeBuilder()
+    builder.feed(markup)
+    builder.close()
+    return builder.tree.root
+
+
+def tree_shape(node):
+    """Tag, attributes in order, and children, recursively."""
+    if isinstance(node, str):
+        return node
+    return (node.tag, list(node.attrs.items()),
+            [tree_shape(child) for child in node.children])
+
+
+def takes_canonical_path(markup):
+    return _parse_canonical(markup) is not None
 
 
 class TestBasicParsing:
@@ -63,3 +87,71 @@ class TestTolerance:
         tree = parse_html("")
         assert tree.tag == "document"
         assert tree.children == []
+
+
+class TestParsePaths:
+    """Which tokenizer each input takes, and that both build one tree."""
+
+    @pytest.mark.parametrize("markup", [
+        "<div><p>one<p>two",
+        "<ul><li>a<li>b<li>c</ul>",
+        "<div>x</span></div>",
+        "<p>a &amp; b &lt;c&gt;</p>",
+        "<p>&copy; &#39;q&#39; &am &amp</p>",
+        '<a href="/x?a=1&amp;b=2" href="/last">x</a>',
+        "<!DOCTYPE html><html><body><p>x</p></body></html>",
+        "<div>\n   \n<p>x</p></div>",
+        "<table><tr><th>Price</th><td>$5</td></tr>"
+        "<tr><th>Platform</th><td>X</td></tr></table>",
+        '<div class="a b" data-x="">text',
+        "<br></br></div>",
+        "text only &amp",
+        "",
+    ])
+    def test_canonical_path(self, markup):
+        assert takes_canonical_path(markup)
+        assert tree_shape(parse_html(markup)) == tree_shape(reference_parse(markup))
+
+    @pytest.mark.parametrize("markup", [
+        "<input disabled>",                                     # valueless attribute
+        '<div><input type="text"/><br></div>',                  # />
+        "<ul><li><a href='/1'>one</a></li><li>two</li></ul>",   # single quotes
+        "<a href=/1>one</a>",                                   # unquoted value
+        "<DIV>x</DIV>",                                         # uppercase names
+        "<Div>x<Br>y",
+        '<div CLASS="x">y</div>',
+        "<!doctype html><p>x</p>",
+        "<div><!-- note --><p>x</p></div>",                     # comment
+        "<p>1 < 2</p>",                                         # raw "<" in text
+        '<div class="a',                                        # truncated tag
+        "<div><scr",
+        "<div><script>if (a < b) x = '&amp;';</script></div>",  # raw text
+        "<style>p > a { }</style><p>x</p>",
+        "</ div><p>x</p >",
+    ])
+    def test_fallback_path(self, markup):
+        assert not takes_canonical_path(markup)
+        assert tree_shape(parse_html(markup)) == tree_shape(reference_parse(markup))
+
+    def test_study_pages_take_the_canonical_path(self, monkeypatch):
+        # Every page the substrate serves is in the canonical grammar; a
+        # render change that leaves it would silently slow the crawl
+        # down to the stdlib path, so it fails here instead.
+        built = []
+        canonical = []
+
+        class CountingBuilder(_TreeBuilder):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        def counting_canonical(markup):
+            canonical.append(markup)
+            return _parse_canonical(markup)
+
+        monkeypatch.setattr(html_parser, "_TreeBuilder", CountingBuilder)
+        monkeypatch.setattr(html_parser, "_parse_canonical", counting_canonical)
+        result = Study(StudyConfig(seed=99, scale=0.01, iterations=2)).run()
+        assert result.dataset.listings
+        assert len(canonical) > 100
+        assert built == []
