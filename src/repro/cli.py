@@ -65,16 +65,24 @@ Commands
     ``--forever``), recording every cycle in a crash-safe schedule
     ledger, ingesting each success into the state dir's run registry,
     evaluating alerts, and bounding disk with ``--keep-runs`` /
-    ``--max-bytes``.  Exit codes: 0 done, 2 unusable state dir, 4 too
-    many consecutive cycle failures, 130 stopped by signal.  ``status``
-    renders the state dir's ledger/lock/registry/alerts view.
+    ``--max-bytes``.  ``status`` renders the state dir's
+    ledger/lock/registry/alerts view.
 
-Telemetry-reading commands (``trace``/``diff``/``health``) exit with
-code 2 when a directory is missing, empty, or corrupt; so do ``replay``
-and ``archive`` when the archive is missing, unsealed, or corrupt.
-``run`` itself traps SIGTERM/SIGINT: the partial dataset state is left
-on disk with a ``"partial": "interrupted"`` marker in its meta file and
-the exit code is 130.
+Exit codes, the same for every command:
+
+- 0: success.
+- 1: a finding or regression (``diff``, ``health --strict``, ``bench
+  --compare``, ``runs alerts``, an HTTP error from ``serve query``), or
+  a run dir that ``run``, ``report`` or ``figures`` cannot use.
+- 2: an input or argument the command cannot use — a missing or corrupt
+  telemetry dir, store, archive, registry, catalog, state dir or bench
+  baseline.  :func:`main` prints the error's one-line message.
+- 3: ``--strict-contracts`` refused a record.
+- 4: ``monitor run``'s circuit opened (too many consecutive failed
+  cycles).
+- 130: stopped by SIGTERM/SIGINT; ``run`` leaves the partial dataset
+  state on disk with a ``"partial": "interrupted"`` marker in its meta
+  file.
 """
 
 from __future__ import annotations
@@ -196,7 +204,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
 
 def _telemetry_for(args: argparse.Namespace) -> Telemetry:
     """An enabled Telemetry when ``--telemetry-out`` was given, else no-op."""
-    configure_logging(getattr(args, "log_level", "warning"))
     if getattr(args, "telemetry_out", None):
         return Telemetry()
     return NULL_TELEMETRY
@@ -220,22 +227,20 @@ def _degraded_line(analyses: AnalysisResults, stage: str, section: str) -> str:
 
 
 def _render_all(dataset: MeasurementDataset, scale: float,
-                meta: Optional[dict] = None, out=None,
+                meta: Optional[dict] = None,
                 telemetry: Optional[Telemetry] = None,
                 analyses: Optional[AnalysisResults] = None,
                 strict: bool = False,
                 fail_stages=()) -> None:
-    """Render every table and figure the analyses support.
+    """Render every table and figure the analyses support to stdout.
 
     Stages run under a :class:`StageSupervisor` (unless precomputed
     ``analyses`` are passed in, e.g. from a telemetry-enabled study run):
     a failed stage renders a one-line ``[degraded]`` marker in place of
     its tables instead of killing the report.
     """
-    stream = out if out is not None else sys.stdout
-
     def write(text: str) -> None:
-        print(text + "\n", file=stream)
+        print(text + "\n")
 
     if analyses is None:
         supervisor = StageSupervisor(
@@ -300,14 +305,15 @@ def _render_all(dataset: MeasurementDataset, scale: float,
     write(reports.render_fig3(fig3_outlier(dataset)))
 
 
-def _check_profile_args(args: argparse.Namespace) -> Optional[str]:
-    """``--profile`` writes profile.json into the telemetry dir, so it
-    needs one; returns the error line (exit 2) when it is missing."""
-    if getattr(args, "profile", False) and \
-            not getattr(args, "telemetry_out", None):
-        return "--profile requires --telemetry-out (profile.json is " \
-               "written into the telemetry directory)"
-    return None
+def _refuse_profile_without_telemetry(args: argparse.Namespace) -> bool:
+    """True (after saying so) when ``--profile`` lacks the
+    ``--telemetry-out`` dir that profile.json is written into."""
+    if not getattr(args, "profile", False) or \
+            getattr(args, "telemetry_out", None):
+        return False
+    print("--profile requires --telemetry-out (profile.json is written "
+          "into the telemetry directory)", file=sys.stderr)
+    return True
 
 
 def _run_meta(result, seed: int, scale: float, iterations: int) -> dict:
@@ -383,9 +389,7 @@ def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    problem = _check_profile_args(args)
-    if problem:
-        print(problem, file=sys.stderr)
+    if _refuse_profile_without_telemetry(args):
         return 2
     if _refuse_used_out(args.out):
         return 1
@@ -411,9 +415,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             break
     try:
         result = Study(config, telemetry=telemetry).run()
-    except ContractViolationError as exc:
-        print(f"strict contracts: {exc}", file=sys.stderr)
-        return 3
     except _RunInterrupted as exc:
         os.makedirs(args.out, exist_ok=True)
         atomic_write_json(os.path.join(args.out, META_FILENAME), {
@@ -450,6 +451,8 @@ def _load_run(run_dir: str) -> Optional[Tuple[MeasurementDataset, dict]]:
 
     Tolerant load: a corrupt segment (e.g. a bit flip on cold media) or
     a record of the wrong shape is quarantined and reported, not fatal.
+    A missing meta file is optional; an unreadable one is not, because
+    the report would silently fall back to the wrong scale.
     """
     quarantine = QuarantineStore()
     try:
@@ -468,11 +471,17 @@ def _load_run(run_dir: str) -> Optional[Tuple[MeasurementDataset, dict]]:
     if not dataset.listings:
         print(f"no dataset found in {run_dir}", file=sys.stderr)
         return None
-    meta = {}
     meta_path = os.path.join(run_dir, META_FILENAME)
-    if os.path.exists(meta_path):
+    if not os.path.exists(meta_path):
+        return dataset, {}
+    try:
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        print(f"unreadable run meta {meta_path}: {exc}", file=sys.stderr)
+        return None
     return dataset, meta
 
 
@@ -487,30 +496,20 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    problem = _check_profile_args(args)
-    if problem:
-        print(problem, file=sys.stderr)
+    if _refuse_profile_without_telemetry(args):
         return 2
     config = _study_config(args)
     telemetry = _telemetry_for(args)
-    try:
-        result = Study(config, telemetry=telemetry).run()
-    except ContractViolationError as exc:
-        print(f"strict contracts: {exc}", file=sys.stderr)
-        return 3
+    result = Study(config, telemetry=telemetry).run()
     meta = _run_meta(result, args.seed, args.scale, args.iterations)
-    try:
-        # Reuse the supervised suite the study already ran (telemetry
-        # path); otherwise run it here under a fresh supervisor.
-        _render_all(
-            result.dataset, args.scale, meta, telemetry=telemetry,
-            analyses=result.analyses,
-            strict=config.strict_contracts,
-            fail_stages=config.fail_stages,
-        )
-    except ContractViolationError as exc:
-        print(f"strict contracts: {exc}", file=sys.stderr)
-        return 3
+    # Reuse the supervised suite the study already ran (telemetry path);
+    # otherwise run it here under a fresh supervisor.
+    _render_all(
+        result.dataset, args.scale, meta, telemetry=telemetry,
+        analyses=result.analyses,
+        strict=config.strict_contracts,
+        fail_stages=config.fail_stages,
+    )
     _export_telemetry(args, config, result, telemetry)
     return 0
 
@@ -521,11 +520,7 @@ def cmd_channels(_args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        document = trace_document(args.run_dir)
-    except TelemetryDirError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    document = trace_document(args.run_dir)
     if getattr(args, "json", False):
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -534,12 +529,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        document_a = trace_document(args.run_a)
-        document_b = trace_document(args.run_b)
-    except TelemetryDirError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    document_a = trace_document(args.run_a)
+    document_b = trace_document(args.run_b)
     config = DiffConfig(
         scorecard_tolerance=args.scorecard_tolerance,
         sim_duration_tolerance=args.sim_tolerance,
@@ -551,11 +542,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    try:
-        document = trace_document(args.run_dir)
-    except TelemetryDirError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    document = trace_document(args.run_dir)
     out_path = args.out or os.path.join(args.run_dir, REPORT_FILENAME)
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(render_health_html(document))
@@ -569,7 +556,8 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    configure_logging(getattr(args, "log_level", "warning"))
+    # An unusable baseline is refused before any round is timed.
+    baseline = load_baseline(args.compare) if args.compare else None
     bench = run_bench(
         rounds=args.rounds,
         scale=args.scale,
@@ -578,16 +566,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile_out=args.profile_out,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    if args.compare:
-        try:
-            baseline = load_baseline(args.compare)
-            comparison = compare_bench(
-                baseline, bench,
-                tolerance=args.tolerance, baseline_path=args.compare,
-            )
-        except BenchError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    if baseline is not None:
+        comparison = compare_bench(
+            baseline, bench,
+            tolerance=args.tolerance, baseline_path=args.compare,
+        )
         print(comparison.render_text())
         if args.out:
             print(f"wrote {write_bench(args.out, bench)}")
@@ -648,22 +631,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_corrupt(kind: str, path: str, problems: List[str]) -> int:
+    """Print an audit's problem list and its verdict; the exit code."""
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{kind} {path} is CORRUPT: {len(problems)} problem(s)",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_archive_verify(args: argparse.Namespace) -> int:
-    try:
-        reader = ArchiveReader.open(args.archive_dir)
-        problems = reader.verify()
-    except ArchiveError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reader = ArchiveReader.open(args.archive_dir)
+    problems = reader.verify()
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        print(
-            f"archive {args.archive_dir} is CORRUPT: "
-            f"{len(problems)} problem(s)",
-            file=sys.stderr,
-        )
-        return 2
+        return _report_corrupt("archive", args.archive_dir, problems)
     manifest = reader.manifest
     print(
         f"archive {args.archive_dir} verified: "
@@ -675,13 +656,8 @@ def cmd_archive_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_archive_diff(args: argparse.Namespace) -> int:
-    try:
-        reader = ArchiveReader.open(args.archive_dir)
-        diff = diff_iterations(reader, args.left, args.right)
-    except ArchiveError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(diff.render_text())
+    reader = ArchiveReader.open(args.archive_dir)
+    print(diff_iterations(reader, args.left, args.right).render_text())
     return 0
 
 
@@ -690,34 +666,26 @@ def cmd_runs_ingest(args: argparse.Namespace) -> int:
         print("--run-id only applies to a single run directory",
               file=sys.stderr)
         return 2
-    try:
-        with RunRegistry.open(args.registry) as registry:
-            for run_dir in args.run_dirs:
-                result = registry.ingest(run_dir, run_id=args.run_id)
-                if result.inserted:
-                    print(
-                        f"ingested {run_dir} as {result.run_id} "
-                        f"(seq {result.seq}, config {result.config_hash}, "
-                        f"{result.n_metrics} metrics)"
-                    )
-                else:
-                    print(
-                        f"skipped {run_dir}: already ingested as "
-                        f"{result.run_id} (seq {result.seq})"
-                    )
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with RunRegistry.open(args.registry) as registry:
+        for run_dir in args.run_dirs:
+            result = registry.ingest(run_dir, run_id=args.run_id)
+            if result.inserted:
+                print(
+                    f"ingested {run_dir} as {result.run_id} "
+                    f"(seq {result.seq}, config {result.config_hash}, "
+                    f"{result.n_metrics} metrics)"
+                )
+            else:
+                print(
+                    f"skipped {run_dir}: already ingested as "
+                    f"{result.run_id} (seq {result.seq})"
+                )
     return 0
 
 
 def cmd_runs_list(args: argparse.Namespace) -> int:
-    try:
-        with RunRegistry.open_existing(args.registry) as registry:
-            rows = registry.runs(last_n=args.last)
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with RunRegistry.open_existing(args.registry) as registry:
+        rows = registry.runs(last_n=args.last)
     if not rows:
         print("no runs registered")
         return 0
@@ -738,13 +706,9 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_show(args: argparse.Namespace) -> int:
-    try:
-        with RunRegistry.open_existing(args.registry) as registry:
-            run = registry.run(args.run_id)
-            document = registry.document(args.run_id)
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with RunRegistry.open_existing(args.registry) as registry:
+        run = registry.run(args.run_id)
+        document = registry.document(args.run_id)
     if run is None or document is None:
         print(f"no run {args.run_id} in {args.registry}", file=sys.stderr)
         return 2
@@ -757,16 +721,12 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_trends(args: argparse.Namespace) -> int:
-    try:
-        with RunRegistry.open_existing(args.registry) as registry:
-            series_list = compute_trends(
-                registry, names=args.metric or None, last_n=args.last,
-            )
-            runs = registry.runs(last_n=args.last)
-            report = evaluate_alerts(registry, AlertConfig(last_n=args.last))
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with RunRegistry.open_existing(args.registry) as registry:
+        series_list = compute_trends(
+            registry, names=args.metric or None, last_n=args.last,
+        )
+        runs = registry.runs(last_n=args.last)
+        report = evaluate_alerts(registry, AlertConfig(last_n=args.last))
     if args.html:
         with open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_fleet_html(
@@ -789,12 +749,8 @@ def cmd_runs_alerts(args: argparse.Namespace) -> int:
         include_wall=args.wall,
         last_n=args.last,
     )
-    try:
-        with RunRegistry.open_existing(args.registry) as registry:
-            report = evaluate_alerts(registry, config)
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with RunRegistry.open_existing(args.registry) as registry:
+        report = evaluate_alerts(registry, config)
     print(report.render_text())
     if args.out:
         print(f"wrote {write_alerts(args.out, report)}", file=sys.stderr)
@@ -802,21 +758,10 @@ def cmd_runs_alerts(args: argparse.Namespace) -> int:
 
 
 def cmd_data_verify(args: argparse.Namespace) -> int:
-    try:
-        reader = StoreReader.open(args.store_dir)
-        problems = reader.verify()
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reader = StoreReader.open(args.store_dir)
+    problems = reader.verify()
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        print(
-            f"store {args.store_dir} is CORRUPT: "
-            f"{len(problems)} problem(s)",
-            file=sys.stderr,
-        )
-        return 2
+        return _report_corrupt("store", args.store_dir, problems)
     counts = reader.counts()
     total = sum(counts.values())
     segments = len(reader.manifest.get("segments", [])) \
@@ -834,12 +779,8 @@ def cmd_data_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_data_stats(args: argparse.Namespace) -> int:
-    try:
-        reader = StoreReader.open(args.store_dir)
-        counts = reader.counts()
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reader = StoreReader.open(args.store_dir)
+    counts = reader.counts()
     manifest = reader.manifest or {}
     sealed = manifest.get("segments", [])
     print(f"store: {args.store_dir}")
@@ -860,11 +801,7 @@ def cmd_data_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_build(args: argparse.Namespace) -> int:
-    try:
-        result = build_catalog(args.run_dirs, args.out)
-    except (CatalogError, StoreError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = build_catalog(args.run_dirs, args.out)
     tables = ", ".join(
         f"{name}={count}" for name, count in sorted(result.tables.items())
     )
@@ -875,11 +812,7 @@ def cmd_serve_build(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_query(args: argparse.Namespace) -> int:
-    try:
-        catalog = Catalog.open(args.catalog_dir)
-    except CatalogError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    catalog = Catalog.open(args.catalog_dir)
     try:
         clock = SimClock()
         internet = Internet(clock=clock)
@@ -906,18 +839,14 @@ def cmd_serve_query(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    try:
-        document = run_serve_bench(
-            args.catalog_dir,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            distinct_queries=args.queries,
-            seed=args.seed,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except CatalogError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    document = run_serve_bench(
+        args.catalog_dir,
+        clients=args.clients,
+        requests_per_client=args.requests,
+        distinct_queries=args.queries,
+        seed=args.seed,
+        progress=lambda line: print(line, file=sys.stderr),
+    )
     print(render_serve_bench(document))
     if args.out:
         print(f"wrote {write_serve_bench(args.out, document)}")
@@ -925,7 +854,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor_run(args: argparse.Namespace) -> int:
-    configure_logging(getattr(args, "log_level", "warning"))
     if not args.forever and args.cycles is None:
         print("monitor run needs --cycles N or --forever", file=sys.stderr)
         return 2
@@ -958,12 +886,16 @@ def cmd_monitor_run(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor_status(args: argparse.Namespace) -> int:
-    try:
-        print(render_status(args.state_dir))
-    except MonitorError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    print(render_status(args.state_dir))
     return 0
+
+
+def _add_log_level(parser: argparse.ArgumentParser) -> None:
+    """``--log-level``, for the commands that crawl (only the crawler
+    logs); :func:`main` configures the logger from it."""
+    parser.add_argument("--log-level", default="warning",
+                        choices=["debug", "info", "warning", "error"],
+                        help="logging verbosity for the repro logger")
 
 
 def _add_study_args(parser: argparse.ArgumentParser) -> None:
@@ -982,9 +914,7 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
                              "corrupt pages); disk/disk_full hit storage "
                              "(ENOSPC, torn writes, fsync failure, bit "
                              "flips)")
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"],
-                        help="logging verbosity for the repro logger")
+    _add_log_level(parser)
     parser.add_argument("--telemetry-out", default=None, metavar="DIR",
                         help="enable telemetry and write manifest.json, "
                              "metrics.json, trace.jsonl, events.jsonl here")
@@ -1273,8 +1203,7 @@ def build_parser() -> argparse.ArgumentParser:
     mrun_parser.add_argument("--wall-clock", action="store_true",
                              help="really sleep --interval between cycles "
                                   "instead of simulated-time scheduling")
-    mrun_parser.add_argument("--log-level", default="warning",
-                             choices=["debug", "info", "warning", "error"])
+    _add_log_level(mrun_parser)
     mrun_parser.set_defaults(handler=cmd_monitor_run)
     mstatus_parser = monitor_commands.add_parser(
         "status", help="render a state dir's ledger/lock/registry/alerts"
@@ -1333,8 +1262,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--profile-out", default=None, metavar="PATH",
                               help="also export the memory round's full "
                                    "profile.json here")
-    bench_parser.add_argument("--log-level", default="warning",
-                              choices=["debug", "info", "warning", "error"])
+    _add_log_level(bench_parser)
     bench_parser.set_defaults(handler=cmd_bench)
 
     replay_parser = commands.add_parser(
@@ -1348,8 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "'run --out')")
     replay_parser.add_argument("--telemetry-out", default=None, metavar="DIR",
                                help="record and export replay telemetry here")
-    replay_parser.add_argument("--log-level", default="warning",
-                               choices=["debug", "info", "warning", "error"])
+    _add_log_level(replay_parser)
     replay_parser.set_defaults(handler=cmd_replay)
 
     archive_parser = commands.add_parser(
@@ -1384,11 +1311,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: An input a command cannot use: a missing or corrupt telemetry dir,
+#: bench baseline, archive, store, registry, catalog or monitor state
+#: dir.  Each message is one printable line; :func:`main` prints it and
+#: exits 2.
+_UNUSABLE_INPUT_ERRORS = (
+    ArchiveError, BenchError, CatalogError, MonitorError, RegistryError,
+    StoreError, TelemetryDirError,
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv``, run the command; the only code that maps errors
+    to exit codes (see the module docstring)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    configure_logging(getattr(args, "log_level", "warning"))
     try:
         return args.handler(args)
+    except _UNUSABLE_INPUT_ERRORS as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ContractViolationError as exc:
+        print(f"strict contracts: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # stdout went away mid-print (e.g. `repro trace DIR | head`);
         # exit quietly like any Unix tool instead of tracebacking.

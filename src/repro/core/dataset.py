@@ -183,39 +183,6 @@ class MeasurementDataset:
     def visible_listings(self) -> List[ListingRecord]:
         return [l for l in self.listings if l.has_visible_profile]
 
-    def profile_for_url(self, profile_url: str) -> Optional[ProfileRecord]:
-        """First profile with this URL, via a lazily built index.
-
-        The linear scan this replaces made the network-analysis stage
-        quadratic (one full pass per listing).  The index is rebuilt
-        whenever ``profiles`` has visibly changed — new list object,
-        new length, or a different first/last element — so appends,
-        wholesale replacement, and edge in-place swaps all invalidate
-        it.  Mutation contract: a same-length swap of an *interior*
-        element, or mutating an existing record's ``profile_url`` in
-        place, is not detectable and returns stale results — call
-        :meth:`invalidate_profile_index` after such edits.
-        """
-        profiles = self.profiles
-        cache = self.__dict__.get("_profile_index")
-        if (cache is None or cache[0] is not profiles
-                or cache[1] != len(profiles)
-                or (profiles and (cache[2] is not profiles[0]
-                                  or cache[3] is not profiles[-1]))):
-            index: Dict[str, ProfileRecord] = {}
-            for profile in profiles:
-                index.setdefault(profile.profile_url, profile)
-            cache = (profiles, len(profiles),
-                     profiles[0] if profiles else None,
-                     profiles[-1] if profiles else None, index)
-            self.__dict__["_profile_index"] = cache
-        return cache[4].get(profile_url)
-
-    def invalidate_profile_index(self) -> None:
-        """Drop the lazy URL index after an in-place mutation the
-        fingerprint cannot see (interior swap, edited ``profile_url``)."""
-        self.__dict__.pop("_profile_index", None)
-
     def summary(self) -> Dict[str, int]:
         return {name: len(getattr(self, name)) for name in _RECORD_TYPES}
 

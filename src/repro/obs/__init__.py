@@ -63,7 +63,6 @@ from repro.obs.manifest import (
     MANIFEST_FILENAME,
     build_manifest,
     git_describe,
-    load_manifest,
     write_manifest,
     write_telemetry_dir,
 )
@@ -226,7 +225,6 @@ __all__ = [
     "git_describe",
     "health_problems",
     "load_baseline",
-    "load_manifest",
     "load_profile",
     "load_scorecard",
     "profile_stage_coverage",

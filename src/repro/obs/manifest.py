@@ -15,7 +15,6 @@ the telemetry facade).
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -146,20 +145,11 @@ def write_telemetry_dir(directory: str, config, result, telemetry,
     return write_manifest(directory, manifest)
 
 
-def load_manifest(directory: str) -> Optional[dict]:
-    path = os.path.join(directory, MANIFEST_FILENAME)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 __all__ = [
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA",
     "build_manifest",
     "git_describe",
-    "load_manifest",
     "write_manifest",
     "write_telemetry_dir",
 ]

@@ -4,10 +4,10 @@
   fixed-size segments with a per-segment SHA-256 + record-count footer,
   a sealed, atomically-replaced ``store.json`` manifest
   (``repro.store/v1``), torn-tail recovery, corrupt-segment quarantine,
-  and streaming record-at-a-time reads with bounded-memory grouping;
+  and streaming record-at-a-time reads;
 * :mod:`repro.store.dataset_store` — the bridge between the store and
-  :class:`~repro.core.dataset.MeasurementDataset`: stream a dataset in,
-  load one back, or iterate records without materializing the world.
+  :class:`~repro.core.dataset.MeasurementDataset`: stream a dataset in
+  or load one back.
 
 It is the dataset's only on-disk layout: ``repro run --out DIR`` and
 ``repro replay --out DIR`` write a store into ``DIR``, and every reader
@@ -27,8 +27,6 @@ from repro.store.dataset_store import (
 from repro.store.segments import (
     DEFAULT_SEGMENT_RECORDS,
     STORE_MANIFEST_FILENAME,
-    GroupedView,
-    StoreCorruptError,
     StoreError,
     StoreReader,
     StoreWriter,
@@ -37,9 +35,7 @@ from repro.store.segments import (
 
 __all__ = [
     "DEFAULT_SEGMENT_RECORDS",
-    "GroupedView",
     "STORE_MANIFEST_FILENAME",
-    "StoreCorruptError",
     "StoreError",
     "StoreReader",
     "StoreSaveReport",

@@ -32,10 +32,7 @@ Crash recovery on read:
   (footers still validate when present).
 
 Reads are streaming: :meth:`StoreReader.iter_records` yields one record
-dict at a time, holding at most one segment's bytes in memory, and
-:class:`GroupedView` offers bounded-memory grouped access (distinct
-keys + counts in one pass, per-group iteration by re-scan) so analyses
-need never materialize the whole world.
+dict at a time, holding at most one segment's bytes in memory.
 
 Each segment is a :class:`~repro.util.jsonl.RecordLog`, and every
 write routes through an optional
@@ -52,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.schemas import STORE_SCHEMA, artifact_schema
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -83,11 +80,6 @@ SOURCE_STORE_LOAD = "store_load"
 class StoreError(RuntimeError):
     """A store directory is missing, unreadable, or structurally wrong.
     The message is a single printable line."""
-
-
-class StoreCorruptError(StoreError):
-    """Verification found checksum/count mismatches (``repro data
-    verify`` exit 2)."""
 
 
 def segment_name(record_type: str, seq: int) -> str:
@@ -362,8 +354,8 @@ class StoreReader:
         self.quarantined_segments = 0
         self.recovered_lines_dropped = 0
         #: Problems already accounted, keyed ``(segment, kind[, line])``
-        #: — re-scans (GroupedView passes, repeated counts()) must not
-        #: re-quarantine the same corruption or re-inflate the metrics.
+        #: — re-scans (repeated iter_records() or counts() passes) must
+        #: not re-quarantine the same corruption or re-inflate the metrics.
         self._noted_problems: set = set()
         self.manifest = self._load_manifest()
 
@@ -469,10 +461,6 @@ class StoreReader:
         for record_type, _ in self.iter_all():
             totals[record_type] = totals.get(record_type, 0) + 1
         return dict(sorted(totals.items()))
-
-    def grouped(self, record_type: str,
-                key: Union[str, Callable[[dict], object]]) -> "GroupedView":
-        return GroupedView(self, record_type, key)
 
     # -- segment decoding --------------------------------------------------
 
@@ -675,53 +663,14 @@ def _tail_segment_problems(payload: bytes) -> List[str]:
     return problems
 
 
-class GroupedView:
-    """Bounded-memory grouped access to one record type.
-
-    ``keys()``/``counts()`` make one streaming pass and hold only the
-    distinct key set; ``iter_group(key)`` re-scans and yields matches
-    one at a time.  The trade is deliberate: re-reading a disk segment
-    is cheap, holding tens of millions of records is not.
-    """
-
-    def __init__(self, reader: StoreReader, record_type: str,
-                 key: Union[str, Callable[[dict], object]]) -> None:
-        self.reader = reader
-        self.record_type = record_type
-        self._key = key if callable(key) else \
-            (lambda payload: payload.get(key))
-
-    def counts(self) -> Dict[object, int]:
-        """Distinct keys -> record count, in first-seen order."""
-        totals: Dict[object, int] = {}
-        for payload in self.reader.iter_records(self.record_type):
-            value = self._key(payload)
-            totals[value] = totals.get(value, 0) + 1
-        return totals
-
-    def keys(self) -> List[object]:
-        return list(self.counts())
-
-    def iter_group(self, value: object) -> Iterator[dict]:
-        for payload in self.reader.iter_records(self.record_type):
-            if self._key(payload) == value:
-                yield payload
-
-    def __iter__(self) -> Iterator[Tuple[object, Iterator[dict]]]:
-        for value in self.keys():
-            yield value, self.iter_group(value)
-
-
 __all__ = [
     "DEFAULT_SEGMENT_RECORDS",
     "FOOTER_KEY",
-    "GroupedView",
     "RULE_LINE_CORRUPT",
     "RULE_SEGMENT_CORRUPT",
     "SEGMENTS_DIRNAME",
     "SOURCE_STORE_LOAD",
     "STORE_MANIFEST_FILENAME",
-    "StoreCorruptError",
     "StoreError",
     "StoreReader",
     "StoreWriter",

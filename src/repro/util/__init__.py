@@ -8,11 +8,10 @@ analysis run is reproducible from a single root seed.
 from repro.util.fileio import atomic_write, atomic_write_json, atomic_write_text
 from repro.util.money import Money, format_usd
 from repro.util.rng import RngTree
-from repro.util.simtime import CollectionCalendar, SimClock, SimDate
+from repro.util.simtime import SimClock, SimDate
 from repro.util.stats import Summary, cdf_points, median, percentile, summarize
 
 __all__ = [
-    "CollectionCalendar",
     "Money",
     "RngTree",
     "SimClock",

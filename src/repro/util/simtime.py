@@ -1,17 +1,16 @@
-"""Simulated time: dates, a monotonic clock, and the collection calendar.
+"""Simulated time: dates, the study window, and a monotonic clock.
 
 The paper's crawl ran from February to June 2024 in repeated iterations
 (Figure 2 plots cumulative vs. active listings per iteration).  We model
-that window as a :class:`CollectionCalendar` of evenly spaced snapshot
-dates, and give the crawler a :class:`SimClock` so politeness delays and
-rate limits are deterministic and free of wall-clock sleeps.
+that window's bounds as :class:`SimDate` constants, and give the crawler
+a :class:`SimClock` so politeness delays and rate limits are
+deterministic and free of wall-clock sleeps.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Iterator, List
 
 
 @dataclass(frozen=True, order=True)
@@ -82,59 +81,9 @@ class SimClock:
         return self._now
 
 
-class CollectionCalendar:
-    """Evenly spaced collection iterations across the study window.
-
-    >>> cal = CollectionCalendar.paper_window(iterations=10)
-    >>> len(cal)
-    10
-    >>> cal.dates[0]
-    SimDate(year=2024, month=2, day=1)
-    """
-
-    def __init__(self, dates: List[SimDate]) -> None:
-        if not dates:
-            raise ValueError("a calendar needs at least one iteration date")
-        if sorted(dates) != dates:
-            raise ValueError("iteration dates must be sorted ascending")
-        self.dates = list(dates)
-
-    @classmethod
-    def paper_window(cls, iterations: int = 10) -> "CollectionCalendar":
-        """Build the Feb–Jun 2024 calendar with ``iterations`` snapshots."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if iterations == 1:
-            return cls([STUDY_START])
-        span = STUDY_START.days_until(STUDY_END)
-        step = span / (iterations - 1)
-        dates = [STUDY_START.plus_days(round(i * step)) for i in range(iterations)]
-        return cls(dates)
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    def __iter__(self) -> Iterator[SimDate]:
-        return iter(self.dates)
-
-    def __getitem__(self, index: int) -> SimDate:
-        return self.dates[index]
-
-    def index_on_or_before(self, date: SimDate) -> int:
-        """Return the index of the last iteration at or before ``date``."""
-        best = -1
-        for i, d in enumerate(self.dates):
-            if d <= date:
-                best = i
-        if best < 0:
-            raise ValueError(f"{date} precedes the first iteration")
-        return best
-
-
 __all__ = [
     "STUDY_END",
     "STUDY_START",
-    "CollectionCalendar",
     "SimClock",
     "SimDate",
 ]

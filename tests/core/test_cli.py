@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -59,8 +60,6 @@ class TestRunAndReport:
         assert open(path, encoding="utf-8").read() == ""
 
     def test_report_warns_on_corrupt_line(self, run_dir, tmp_path, capsys):
-        import shutil
-
         corrupt = tmp_path / "corrupt-run"
         shutil.copytree(run_dir, corrupt)
         # One flipped byte in one sealed listings segment: that segment
@@ -73,6 +72,58 @@ class TestRunAndReport:
         captured = capsys.readouterr()
         assert "listings/store_segment_corrupt=1" in captured.err
         assert "Table 1" in captured.out
+
+    @pytest.mark.parametrize("meta", ['{"seed": 99, "scale"', "[1, 2]"],
+                             ids=["torn", "non-object"])
+    @pytest.mark.parametrize("command", ["report", "figures"])
+    def test_unreadable_meta_fails_in_one_line(self, run_dir, tmp_path,
+                                                capsys, command, meta):
+        # A meta file that is present but unreadable must not fall back
+        # to defaults (the wrong scale) or escape as a traceback.
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        (copy / "study_meta.json").write_text(meta)
+        argv = [command, str(copy)]
+        if command == "figures":
+            argv += ["--out", str(tmp_path / "figs")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "study_meta.json" in err[0], err
+
+
+#: Every command that reads an input, pointed at a missing one (MISSING).
+MISSING_INPUT_ARGV = {
+    "trace": ["trace", "MISSING"],
+    "diff": ["diff", "MISSING", "MISSING"],
+    "health": ["health", "MISSING"],
+    "data-verify": ["data", "verify", "MISSING"],
+    "data-stats": ["data", "stats", "MISSING"],
+    "archive-verify": ["archive", "verify", "MISSING"],
+    "archive-diff": ["archive", "diff", "MISSING", "0", "1"],
+    "runs-ingest": ["runs", "ingest", "MISSING", "--registry", "NEW"],
+    "runs-list": ["runs", "list", "--registry", "MISSING"],
+    "runs-trends": ["runs", "trends", "--registry", "MISSING"],
+    "runs-alerts": ["runs", "alerts", "--registry", "MISSING"],
+    "serve-build": ["serve", "build", "MISSING", "--out", "NEW"],
+    "serve-query": ["serve", "query", "MISSING", "/api/catalog"],
+    "serve-bench": ["serve", "bench", "MISSING", "--clients", "1"],
+    "monitor-status": ["monitor", "status", "--state-dir", "MISSING"],
+    "bench-compare": ["bench", "--compare", "MISSING"],
+}
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("name", sorted(MISSING_INPUT_ARGV))
+    def test_missing_input_exits_two_in_one_line(self, tmp_path, capsys,
+                                                 name):
+        paths = {"MISSING": str(tmp_path / "missing"),
+                 "NEW": str(tmp_path / "new")}
+        argv = [paths.get(arg, arg) for arg in MISSING_INPUT_ARGV[name]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
 
 
 class TestContractsFlags:

@@ -50,54 +50,6 @@ class TestViews:
         assert len(visible) == 1
         assert visible[0].has_visible_profile
 
-    def test_profile_for_url(self):
-        ds = sample_dataset()
-        assert ds.profile_for_url("http://x.example/h1").handle == "h1"
-        assert ds.profile_for_url("http://x.example/none") is None
-
-    def test_profile_for_url_index_invalidates_on_append(self):
-        ds = sample_dataset()
-        assert ds.profile_for_url("http://x.example/h2") is None  # builds cache
-        ds.profiles.append(ProfileRecord(
-            profile_url="http://x.example/h2", platform="X", handle="h2",
-        ))
-        assert ds.profile_for_url("http://x.example/h2").handle == "h2"
-
-    def test_profile_for_url_index_invalidates_on_replacement(self):
-        ds = sample_dataset()
-        assert ds.profile_for_url("http://x.example/h1") is not None
-        ds.profiles = [ProfileRecord(
-            profile_url="http://x.example/h1", platform="X", handle="new",
-        )]
-        assert ds.profile_for_url("http://x.example/h1").handle == "new"
-
-    def test_profile_for_url_index_invalidates_on_edge_swap(self):
-        # Same-length in-place replacement of the last element is
-        # caught by the first/last identity fingerprint.
-        ds = sample_dataset()
-        assert ds.profile_for_url("http://x.example/h1").handle == "h1"
-        ds.profiles[-1] = ProfileRecord(
-            profile_url="http://x.example/h1", platform="X", handle="swap",
-        )
-        assert ds.profile_for_url("http://x.example/h1").handle == "swap"
-
-    def test_profile_for_url_explicit_invalidate_hook(self):
-        # Mutating a record's URL in place is invisible to the
-        # fingerprint; the documented contract is the explicit hook.
-        ds = sample_dataset()
-        assert ds.profile_for_url("http://x.example/h1") is not None
-        ds.profiles[0].profile_url = "http://x.example/moved"
-        ds.invalidate_profile_index()
-        assert ds.profile_for_url("http://x.example/h1") is None
-        assert ds.profile_for_url("http://x.example/moved").handle == "h1"
-
-    def test_profile_for_url_first_match_wins(self):
-        ds = sample_dataset()
-        ds.profiles.append(ProfileRecord(
-            profile_url="http://x.example/h1", platform="X", handle="dup",
-        ))
-        assert ds.profile_for_url("http://x.example/h1").handle == "h1"
-
     def test_summary(self):
         assert sample_dataset().summary() == {
             "sellers": 1, "listings": 2, "profiles": 1, "posts": 1, "underground": 1,

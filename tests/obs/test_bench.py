@@ -178,10 +178,15 @@ class TestBenchCli:
         write_bench(baseline, _doctored(canned_bench, 1 / 3))
         assert cli.main(["bench", "--compare", baseline]) == 1
 
-    def test_compare_corrupt_baseline_exits_two(self, canned_bench, tmp_path):
+    def test_compare_corrupt_baseline_exits_two(self, monkeypatch, tmp_path):
+        # The baseline is refused before any round is timed.
+        calls = []
+        monkeypatch.setattr(cli, "run_bench",
+                            lambda **kwargs: calls.append(kwargs))
         baseline = tmp_path / "BENCH_pipeline.json"
         baseline.write_text("{ rotten")
         assert cli.main(["bench", "--compare", str(baseline)]) == 2
+        assert calls == []
 
     def test_compare_does_not_overwrite_baseline(self, canned_bench, tmp_path):
         baseline = str(tmp_path / "BENCH_pipeline.json")

@@ -202,8 +202,9 @@ class TestCorruption:
 
     def test_rescan_does_not_duplicate_quarantine_bookkeeping(
             self, tmp_path):
-        # GroupedView and repeated counts() re-scan segments; the same
-        # corrupt segment must be dead-lettered and counted exactly once.
+        # Repeated counts() and iter_records() passes re-scan segments;
+        # the same corrupt segment must be dead-lettered and counted
+        # exactly once.
         directory = str(tmp_path / "store")
         _fill(directory, 9, segment_max=3)
         self._corrupt(_segment_path(directory, seq=1))
@@ -211,9 +212,7 @@ class TestCorruption:
         reader = StoreReader.open(directory, quarantine=quarantine)
         reader.counts()
         reader.counts()
-        grouped = reader.grouped("listings", "offer_url")
-        grouped.counts()
-        list(grouped.iter_group("u0"))
+        list(reader.iter_records("listings"))
         assert reader.quarantined_segments == 1
         assert quarantine.total == 1
 
@@ -280,38 +279,6 @@ class TestCorruption:
         assert list(reader.iter_records("listings")) == []
         assert reader.quarantined_segments == 1
         assert faults.counts.get("bit_flip", 0) >= 1
-
-
-class TestGroupedView:
-    def _store(self, tmp_path):
-        directory = str(tmp_path / "store")
-        writer = StoreWriter(directory, segment_max_records=2)
-        for index in range(9):
-            writer.append("listings", {
-                "i": index, "marketplace": f"m{index % 3}",
-            })
-        writer.seal()
-        return StoreReader.open(directory)
-
-    def test_counts_single_pass(self, tmp_path):
-        grouped = self._store(tmp_path).grouped("listings", "marketplace")
-        assert grouped.counts() == {"m0": 3, "m1": 3, "m2": 3}
-
-    def test_iter_group_streams_matches(self, tmp_path):
-        grouped = self._store(tmp_path).grouped("listings", "marketplace")
-        assert [r["i"] for r in grouped.iter_group("m1")] == [1, 4, 7]
-
-    def test_callable_key(self, tmp_path):
-        grouped = self._store(tmp_path).grouped(
-            "listings", lambda payload: payload["i"] % 2,
-        )
-        assert grouped.counts() == {0: 5, 1: 4}
-
-    def test_iteration_yields_groups_in_first_seen_order(self, tmp_path):
-        grouped = self._store(tmp_path).grouped("listings", "marketplace")
-        seen = {key: [r["i"] for r in group] for key, group in grouped}
-        assert list(seen) == ["m0", "m1", "m2"]
-        assert seen["m2"] == [2, 5, 8]
 
 
 class TestDefaults:

@@ -1,11 +1,10 @@
-"""Tests for simulated dates, clock, and the collection calendar."""
+"""Tests for simulated dates, the study window, and the clock."""
 
 import pytest
 
 from repro.util.simtime import (
     STUDY_END,
     STUDY_START,
-    CollectionCalendar,
     SimClock,
     SimDate,
 )
@@ -49,38 +48,3 @@ class TestSimClock:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             SimClock(start=-5)
-
-
-class TestCollectionCalendar:
-    def test_paper_window_has_requested_iterations(self):
-        cal = CollectionCalendar.paper_window(iterations=10)
-        assert len(cal) == 10
-        assert cal[0] == STUDY_START
-        assert cal[-1] == STUDY_END
-
-    def test_dates_are_sorted_and_unique(self):
-        cal = CollectionCalendar.paper_window(iterations=8)
-        assert sorted(cal.dates) == cal.dates
-        assert len(set(cal.dates)) == len(cal.dates)
-
-    def test_single_iteration(self):
-        cal = CollectionCalendar.paper_window(iterations=1)
-        assert list(cal) == [STUDY_START]
-
-    def test_index_on_or_before(self):
-        cal = CollectionCalendar.paper_window(iterations=5)
-        assert cal.index_on_or_before(STUDY_END) == 4
-        assert cal.index_on_or_before(cal[2]) == 2
-
-    def test_index_before_start_raises(self):
-        cal = CollectionCalendar.paper_window(iterations=3)
-        with pytest.raises(ValueError):
-            cal.index_on_or_before(SimDate.of(2024, 1, 1))
-
-    def test_unsorted_dates_rejected(self):
-        with pytest.raises(ValueError):
-            CollectionCalendar([SimDate.of(2024, 3, 1), SimDate.of(2024, 2, 1)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CollectionCalendar([])
