@@ -6,8 +6,6 @@ subtypes (Fake Tech Support has only ~26 posts per 18.8K scam posts at
 paper scale) that a coarse k-means absorbs into mixed clusters.
 """
 
-import numpy as np
-
 from benchmarks.conftest import record_report
 from repro.analysis.scam_posts import ClusterVetter, ScamPipelineConfig
 from repro.nlp.cluster import ScalableDensityClusterer, cluster_stats
@@ -27,7 +25,7 @@ def test_ablation_clustering_refinement(benchmark, bench_study):
     detector = LanguageDetector()
     english = [p for p in bench_study.dataset.posts if detector.is_english(p.text)]
     texts = [p.text for p in english]
-    matrix = HashedTfidfEmbedder(dims=192).fit_transform(texts).astype(np.float32)
+    matrix = HashedTfidfEmbedder(dims=192).fit_transform(texts)
     paper_subtypes = {
         subtype for subtypes in cal.SCAM_TAXONOMY.values() for subtype in subtypes
     }

@@ -243,7 +243,7 @@ class ScamPostAnalysis:
         embedder = HashedTfidfEmbedder(
             dims=config.embedding_dims, telemetry=self.telemetry
         )
-        matrix = embedder.fit_transform(texts).astype(np.float32)
+        matrix = embedder.fit_transform(texts)
         if len(texts) > config.large_corpus_threshold:
             clusterer = ScalableDensityClusterer(
                 merge_eps=config.merge_eps,

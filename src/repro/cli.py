@@ -76,7 +76,11 @@ Exit codes, the same for every command:
   a run dir that ``run``, ``report`` or ``figures`` cannot use.
 - 2: an input or argument the command cannot use — a missing or corrupt
   telemetry dir, store, archive, registry, catalog, state dir or bench
-  baseline.  :func:`main` prints the error's one-line message.
+  baseline, or an output path the command cannot write (a file where
+  an output directory goes, a directory where an output file goes, a
+  missing parent where the command does not create one).  Commands
+  that work before they write check their output paths first.
+  :func:`main` prints the error's one-line message.
 - 3: ``--strict-contracts`` refused a record.
 - 4: ``monitor run``'s circuit opened (too many consecutive failed
   cycles).
@@ -88,6 +92,7 @@ Exit codes, the same for every command:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -175,6 +180,45 @@ from repro.web.http import Request
 from repro.web.server import Internet
 
 META_FILENAME = "study_meta.json"
+
+
+class OutputPathError(Exception):
+    """An output path the command cannot write; the message names it."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a ``path`` the block cannot create as one
+    :class:`OutputPathError` line.  Only errors about the path itself
+    (missing or non-directory parent, a directory where a file goes, no
+    permission) are caught: a disk that fails mid-write keeps its own
+    error."""
+    try:
+        yield
+    except (FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
+        reason = exc.strerror or str(exc)
+        if exc.filename and os.path.abspath(exc.filename) != os.path.abspath(path):
+            reason += f": {exc.filename}"  # the part of the path at fault
+        raise OutputPathError(f"cannot write {path}: {reason}") from exc
+
+
+def _check_output(path: Optional[str], directory: bool = False) -> None:
+    """Refuse, before a command does its work, an output path it could
+    not write when it finishes: a file where a directory must be (the
+    output directory itself, or the nearest parent that exists), or a
+    directory where the output file goes.  Nothing is created."""
+    if not path:
+        return
+    target = os.path.abspath(path)
+    if not directory and os.path.isdir(target):
+        raise OutputPathError(f"cannot write {path}: Is a directory")
+    existing = target if directory else os.path.dirname(target)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise OutputPathError(
+            f"cannot write {path}: Not a directory: {existing}")
 
 
 class _RunInterrupted(Exception):
@@ -391,6 +435,9 @@ def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry,
 def cmd_run(args: argparse.Namespace) -> int:
     if _refuse_profile_without_telemetry(args):
         return 2
+    for path in (args.out, args.telemetry_out, args.archive_dir,
+                 args.checkpoint_dir):
+        _check_output(path, directory=True)
     if _refuse_used_out(args.out):
         return 1
     config = _study_config(args)
@@ -498,6 +545,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if _refuse_profile_without_telemetry(args):
         return 2
+    _check_output(args.telemetry_out, directory=True)
     config = _study_config(args)
     telemetry = _telemetry_for(args)
     result = Study(config, telemetry=telemetry).run()
@@ -544,7 +592,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_health(args: argparse.Namespace) -> int:
     document = trace_document(args.run_dir)
     out_path = args.out or os.path.join(args.run_dir, REPORT_FILENAME)
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with _writing(out_path), open(out_path, "w", encoding="utf-8") as handle:
         handle.write(render_health_html(document))
     problems = health_problems(document)
     print(f"wrote {out_path} ({'healthy' if not problems else 'UNHEALTHY'})")
@@ -558,6 +606,8 @@ def cmd_health(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     # An unusable baseline is refused before any round is timed.
     baseline = load_baseline(args.compare) if args.compare else None
+    _check_output(args.out)
+    _check_output(args.profile_out)
     bench = run_bench(
         rounds=args.rounds,
         scale=args.scale,
@@ -573,10 +623,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         print(comparison.render_text())
         if args.out:
-            print(f"wrote {write_bench(args.out, bench)}")
+            with _writing(args.out):
+                print(f"wrote {write_bench(args.out, bench)}")
         return 1 if comparison.regressed else 0
     out = args.out or BENCH_FILENAME
-    print(f"wrote {write_bench(out, bench)}")
+    with _writing(out):
+        print(f"wrote {write_bench(out, bench)}")
     totals = bench["totals"]
     print(
         f"  wall median {totals['wall_seconds']['median']:.2f}s, "
@@ -593,18 +645,21 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if loaded is None:
         return 1
     dataset, meta = loaded
-    written = export_figures(
-        dataset,
-        args.out,
-        active_per_iteration=meta.get("active_per_iteration"),
-        cumulative_per_iteration=meta.get("cumulative_per_iteration"),
-    )
+    with _writing(args.out):
+        written = export_figures(
+            dataset,
+            args.out,
+            active_per_iteration=meta.get("active_per_iteration"),
+            cumulative_per_iteration=meta.get("cumulative_per_iteration"),
+        )
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    for path in (args.out, args.telemetry_out):
+        _check_output(path, directory=True)
     if _refuse_used_out(args.out):
         return 1
     telemetry = _telemetry_for(args)
@@ -728,7 +783,7 @@ def cmd_runs_trends(args: argparse.Namespace) -> int:
         runs = registry.runs(last_n=args.last)
         report = evaluate_alerts(registry, AlertConfig(last_n=args.last))
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
+        with _writing(args.html), open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_fleet_html(
                 runs, series_list, report, registry_path=args.registry,
             ))
@@ -753,7 +808,8 @@ def cmd_runs_alerts(args: argparse.Namespace) -> int:
         report = evaluate_alerts(registry, config)
     print(report.render_text())
     if args.out:
-        print(f"wrote {write_alerts(args.out, report)}", file=sys.stderr)
+        with _writing(args.out):
+            print(f"wrote {write_alerts(args.out, report)}", file=sys.stderr)
     return 1 if report.fired else 0
 
 
@@ -801,6 +857,7 @@ def cmd_data_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_build(args: argparse.Namespace) -> int:
+    _check_output(args.out, directory=True)
     result = build_catalog(args.run_dirs, args.out)
     tables = ", ".join(
         f"{name}={count}" for name, count in sorted(result.tables.items())
@@ -839,6 +896,8 @@ def cmd_serve_query(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
+    if args.out and not os.path.isdir(args.out):
+        _check_output(args.out)
     document = run_serve_bench(
         args.catalog_dir,
         clients=args.clients,
@@ -849,7 +908,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     print(render_serve_bench(document))
     if args.out:
-        print(f"wrote {write_serve_bench(args.out, document)}")
+        with _writing(args.out):
+            print(f"wrote {write_serve_bench(args.out, document)}")
     return 0
 
 
@@ -857,6 +917,7 @@ def cmd_monitor_run(args: argparse.Namespace) -> int:
     if not args.forever and args.cycles is None:
         print("monitor run needs --cycles N or --forever", file=sys.stderr)
         return 2
+    _check_output(args.state_dir, directory=True)
     config = MonitorConfig(
         state_dir=args.state_dir,
         cycles=None if args.forever else args.cycles,
@@ -1313,11 +1374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: An input a command cannot use: a missing or corrupt telemetry dir,
 #: bench baseline, archive, store, registry, catalog or monitor state
-#: dir.  Each message is one printable line; :func:`main` prints it and
-#: exits 2.
+#: dir, or an output path it cannot write.  Each message is one
+#: printable line; :func:`main` prints it and exits 2.
 _UNUSABLE_INPUT_ERRORS = (
-    ArchiveError, BenchError, CatalogError, MonitorError, RegistryError,
-    StoreError, TelemetryDirError,
+    ArchiveError, BenchError, CatalogError, MonitorError, OutputPathError,
+    RegistryError, StoreError, TelemetryDirError,
 )
 
 

@@ -11,6 +11,11 @@ pages once per marketplace.
 bookkeeping, which is exactly the data behind Figure 2's cumulative vs
 active listing curves.
 
+Every page is fetched at every visit, but the crawlers of one
+:class:`IterationCrawl` share a memo that extracts each offer and seller
+page once per (url, body): a re-visited page whose body is unchanged
+yields a copy of the record extracted the first time.
+
 Nothing fails silently: every anomaly becomes a :class:`CrawlError` on
 the :class:`CrawlReport` (url, kind, detail) and — when telemetry is
 enabled — a structured event carrying marketplace and iteration context.
@@ -18,6 +23,7 @@ enabled — a structured event carrying marketplace and iteration context.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -90,7 +96,12 @@ class CrawlReport:
 
 
 class MarketplaceCrawler:
-    """Depth-first crawler for one public marketplace."""
+    """Depth-first crawler for one public marketplace.
+
+    ``memo`` is the extraction memo to share with other crawlers of the
+    same crawl (see the module docstring); without it the crawler starts
+    an empty one of its own.
+    """
 
     def __init__(
         self,
@@ -99,6 +110,7 @@ class MarketplaceCrawler:
         seed_url: str,
         telemetry: Optional[Telemetry] = None,
         iteration: Optional[int] = None,
+        memo: Optional[Dict[tuple, object]] = None,
     ) -> None:
         self._client = client
         self.marketplace = marketplace
@@ -106,6 +118,24 @@ class MarketplaceCrawler:
         self.telemetry = telemetry or getattr(client, "telemetry", NULL_TELEMETRY)
         self.iteration = iteration
         self._seller_cache: Dict[str, SellerRecord] = {}
+        self._memo: Dict[tuple, object] = {} if memo is None else memo
+
+    def _extract(self, extractor, url: str, body: str):
+        """``extractor(url, body, marketplace)``, once per distinct page.
+
+        Extraction is a pure function of those three.  The stored record
+        is never handed out, because receivers mutate theirs
+        (bookkeeping, provenance); every record field is an immutable
+        scalar, so a shallow copy is independent of it.  An
+        :class:`ExtractionError` stores nothing, so a corrupted body
+        fails every time.  ``extractor`` is looked up by the caller at
+        call time, so a wrapper installed on this module sees each miss.
+        """
+        key = (extractor, self.marketplace, url, body)
+        record = self._memo.get(key)
+        if record is None:
+            record = self._memo[key] = extractor(url, body, self.marketplace)
+        return copy.copy(record)
 
     def _fail(self, report: CrawlReport, url: str, kind: str,
               detail: str = "") -> None:
@@ -235,7 +265,7 @@ class MarketplaceCrawler:
                            f"status {response.status}")
                 return None
             try:
-                record = extract_offer(offer_url, response.body, self.marketplace)
+                record = self._extract(extract_offer, offer_url, response.body)
             except ExtractionError as exc:
                 # Transient corruption (mangled or truncated body) heals
                 # on a re-fetch; a genuinely broken page fails twice.
@@ -277,7 +307,7 @@ class MarketplaceCrawler:
                        f"status {response.status}")
             return
         try:
-            record = extract_seller(seller_url, response.body, self.marketplace)
+            record = self._extract(extract_seller, seller_url, response.body)
         except ExtractionError as exc:
             self._fail(report, seller_url, "extraction_error",
                        f"{type(exc).__name__}: {exc}")
@@ -334,6 +364,9 @@ class IterationCrawl:
     disk_faults: Optional[object] = None
     #: offer URL -> (record, first_seen, last_seen)
     _tracker: Dict[str, ListingRecord] = field(default_factory=dict)
+    #: The extraction memo every iteration's crawlers share.
+    _extracted: Dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False)
     reports: List[CrawlReport] = field(default_factory=list)
     #: per-iteration active-listing counts, for Figure 2.
     active_per_iteration: List[int] = field(default_factory=list)
@@ -388,6 +421,7 @@ class IterationCrawl:
                     crawler = MarketplaceCrawler(
                         self.client, marketplace, seed,
                         telemetry=telemetry, iteration=iteration,
+                        memo=self._extracted,
                     )
                     listings, sellers, report = crawler.crawl()
                     self.reports.append(report)

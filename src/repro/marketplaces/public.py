@@ -12,6 +12,14 @@ of three themes so extraction requires per-site adaptation:
 The site is *iteration-aware*: set :attr:`current_iteration` between crawl
 rounds and only listings active at that iteration are served, which is
 what produces the Figure-2 cumulative/active dynamics.
+
+Offer and seller pages are rendered once per site and memoized by
+listing id and seller id: an offer page reads only its listing, the
+seller's name and the account's handle, all frozen once
+:class:`~repro.synthetic.world.WorldBuilder` has built the world.  The
+iteration and ``sellers_public`` checks run before the lookup, so a
+delisted offer still gets 404.  Index and landing pages change with the
+iteration; they and the payments page are rendered per request.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ class PublicMarketplaceSite(Site):
         self._sellers: Dict[str, Seller] = {
             s.seller_id: s for s in world.sellers.values() if s.marketplace == spec.name
         }
+        #: Rendered offer and seller pages, by listing id and seller id.
+        self._offer_markup: Dict[str, str] = {}
+        self._seller_markup: Dict[str, str] = {}
         self.route("GET", "/", self._landing)
         self.route("GET", "/listings", self._listing_index)
         self.route("GET", "/offer/<listing_id>", self._offer_page)
@@ -113,14 +124,18 @@ class PublicMarketplaceSite(Site):
         listing = self._by_id.get(request.path_params["listing_id"])
         if listing is None or not listing.active_at(self.current_iteration):
             return http.error_response(http.NOT_FOUND)
-        theme = self.spec.theme
-        if theme == "cards":
-            body = self._render_cards(listing)
-        elif theme == "table":
-            body = self._render_table(listing)
-        else:
-            body = self._render_dl(listing)
-        return http.html_response(render_document(document(listing.title, body)))
+        markup = self._offer_markup.get(listing.listing_id)
+        if markup is None:
+            theme = self.spec.theme
+            if theme == "cards":
+                body = self._render_cards(listing)
+            elif theme == "table":
+                body = self._render_table(listing)
+            else:
+                body = self._render_dl(listing)
+            markup = self._offer_markup[listing.listing_id] = render_document(
+                document(listing.title, body))
+        return http.html_response(markup)
 
     # -- themes ------------------------------------------------------------------
 
@@ -228,17 +243,19 @@ class PublicMarketplaceSite(Site):
         seller = self._sellers.get(request.path_params["seller_id"])
         if seller is None:
             return http.error_response(http.NOT_FOUND)
-        children = [
-            E.h1(seller.name, class_="seller-name"),
-            E.span(f"{seller.rating:.1f}", class_="seller-rating"),
-        ]
-        if seller.country:
-            children.append(E.span(seller.country, class_="seller-country"))
-        if seller.joined:
-            children.append(E.span(seller.joined.isoformat(), class_="seller-joined"))
-        return http.html_response(
-            render_document(document(f"Seller {seller.name}", *children))
-        )
+        markup = self._seller_markup.get(seller.seller_id)
+        if markup is None:
+            children = [
+                E.h1(seller.name, class_="seller-name"),
+                E.span(f"{seller.rating:.1f}", class_="seller-rating"),
+            ]
+            if seller.country:
+                children.append(E.span(seller.country, class_="seller-country"))
+            if seller.joined:
+                children.append(E.span(seller.joined.isoformat(), class_="seller-joined"))
+            markup = self._seller_markup[seller.seller_id] = render_document(
+                document(f"Seller {seller.name}", *children))
+        return http.html_response(markup)
 
     def _payments_page(self, request: Request) -> Response:
         items = [

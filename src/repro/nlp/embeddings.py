@@ -26,7 +26,7 @@ from repro.nlp.tokenize import bigrams, tokenize
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 
-#: Rows per slice when normalizing the embedding matrix.
+#: Rows per float64 slice when weighing the embedding matrix.
 _NORM_ROWS = 1024
 
 
@@ -60,7 +60,7 @@ class HashedTfidfEmbedder:
     Usage::
 
         embedder = HashedTfidfEmbedder(dims=256)
-        matrix = embedder.fit_transform(texts)   # (n_docs, dims), rows L2=1
+        matrix = embedder.fit_transform(texts)   # (n_docs, dims) float32, rows L2=1
 
     ``fit_transform`` tokenizes each document once and hashes each
     distinct feature once.
@@ -121,7 +121,8 @@ class HashedTfidfEmbedder:
         return idf
 
     def transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed documents; rows are L2-normalized (zero rows stay zero)."""
+        """Embed documents as float32 rows, L2-normalized in float64
+        (zero rows stay zero)."""
         with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
             corpus = self._encode(texts)
             if self._idf is None:
@@ -132,28 +133,31 @@ class HashedTfidfEmbedder:
 
     def _weigh(self, corpus: _Encoded, idf: List[float]) -> np.ndarray:
         hashed = [_hash_feature(feature, self.dims) for feature in corpus.vocab]
-        matrix = np.zeros((len(corpus.offsets) - 1, self.dims), dtype=np.float64)
-        for row, document in enumerate(corpus.documents()):
-            # The row is summed in Python floats, feature by feature in
-            # order of first appearance: the same float64 additions, in
-            # the same order, as updating the matrix cell by cell.
-            values = [0.0] * self.dims
-            for feature_id, count in Counter(document).items():
-                feature_idf = idf[feature_id]
-                if feature_idf == 0.0:
-                    continue
-                weight = (1.0 + math.log(count)) * feature_idf
-                index, sign = hashed[feature_id]
-                values[index] += sign * weight
-            matrix[row] = values
-        # Normalized in row slices: each row's norm is the same call on
-        # the same values, and the ``matrix * matrix`` temporary inside
-        # ``np.linalg.norm`` stays one slice big.
-        for start in range(0, len(matrix), _NORM_ROWS):
-            rows = matrix[start : start + _NORM_ROWS]
+        n_docs = len(corpus.offsets) - 1
+        matrix = np.empty((n_docs, self.dims), dtype=np.float32)
+        documents = corpus.documents()
+        # Weighed and normalized in float64, one row slice at a time, then
+        # stored as float32: only the result and one slice are held.
+        for start in range(0, n_docs, _NORM_ROWS):
+            rows = np.zeros((min(_NORM_ROWS, n_docs - start), self.dims))
+            for row, document in zip(range(len(rows)), documents):
+                # The row is summed in Python floats, feature by feature
+                # in order of first appearance: the same float64
+                # additions, in the same order, as updating the matrix
+                # cell by cell.
+                values = [0.0] * self.dims
+                for feature_id, count in Counter(document).items():
+                    feature_idf = idf[feature_id]
+                    if feature_idf == 0.0:
+                        continue
+                    weight = (1.0 + math.log(count)) * feature_idf
+                    index, sign = hashed[feature_id]
+                    values[index] += sign * weight
+                rows[row] = values
             norms = np.linalg.norm(rows, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
             rows /= norms
+            matrix[start : start + len(rows)] = rows
         return matrix
 
     def fit_transform(self, texts: Sequence[str]) -> np.ndarray:

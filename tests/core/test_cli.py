@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -124,6 +125,75 @@ class TestUnusableInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, captured.err
+
+
+#: Output paths a command cannot write.  DIR is an existing directory,
+#: FILE an existing regular file, MISSING a path that does not exist.
+_SMALL_STUDY = ["--scale", "0.01", "--iterations", "1"]
+UNWRITABLE_OUTPUT_ARGV = {
+    "run-out": ["run", *_SMALL_STUDY, "--out", "FILE"],
+    "run-telemetry-out": ["run", *_SMALL_STUDY, "--out", "MISSING/run",
+                          "--telemetry-out", "FILE/telemetry"],
+    "run-archive-dir": ["run", *_SMALL_STUDY, "--out", "MISSING/run",
+                        "--archive-dir", "FILE"],
+    "run-checkpoint-dir": ["run", *_SMALL_STUDY, "--out", "MISSING/run",
+                           "--checkpoint-dir", "FILE"],
+    "tables-telemetry-out": ["tables", *_SMALL_STUDY,
+                             "--telemetry-out", "FILE"],
+    "replay-out": ["replay", "MISSING", "--out", "FILE"],
+    "serve-build-out": ["serve", "build", "RUN", "--out", "FILE"],
+    "monitor-state-dir": ["monitor", "run", "--cycles", "1",
+                          "--state-dir", "FILE"],
+    "health-out": ["health", "TEL", "--out", "MISSING/health.html"],
+    "runs-trends-html": ["runs", "trends", "--registry", "REG",
+                         "--html", "MISSING/fleet.html"],
+    "runs-alerts-out": ["runs", "alerts", "--registry", "REG",
+                        "--out", "FILE/alerts.json"],
+    "figures-out": ["figures", "RUN", "--out", "FILE"],
+    "bench-out": ["bench", "--out", "FILE/bench.json"],
+    "bench-profile-out": ["bench", "--profile-out", "DIR"],
+    "serve-bench-out": ["serve", "bench", "CAT", "--out", "FILE/serve.json"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("outputs")
+        paths = {name: str(root / name.lower())
+                 for name in ("RUN", "TEL", "REG", "CAT", "DIR", "MISSING")}
+        assert main(["run", "--scale", "0.01", "--iterations", "1",
+                     "--seed", "7", "--no-underground",
+                     "--out", paths["RUN"], "--telemetry-out", paths["TEL"]]) == 0
+        assert main(["runs", "ingest", paths["TEL"],
+                     "--registry", paths["REG"]]) == 0
+        assert main(["serve", "build", paths["RUN"], "--out", paths["CAT"]]) == 0
+        os.makedirs(paths["DIR"])
+        paths["FILE"] = str(root / "file")
+        with open(paths["FILE"], "w") as handle:
+            handle.write("not a directory\n")
+        return paths
+
+    @pytest.mark.parametrize("name", sorted(UNWRITABLE_OUTPUT_ARGV))
+    def test_unwritable_output_exits_two_in_one_line(self, paths, capsys,
+                                                     monkeypatch, name):
+        def refused_first(*args, **kwargs):
+            raise AssertionError("the work ran before its output was checked")
+
+        for work in ("Study", "run_replay", "build_catalog", "run_bench",
+                     "run_serve_bench", "MonitorDaemon"):
+            monkeypatch.setattr(cli, work, refused_first)
+        argv = []
+        for arg in UNWRITABLE_OUTPUT_ARGV[name]:
+            head, _, tail = arg.partition("/")
+            argv.append(os.path.join(paths[head], tail) if tail
+                        else paths.get(arg, arg))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert argv[-1] in err
+        assert "Traceback" not in err
 
 
 class TestContractsFlags:

@@ -1,8 +1,15 @@
 """Tests for the marketplace crawler and the iteration scheduler."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core import Study, StudyConfig
+from repro.core.dataset import PROVENANCE_COMPLETE, add_provenance
+from repro.crawler import crawler as crawler_module
 from repro.crawler.crawler import IterationCrawl, MarketplaceCrawler
+from repro.crawler.extractor import ExtractionError
+from repro.faults.injector import _mangle
 from repro.marketplaces.public import PublicMarketplaceSite
 from repro.marketplaces.registry import MARKETPLACES
 from repro.synthetic import WorldBuilder, WorldConfig
@@ -140,3 +147,146 @@ class TestIterationCrawl:
             assert record.last_seen_iteration < world.iterations
         late = [r for r in dataset.listings if r.first_seen_iteration > 0]
         assert late  # replenishment means some listings appear later
+
+
+def _count_extractions(monkeypatch):
+    """Wrap the crawler's two memoized extractors; returns a Counter of
+    ``(extractor name, url, body)`` per call that reached them."""
+    calls = Counter()
+    for name in ("extract_offer", "extract_seller"):
+        original = getattr(crawler_module, name)
+
+        def counted(url, body, marketplace, _name=name, _original=original):
+            calls[(_name, url, body)] += 1
+            return _original(url, body, marketplace)
+
+        monkeypatch.setattr(crawler_module, name, counted)
+    return calls
+
+
+class TestExtractionMemo:
+    """A re-visited page is fetched every time but extracted once."""
+
+    def _two_iteration_crawl(self, deployment, monkeypatch):
+        """Crawl iterations 0 and 1 with a fresh client; returns the
+        crawl, every GET as ``(iteration, url, body)``, each iteration's
+        ``Site.request_count`` growth by marketplace, and the extractor
+        calls."""
+        _world, net, sites, _client = deployment
+        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        for site in sites.values():
+            client.get(f"http://{site.host}/")  # robots.txt, before the crawl
+        fetched = []
+        request_counts = []  # Site.request_count at each iteration's start
+        get = client.get
+
+        def recording_get(url, **params):
+            response = get(url, **params)
+            fetched.append((len(request_counts) - 1, url, response.body))
+            return response
+
+        def set_iteration(i):
+            request_counts.append(
+                {name: site.request_count for name, site in sites.items()})
+            for site in sites.values():
+                site.current_iteration = i
+
+        monkeypatch.setattr(client, "get", recording_get)
+        calls = _count_extractions(monkeypatch)
+        crawl = IterationCrawl(
+            client=client,
+            seed_urls={
+                name: f"http://{site.host}/listings" for name, site in sites.items()
+            },
+            set_iteration=set_iteration,
+            iterations=2,
+        )
+        crawl.run()
+        request_counts.append(
+            {name: site.request_count for name, site in sites.items()})
+        requests = [
+            {name: after[name] - before[name] for name in after}
+            for before, after in zip(request_counts, request_counts[1:])
+        ]
+        return crawl, fetched, requests, calls
+
+    def test_each_distinct_page_extracted_once(self, deployment, monkeypatch):
+        _crawl, fetched, _requests, calls = self._two_iteration_crawl(
+            deployment, monkeypatch)
+        visits = [
+            ("extract_offer" if "/offer/" in url else "extract_seller", url, body)
+            for _i, url, body in fetched
+            if "/offer/" in url or "/seller/" in url
+        ]
+        assert len(set(visits)) < len(visits)  # iteration 1 re-opens pages
+        assert set(calls) == set(visits)
+        assert set(calls.values()) == {1}
+
+    def test_every_page_still_requested(self, deployment, monkeypatch):
+        _world, _net, sites, _client = deployment
+        crawl, fetched, requests, _calls = self._two_iteration_crawl(
+            deployment, monkeypatch)
+        for iteration in (0, 1):
+            for name, site in sites.items():
+                site.current_iteration = iteration
+                active = site.active_listings()
+                prefix = f"http://{site.host}/"
+                urls = [url for i, url, _ in fetched
+                        if i == iteration and url.startswith(prefix)]
+                offers = {f"{prefix}offer/{l.listing_id}" for l in active}
+                sellers = {f"{prefix}seller/{l.seller_id}"
+                           for l in active
+                           if site.spec.sellers_public and l.seller_id}
+                assert {u for u in urls if "/offer/" in u} == offers
+                assert {u for u in urls if "/seller/" in u} == sellers
+                assert requests[iteration][name] == len(urls)
+        assert crawl.active_per_iteration[1] > 0
+
+    def test_hit_is_an_independent_copy(self, deployment):
+        world, _net, sites, client = deployment
+        site = sites["Accsmarket"]
+        site.current_iteration = world.iterations - 1
+        memo = {}
+        seed = f"http://{site.host}/listings"
+        first, first_sellers, _ = MarketplaceCrawler(
+            client, "Accsmarket", seed, memo=memo).crawl()
+        second, second_sellers, _ = MarketplaceCrawler(
+            client, "Accsmarket", seed, memo=memo).crawl()
+        assert first and first_sellers
+        for a, b in zip(first + first_sellers, second + second_sellers):
+            assert a == b
+            assert a is not b
+        for record in first:
+            add_provenance(record, "partial:test")
+        third, _, _ = MarketplaceCrawler(
+            client, "Accsmarket", seed, memo=memo).crawl()
+        assert [r.provenance for r in third] == \
+            [PROVENANCE_COMPLETE] * len(third)
+
+    def test_mangled_body_is_extracted_afresh(self, deployment, monkeypatch):
+        world, _net, sites, client = deployment
+        site = sites["Accsmarket"]
+        site.current_iteration = world.iterations - 1
+        url = f"http://{site.host}/offer/{site.active_listings()[0].listing_id}"
+        body = client.get(url).body
+        crawler = MarketplaceCrawler(client, "Accsmarket",
+                                     f"http://{site.host}/listings")
+        calls = _count_extractions(monkeypatch)
+        crawler._extract(crawler_module.extract_offer, url, body)
+        mangled = _mangle(body)
+        assert mangled != body
+        for _ in range(2):
+            with pytest.raises(ExtractionError):
+                crawler._extract(crawler_module.extract_offer, url, mangled)
+        assert calls[("extract_offer", url, body)] == 1
+        assert calls[("extract_offer", url, mangled)] == 2
+
+    def test_memo_does_not_outlive_its_study(self, monkeypatch):
+        calls = _count_extractions(monkeypatch)
+        totals = []
+        for _ in range(2):
+            calls.clear()
+            Study(StudyConfig(seed=99, scale=0.01, iterations=2)).run()
+            totals.append(sum(calls.values()))
+        assert totals[0] > 0
+        assert totals[0] == totals[1]

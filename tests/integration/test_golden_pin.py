@@ -10,7 +10,11 @@ and what the commands that read it print, to literals:
 - the telemetry dir's ``scorecard.json`` covers the fidelity scorecard;
 - ``repro report`` stdout covers every rendered table and figure;
 - ``catalog.json`` from ``repro serve build`` carries the catalog's
-  ``db_sha256``, so it covers ``catalog.db`` too.
+  ``db_sha256``, so it covers ``catalog.db`` too;
+- ``profile.json`` (the run is profiled) through ``deterministic_view``,
+  which drops its wall, throughput, memory and env fields;
+- ``repro trace --json`` with the machine-dependent keys dropped at any
+  depth (``TRACE_MACHINE_KEYS``).
 
 The run goes through ``cli.main`` so the store is saved under the run's
 own chaos profile, disk faults included.
@@ -20,11 +24,13 @@ here and names the moved output and the reason in CHANGES.md.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.obs.prof import MACHINE_KEYS, deterministic_view
 
 STORE_MANIFEST_SHA256 = {
     "off": "7f186465e4d1b3975d23edbf084fe396acaea00830c300ba201ce799aeb9d889",
@@ -42,11 +48,41 @@ CATALOG_MANIFEST_SHA256 = {
     "off": "36c9dd8462cf75794a521e93e83c874d55efb88300fd1c024e710c1e9d7256b7",
     "moderate": "a45f50fcd5b5a866a50d34130821cb4b39e6667a4e4ae58b55f14aadb4a3dd0a",
 }
+PROFILE_SHA256 = {
+    "off": "5366a152addb3583522af52ceebd895a368ad6517167f5ed2ca794db8a764855",
+    "moderate": "30ce3ef0c328b039c3a30fc31756422fb75e561b14125270edc76230c6fc4e71",
+}
+TRACE_SHA256 = {
+    "off": "db0e630c144634e1a1c733f8ba3cda77af29be12500d4bc18fe8009059a65095",
+    "moderate": "e482f1148e7356b760c10cbaf0acce2b4efabf0fcdbd098a7e74ef0ad98094cc",
+}
+
+#: ``trace --json`` keys that differ between machines or checkouts: the
+#: profile's machine fields, the telemetry dir's path, the commit, the
+#: Python release, and the two memory totals the document flattens.
+TRACE_MACHINE_KEYS = MACHINE_KEYS | {
+    "path", "git", "python", "rss_max_kb", "tracemalloc_peak_bytes",
+}
 
 
 def _file_sha256(*parts: str) -> str:
     with open(os.path.join(*parts), "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _json_sha256(document) -> str:
+    text = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _strip(node, keys):
+    """``node`` without the dict entries named in ``keys``, at any depth."""
+    if isinstance(node, dict):
+        return {key: _strip(value, keys) for key, value in node.items()
+                if key not in keys}
+    if isinstance(node, list):
+        return [_strip(item, keys) for item in node]
+    return node
 
 
 @pytest.fixture(scope="module", params=sorted(STORE_MANIFEST_SHA256))
@@ -57,7 +93,7 @@ def pinned_run(request, tmp_path_factory):
     out, telemetry = str(root / "run"), str(root / "telemetry")
     assert main(["run", "--seed", "99", "--scale", "0.01", "--iterations", "2",
                  "--chaos", chaos, "--out", out,
-                 "--telemetry-out", telemetry]) == 0
+                 "--telemetry-out", telemetry, "--profile"]) == 0
     return chaos, out, telemetry
 
 
@@ -85,3 +121,19 @@ def test_catalog_manifest_is_pinned(pinned_run, tmp_path):
     assert main(["serve", "build", out, "--out", catalog]) == 0
     assert _file_sha256(catalog, "catalog.json") == \
         CATALOG_MANIFEST_SHA256[chaos]
+
+
+def test_profile_is_pinned(pinned_run):
+    chaos, _, telemetry = pinned_run
+    with open(os.path.join(telemetry, "profile.json")) as handle:
+        profile = json.load(handle)
+    assert _json_sha256(deterministic_view(profile)) == PROFILE_SHA256[chaos]
+
+
+def test_trace_document_is_pinned(pinned_run, capsys):
+    chaos, _, telemetry = pinned_run
+    capsys.readouterr()
+    assert main(["trace", "--json", telemetry]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert _json_sha256(_strip(document, TRACE_MACHINE_KEYS)) == \
+        TRACE_SHA256[chaos]

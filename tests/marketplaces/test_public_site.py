@@ -1,5 +1,7 @@
 """Tests for the public marketplace sites and registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.marketplaces.registry import MARKETPLACES, market_host, seed_urls
@@ -176,3 +178,59 @@ class TestIterationAwareness:
         at2 = len(site.active_listings())
         assert at0 != at2 or at0 > 0
         site.current_iteration = 0
+
+
+class TestRenderMemo:
+    """Offer and seller pages are rendered once per site, and served
+    only when the site would serve a freshly rendered one."""
+
+    def test_memoized_offer_pages_match_fresh_renders(self, deployed):
+        world, sites, client = deployed
+        for iteration in range(world.iterations):
+            fresh_net = Internet()
+            for name, spec in MARKETPLACES.items():
+                fresh_site = PublicMarketplaceSite(spec, world, clock=fresh_net.clock)
+                fresh_site.current_iteration = iteration
+                fresh_net.register(fresh_site)
+                sites[name].current_iteration = iteration
+            fresh_client = HttpClient(fresh_net, ClientConfig(per_host_delay_seconds=0.0))
+            for name, spec in MARKETPLACES.items():
+                for listing in world.listings_for_market(name):
+                    url = f"http://{spec.host}/offer/{listing.listing_id}"
+                    memoized, fresh = client.get(url), fresh_client.get(url)
+                    assert memoized.status == fresh.status
+                    assert memoized.body == fresh.body
+        for site in sites.values():
+            site.current_iteration = 0
+
+    def test_memoized_offer_404s_once_delisted(self, deployed):
+        world, sites, client = deployed
+        site = sites["Z2U"]
+        delisted = next(
+            l for l in world.listings_for_market("Z2U")
+            if l.delisted_iteration is not None
+        )
+        url = f"http://{site.host}/offer/{delisted.listing_id}"
+        site.current_iteration = delisted.listed_iteration
+        first = client.get(url)
+        assert first.ok and client.get(url).body == first.body
+        site.current_iteration = delisted.delisted_iteration
+        assert client.get(url).status == 404
+        site.current_iteration = 0
+
+    def test_hidden_market_seller_pages_stay_404(self, deployed):
+        # Hidden markets have no sellers in the world, so hide the
+        # sellers of a public one: each must 404, also when asked twice.
+        world, _sites, _client = deployed
+        spec = dataclasses.replace(MARKETPLACES["Accsmarket"],
+                                   sellers_public=False)
+        net = Internet()
+        net.register(PublicMarketplaceSite(spec, world, clock=net.clock))
+        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        sellers = [s for s in world.sellers.values()
+                   if s.marketplace == spec.name]
+        assert sellers
+        for seller in sellers:
+            for _ in range(2):
+                assert client.get(
+                    f"http://{spec.host}/seller/{seller.seller_id}").status == 404

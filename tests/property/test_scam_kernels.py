@@ -236,7 +236,9 @@ def reference_transform(self, texts: Sequence[str]) -> np.ndarray:
                 matrix[row, index] += sign * weight
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        return matrix / norms
+        # The stage clusters float32: the loop's float64 result is cast
+        # once, at the end.
+        return (matrix / norms).astype(np.float32)
 
 
 def reference_fit_transform(self, texts: Sequence[str]) -> np.ndarray:
@@ -503,16 +505,18 @@ class TestEmbeddingKernel:
     @settings(max_examples=150, deadline=None)
     def test_fit_transform_matches_reference(self, embedder, texts):
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.fit_transform(texts),
-                              reference_fit_transform(reference, texts))
+        matrix = embedder.fit_transform(texts)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, reference_fit_transform(reference, texts))
         assert embedder._idf == reference._idf
 
     @given(_embedder, _corpus)
     @settings(max_examples=100, deadline=None)
     def test_transform_without_fit_matches_reference(self, embedder, texts):
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.transform(texts),
-                              reference_transform(reference, texts))
+        matrix = embedder.transform(texts)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, reference_transform(reference, texts))
 
     @pytest.mark.parametrize("dims", [8, 13])
     def test_colliding_features_add_in_document_order(self, dims):
@@ -526,8 +530,9 @@ class TestEmbeddingKernel:
                  for _ in range(300)]
         embedder = HashedTfidfEmbedder(dims=dims)
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.fit_transform(texts),
-                              reference_fit_transform(reference, texts))
+        matrix = embedder.fit_transform(texts)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, reference_fit_transform(reference, texts))
 
     @given(_embedder, _corpus, _corpus)
     @settings(max_examples=100, deadline=None)
@@ -536,8 +541,9 @@ class TestEmbeddingKernel:
         embedder.fit(fit_on)
         reference_fit(reference, fit_on)
         assert embedder._idf == reference._idf
-        assert np.array_equal(embedder.transform(texts),
-                              reference_transform(reference, texts))
+        matrix = embedder.transform(texts)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, reference_transform(reference, texts))
 
     def test_matrix_past_one_slice(self):
         # Rows are normalized in 1024-row slices; 2,600 documents end on
@@ -548,11 +554,19 @@ class TestEmbeddingKernel:
                  for _ in range(2_600)]
         embedder = HashedTfidfEmbedder()
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.fit_transform(texts),
-                              reference_fit_transform(reference, texts))
+        matrix = embedder.fit_transform(texts)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, reference_fit_transform(reference, texts))
 
 
 # -- transient memory -----------------------------------------------------------------------
+
+
+def _clusterer_input(texts: Sequence[str]) -> np.ndarray:
+    """The float32 matrix the scam-post stage clusters (the cast is a
+    no-op on a float32 embedding and a whole copy on a float64 one)."""
+    return HashedTfidfEmbedder(dims=192).fit_transform(texts).astype(
+        np.float32, copy=False)
 
 
 def _traced_peak(function, *args):
@@ -571,18 +585,18 @@ class TestTransientMemory:
     """The kernels' temporaries stay a slice big, not an input big.
 
     Each bound sits between the two measured peaks on its input:
-    whole-array temporaries (2.0x the output for the embedder and the
-    assignment, 1.0x the points for seeding) and row slices (1.18x,
-    1.26x, 0.13x).
+    whole-array temporaries (3.0x the float32 output for a float64
+    embedding cast to float32, 2.0x the output for the assignment, 1.0x
+    the points for seeding) and row slices (1.71x, 1.26x, 0.13x).
     """
 
     def test_embedder_peak(self):
         rng = np.random.default_rng(7)
         words = [f"w{i}" for i in range(3_000)]
         texts = [" ".join(rng.choice(words, size=12)) for _ in range(6_000)]
-        matrix, peak = _traced_peak(HashedTfidfEmbedder(dims=192).fit_transform,
-                                    texts)
-        assert peak < 1.5 * matrix.nbytes
+        matrix, peak = _traced_peak(_clusterer_input, texts)
+        assert matrix.dtype == np.float32
+        assert peak < 2.0 * matrix.nbytes
 
     def test_assignment_peak(self):
         rng = np.random.default_rng(7)
