@@ -23,8 +23,10 @@ def _vet(texts, labels):
 
 def test_ablation_clustering_refinement(benchmark, bench_study):
     detector = LanguageDetector()
-    english = [p for p in bench_study.dataset.posts if detector.is_english(p.text)]
-    texts = [p.text for p in english]
+    posts = bench_study.dataset.posts
+    texts = [p.text for p, lang in
+             zip(posts, detector.detect_all([p.text for p in posts]))
+             if lang == "en"]
     matrix = HashedTfidfEmbedder(dims=192).fit_transform(texts)
     paper_subtypes = {
         subtype for subtypes in cal.SCAM_TAXONOMY.values() for subtype in subtypes

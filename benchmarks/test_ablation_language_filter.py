@@ -17,7 +17,8 @@ def test_ablation_language_filter(benchmark, bench_study):
     detector = LanguageDetector()
 
     def run_filter():
-        return sum(1 for p in dataset.posts if detector.is_english(p.text))
+        languages = detector.detect_all([p.text for p in dataset.posts])
+        return languages.count("en")
 
     english_count = benchmark.pedantic(run_filter, rounds=1, iterations=1)
     non_english = len(dataset.posts) - english_count

@@ -19,9 +19,12 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.core.dataset import PostRecord
 
 #: Bare domains as they appear in post text (scam lures rarely bother
-#: with a scheme), plus full URLs.
+#: with a scheme), plus full URLs.  No match starts right after a letter
+#: or digit: such a start follows a failed start in the same word (and
+#: fails the same way) or a match (which would have run on through it),
+#: so the anchor spares the engine those retries and changes no domain.
 _DOMAIN_RE = re.compile(
-    r"(?:https?://)?((?:[a-z0-9][a-z0-9-]*\.)+"
+    r"(?<![a-z0-9])(?:https?://)?((?:[a-z0-9][a-z0-9-]*\.)+"
     r"(?:example|com|net|io|org|xyz|link|onion))(?:/\S*)?",
     re.IGNORECASE,
 )

@@ -219,7 +219,8 @@ class ScamPostAnalysis:
         config = self.config
         tracer = self.telemetry.tracer
         with tracer.span("nlp.language_filter", n_posts=len(posts)):
-            english = [p for p in posts if self._detector.is_english(p.text)]
+            languages = self._detector.detect_all([p.text for p in posts])
+            english = [p for p, lang in zip(posts, languages) if lang == "en"]
         texts = [p.text for p in english]
         if not texts:
             return ScamReport(

@@ -132,15 +132,11 @@ class DBSCAN:
         return labels
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding.
-
-    The points' squared norms are the same at every step, so they are
-    computed once.
-    """
+def _kmeans_pp_init(points: np.ndarray, point_norms: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding; ``point_norms`` is ``_row_sq_norms(points)``."""
     n = len(points)
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
-    point_norms = _row_sq_norms(points)
     first = rng.integers(0, n)
     centers[0] = points[first]
     closest = _pairwise_sq_dists(points, centers[0:1], point_norms).ravel()
@@ -157,9 +153,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _assign_blockwise(points: np.ndarray, centers: np.ndarray,
-                      block_size: int = 8192) -> np.ndarray:
-    """argmin-distance assignment computed in row blocks (memory-bounded).
+def _assign_blockwise(points: np.ndarray, point_norms: np.ndarray,
+                      centers: np.ndarray, block_size: int = 8192) -> np.ndarray:
+    """argmin-distance assignment computed in row blocks (memory-bounded);
+    ``point_norms`` is ``_row_sq_norms(points)``.
 
     Each block's products come from one ``block @ centers.T``, so BLAS
     sees the same shapes whatever the slicing below; the distances and
@@ -172,12 +169,11 @@ def _assign_blockwise(points: np.ndarray, centers: np.ndarray,
         block = points[start : start + block_size]
         cross = block @ centers.T
         for offset in range(0, len(block), _SLICE_ROWS):
-            rows = block[offset : offset + _SLICE_ROWS]
+            first = start + offset
+            last = min(first + _SLICE_ROWS, start + len(block))
             d2 = _sq_dists_from_cross(cross[offset : offset + _SLICE_ROWS],
-                                      (rows * rows).sum(axis=1)[:, None],
-                                      center_norms)
-            assignments[start + offset : start + offset + len(rows)] = (
-                d2.argmin(axis=1))
+                                      point_norms[first:last], center_norms)
+            assignments[first:last] = d2.argmin(axis=1)
         # Freed before the next block's products are computed.
         del cross
     return assignments
@@ -193,16 +189,20 @@ def kmeans(points: np.ndarray, k: int, iterations: int = 25,
     n = len(points)
     k = min(k, n)
     rng = np.random.default_rng(seed)
+    # Each row's squared norm is one reduction over the same values
+    # wherever it is taken, so it is taken once, for seeding and for
+    # every assignment.
+    point_norms = _row_sq_norms(points)
     # Seed k-means++ on a sample for large corpora: the seeding pass is
     # O(n*k) distance evaluations and the sample preserves density.
     if n > 50_000:
-        sample = points[rng.choice(n, size=20_000, replace=False)]
-        centers = _kmeans_pp_init(sample, k, rng)
+        sample = rng.choice(n, size=20_000, replace=False)
+        centers = _kmeans_pp_init(points[sample], point_norms[sample], k, rng)
     else:
-        centers = _kmeans_pp_init(points, k, rng)
+        centers = _kmeans_pp_init(points, point_norms, k, rng)
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(iterations):
-        new_assignments = _assign_blockwise(points, centers)
+        new_assignments = _assign_blockwise(points, point_norms, centers)
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break

@@ -16,27 +16,32 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from collections import Counter, defaultdict
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from collections import defaultdict
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nlp.stopwords import remove_stopwords
 from repro.nlp.tokenize import bigrams, tokenize
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.util.stats import first_occurrence_counts
 
 
-#: Rows per float64 slice when weighing the embedding matrix.
+#: Documents per slice when counting and weighing features (a weighed
+#: slice is float64).
 _NORM_ROWS = 1024
 
 
-def _hash_feature(feature: str, dims: int) -> tuple:
-    """Stable (index, sign) for a feature string."""
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
-    value = int.from_bytes(digest, "big")
-    index = value % dims
-    sign = 1.0 if (value >> 63) & 1 else -1.0
-    return index, sign
+def _hash_features(features: Sequence[str], dims: int) -> Tuple[
+        np.ndarray, np.ndarray]:
+    """Stable (index, sign) arrays for feature strings: each feature's
+    8-byte BLAKE2b digest as a big-endian integer, modulo ``dims``, and
+    +1.0 when its top bit is set, -1.0 when not."""
+    values = np.fromiter(
+        (int.from_bytes(hashlib.blake2b(feature.encode("utf-8"),
+                                        digest_size=8).digest(), "big")
+         for feature in features), dtype=np.uint64, count=len(features))
+    return (values % dims).astype(np.int64), np.where(values >> 63, 1.0, -1.0)
 
 
 class _Encoded(NamedTuple):
@@ -48,10 +53,19 @@ class _Encoded(NamedTuple):
     ids: array
     offsets: List[int]
 
-    def documents(self):
-        ids = self.ids
-        for start, end in zip(self.offsets, self.offsets[1:]):
-            yield ids[start:end]
+    def distinct_features(self, start: int, stop: int) -> Tuple[
+            np.ndarray, np.ndarray, np.ndarray]:
+        """Documents ``start:stop``'s distinct features and their counts,
+        as ``(row, feature id, count)`` arrays: row ``r`` is document
+        ``start + r``, and each row's features come in order of first
+        appearance (the order of a ``Counter`` over the document)."""
+        ids = np.frombuffer(self.ids, dtype=np.intc)[
+            self.offsets[start] : self.offsets[stop]]
+        rows = np.repeat(np.arange(stop - start, dtype=np.int64),
+                         np.diff(self.offsets[start : stop + 1]))
+        width = max(1, len(self.vocab))
+        keys, counts = first_occurrence_counts(rows * width + ids)
+        return keys // width, keys % width, counts
 
 
 class HashedTfidfEmbedder:
@@ -107,14 +121,17 @@ class HashedTfidfEmbedder:
 
     def _fit(self, corpus: _Encoded) -> List[float]:
         """Set the IDF weights; returns them by feature id."""
-        doc_freq: Counter = Counter()
-        for document in corpus.documents():
-            doc_freq.update(set(document))
-        n_docs = max(1, len(corpus.offsets) - 1)
+        n_rows = len(corpus.offsets) - 1
+        doc_freq = np.zeros(len(corpus.vocab), dtype=np.int64)
+        for start in range(0, n_rows, _NORM_ROWS):
+            _, feature_ids, _ = corpus.distinct_features(
+                start, min(start + _NORM_ROWS, n_rows))
+            doc_freq += np.bincount(feature_ids, minlength=len(corpus.vocab))
+        n_docs = max(1, n_rows)
         idf = [0.0] * len(corpus.vocab)
         self._idf = {}
-        for feature, feature_id in corpus.vocab.items():
-            df = doc_freq[feature_id]
+        for (feature, feature_id), df in zip(corpus.vocab.items(),
+                                             doc_freq.tolist()):
             if df >= self.min_df:
                 idf[feature_id] = self._idf[feature] = (
                     math.log((1 + n_docs) / (1 + df)) + 1.0)
@@ -132,33 +149,41 @@ class HashedTfidfEmbedder:
             return self._weigh(corpus, idf)
 
     def _weigh(self, corpus: _Encoded, idf: List[float]) -> np.ndarray:
-        hashed = [_hash_feature(feature, self.dims) for feature in corpus.vocab]
-        n_docs = len(corpus.offsets) - 1
-        matrix = np.empty((n_docs, self.dims), dtype=np.float32)
-        documents = corpus.documents()
+        matrix = np.empty((len(corpus.offsets) - 1, self.dims), dtype=np.float32)
         # Weighed and normalized in float64, one row slice at a time, then
         # stored as float32: only the result and one slice are held.
+        for start, rows in self._weighed_slices(corpus, idf):
+            matrix[start : start + len(rows)] = rows
+            # Freed before the next slice is weighed.
+            del rows
+        return matrix
+
+    def _weighed_slices(self, corpus: _Encoded, idf: List[float]
+                        ) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(start, rows)`` for each slice of ``_NORM_ROWS`` documents:
+        their float64 rows, L2-normalized (zero rows stay zero)."""
+        index, sign = _hash_features(corpus.vocab, self.dims)
+        feature_idf = np.array(idf, dtype=np.float64)
+        n_docs = len(corpus.offsets) - 1
         for start in range(0, n_docs, _NORM_ROWS):
-            rows = np.zeros((min(_NORM_ROWS, n_docs - start), self.dims))
-            for row, document in zip(range(len(rows)), documents):
-                # The row is summed in Python floats, feature by feature
-                # in order of first appearance: the same float64
-                # additions, in the same order, as updating the matrix
-                # cell by cell.
-                values = [0.0] * self.dims
-                for feature_id, count in Counter(document).items():
-                    feature_idf = idf[feature_id]
-                    if feature_idf == 0.0:
-                        continue
-                    weight = (1.0 + math.log(count)) * feature_idf
-                    index, sign = hashed[feature_id]
-                    values[index] += sign * weight
-                rows[row] = values
+            stop = min(start + _NORM_ROWS, n_docs)
+            row, feature, count = corpus.distinct_features(start, stop)
+            kept = feature_idf[feature] != 0.0
+            row, feature, count = row[kept], feature[kept], count[kept]
+            # 1 + ln(count) by ``math.log``: numpy's vectorized log is not
+            # promised to round like libm's.
+            log_tf = np.array([0.0] + [1.0 + math.log(c) for c in
+                                       range(1, int(count.max(initial=0)) + 1)])
+            rows = np.zeros((stop - start, self.dims))
+            # ``np.add.at`` adds each cell's values one at a time, row by
+            # row and in order of first appearance within a row: the
+            # float64 additions, in order, of a per-feature loop.
+            np.add.at(rows.ravel(), row * self.dims + index[feature],
+                      sign[feature] * (log_tf[count] * feature_idf[feature]))
             norms = np.linalg.norm(rows, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
             rows /= norms
-            matrix[start : start + len(rows)] = rows
-        return matrix
+            yield start, rows
 
     def fit_transform(self, texts: Sequence[str]) -> np.ndarray:
         with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(texts)):

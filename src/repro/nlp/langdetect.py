@@ -11,15 +11,20 @@ joined by single spaces, so each is a letter unigram (``" x "``) or a
 letter bigram (``"x y"``); digits, punctuation and word boundaries are
 dropped.  True character trigrams would move every English share and
 every table downstream of the filter, so the features stay as they are.
+
+Documents are scored as arrays, a chunk of ``_CHUNK_DOCS`` at a time:
+gram ids come from code points, and every float is made by the same
+IEEE operations in the same order as a per-gram loop over each document.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from itertools import repeat
-from operator import add, mul
-from typing import Dict, List, Optional, Tuple
+import re
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.util.stats import first_occurrence_counts
 
 _SEED_TEXT: Dict[str, str] = {
     "en": (
@@ -86,10 +91,15 @@ _SEED_TEXT: Dict[str, str] = {
     ),
 }
 
-
-import re
-
 _SOCIAL_TOKEN_RE = re.compile(r"(?:https?://\S+|[#@]\w+)")
+
+#: Documents scored per pass of the array kernel.
+_CHUNK_DOCS = 256
+#: A letter's gram id is its code point (below ``1 << _POINT_BITS``); a
+#: letter pair's is ``(first + 1) << _POINT_BITS | second``.
+_POINT_BITS = 21
+#: A (document, gram) key is ``document << _GRAM_BITS | gram``.
+_GRAM_BITS = 2 * _POINT_BITS + 1
 
 
 class _DropNonLetters(dict):
@@ -102,30 +112,42 @@ class _DropNonLetters(dict):
         return kept
 
 
-def _letter_grams(text: str, letters_only: _DropNonLetters) -> Counter:
-    """The document's n-gram counts, in first-occurrence order.
+def _gram_counts(letters: Sequence[str]) -> Tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """Each document's distinct grams and their counts, as ``(doc, gram,
+    count)`` arrays: document by document, each in order of first
+    occurrence (the order of a ``Counter`` over its grams).
 
-    The n-grams are the three-character windows of the letters joined by
-    single spaces and padded with one space each side: ``"ab c"`` gives
-    ``" a "``, ``"a b"``, ``" b "``, ``"b c"``, ``" c "``.  Each window is
-    keyed by its letters alone (``"a"``, ``"ab"``, ``"b"``, ``"bc"``,
-    ``"c"``), which names it just as well and is cheaper to build.
+    A document's grams are the three-character windows of its letters
+    joined by single spaces and padded with one space each side:
+    ``"ab c"`` gives ``" a "``, ``"a b"``, ``" b "``, ``"b c"``,
+    ``" c "``, that is a letter and a pair of adjacent letters in turn.
     """
-    # Hashtags, mentions, and URLs carry no language signal and skew the
-    # n-gram profile (a "#motivation #motivationdaily" soup reads as
-    # Romance-language text); strip them first, like CLD2 pipelines do.
-    letters = _SOCIAL_TOKEN_RE.sub(" ", text.lower()).translate(letters_only)
-    grams = [""] * (2 * len(letters) - 1)  # empty when there are no letters
-    grams[0::2] = letters
-    grams[1::2] = map(add, letters, letters[1:])
-    return Counter(grams)
+    lengths = np.fromiter(map(len, letters), dtype=np.int64,
+                          count=len(letters))
+    points = np.frombuffer("".join(letters).encode("utf-32-le"),
+                           dtype="<u4").astype(np.int64)
+    grams = np.empty(2 * len(points), dtype=np.int64)
+    grams[0::2] = points
+    grams[1:-1:2] = (points[:-1] + 1) << _POINT_BITS | points[1:]
+    doc = np.repeat(np.arange(len(letters), dtype=np.int64), 2 * lengths)
+    # A document's last letter starts no pair: drop the window that would
+    # pair it with the next document's first letter.
+    ends = np.cumsum(lengths)[lengths > 0]
+    keep = np.ones(len(grams), dtype=bool)
+    keep[2 * ends - 1] = False
+    keys, counts = first_occurrence_counts(
+        doc[keep] << _GRAM_BITS | grams[keep])
+    return keys >> _GRAM_BITS, keys & ((1 << _GRAM_BITS) - 1), counts
 
 
-def _normalize(counts: Counter) -> Dict[str, float]:
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    if norm == 0:
-        return {}
-    return {gram: c / norm for gram, c in counts.items()}
+def _unit_weights(doc: np.ndarray, counts: np.ndarray,
+                  n_docs: int) -> np.ndarray:
+    """Each count divided by its document's L2 norm: the ``sqrt`` of the
+    integer sum of squared counts, which converts to float exactly."""
+    squares = np.zeros(n_docs, dtype=np.int64)
+    np.add.at(squares, doc, counts * counts)
+    return counts / np.sqrt(squares.astype(np.float64))[doc]
 
 
 class LanguageDetector:
@@ -136,56 +158,88 @@ class LanguageDetector:
     'en'
     >>> detector.is_english("gracias por el apoyo nueva publicacion cada semana")
     False
+    >>> detector.detect_all(["see you tomorrow", None, "bis morgen euch allen"])
+    ['en', 'und', 'de']
     """
 
     def __init__(self, min_confidence: float = 0.05) -> None:
         self._letters_only = _DropNonLetters()
-        self._profiles: Dict[str, Dict[str, float]] = {
-            lang: _normalize(_letter_grams(text, self._letters_only))
-            for lang, text in _SEED_TEXT.items()
-        }
-        # Each gram's weight in every profile (0.0 where a profile lacks
-        # it), so a document is scored one profile column at a time.
-        self._no_weights = (0.0,) * len(self._profiles)
-        self._weights: Dict[str, Tuple[float, ...]] = {
-            gram: tuple(profile.get(gram, 0.0) for profile in self._profiles.values())
-            for profile in self._profiles.values() for gram in profile
-        }
+        self._languages = sorted(_SEED_TEXT)
+        doc, gram, counts = _gram_counts(
+            [self._letters(_SEED_TEXT[lang]) for lang in self._languages])
+        # Every profile gram's weight in each profile (0.0 where a profile
+        # lacks it): one row per language, one column per gram in gram id
+        # order.
+        self._grams, columns = np.unique(gram, return_inverse=True)
+        self._weights = np.zeros((len(self._languages), len(self._grams)))
+        self._weights[doc, columns] = _unit_weights(doc, counts,
+                                                    len(self._languages))
         self.min_confidence = min_confidence
 
     @property
     def languages(self) -> List[str]:
-        return sorted(self._profiles)
+        return list(self._languages)
 
-    def scores(self, text: str) -> List[Tuple[str, float]]:
-        """(language, cosine score) sorted best-first."""
+    def _letters(self, text: Optional[str]) -> str:
         if not isinstance(text, str):
             # Degraded records may carry None; score as empty text.
             text = ""
-        counts = _letter_grams(text, self._letters_only)
-        values = list(counts.values())
-        norm = math.sqrt(sum(map(mul, values, values)))
-        weights = [count / norm for count in values]
-        rows = map(self._weights.get, counts, repeat(self._no_weights))
-        columns = list(zip(*rows)) or [()] * len(self._profiles)
-        # A builtin sum per profile of the same products in the same
-        # (document) order as a per-gram loop, so the scores are equal to
-        # the last bit; an empty document scores int 0 everywhere.
-        results = [
-            (lang, sum(map(mul, weights, column)))
-            for lang, column in zip(self._profiles, columns)
-        ]
+        # Hashtags, mentions, and URLs carry no language signal and skew
+        # the n-gram profile (a "#motivation #motivationdaily" soup reads
+        # as Romance-language text); strip them first, like CLD2
+        # pipelines do.
+        return _SOCIAL_TOKEN_RE.sub(" ", text.lower()).translate(
+            self._letters_only)
+
+    def _score_letters(self, letters: Sequence[str]) -> np.ndarray:
+        """Cosine scores of documents given by their letters: one row per
+        document, one column per language of ``languages``."""
+        doc, gram, counts = _gram_counts(letters)
+        weights = _unit_weights(doc, counts, len(letters))
+        columns = np.minimum(np.searchsorted(self._grams, gram),
+                             len(self._grams) - 1)
+        # A gram no profile has would add 0.0 to every score: skip it.
+        known = self._grams[columns] == gram
+        doc, weights, columns = doc[known], weights[known], columns[known]
+        scores = np.zeros((len(self._languages), len(letters)))
+        for language_scores, profile in zip(scores, self._weights):
+            # ``np.add.at`` adds each document's products one at a time in
+            # gram order, the order of a per-gram loop, so the scores are
+            # equal to the last bit.
+            np.add.at(language_scores, doc, weights * profile[columns])
+        return scores.T
+
+    def scores(self, text: Optional[str]) -> List[Tuple[str, float]]:
+        """(language, cosine score) sorted best-first; a text without
+        letters scores int 0 everywhere."""
+        letters = self._letters(text)
+        row = (self._score_letters([letters])[0].tolist() if letters
+               else [0] * len(self._languages))
+        results = list(zip(self._languages, row))
         results.sort(key=lambda pair: (-pair[1], pair[0]))
         return results
 
-    def detect(self, text: str) -> str:
-        """Best language, or 'und' (undetermined) for hopeless input."""
-        ranked = self.scores(text)
-        if not ranked or ranked[0][1] < self.min_confidence:
-            return "und"
-        return ranked[0][0]
+    def detect_all(self, texts: Sequence[Optional[str]]) -> List[str]:
+        """Each text's best language, ties going to the alphabetically
+        first, or 'und' (undetermined) when its score is below
+        ``min_confidence``; scored ``_CHUNK_DOCS`` texts at a time."""
+        detected: List[str] = []
+        for start in range(0, len(texts), _CHUNK_DOCS):
+            scores = self._score_letters(
+                [self._letters(text)
+                 for text in texts[start : start + _CHUNK_DOCS]])
+            best = scores.argmax(axis=1)  # the first of equal scores
+            hopeless = scores[np.arange(len(best)), best] < self.min_confidence
+            detected.extend(
+                "und" if no_match else self._languages[column]
+                for column, no_match in zip(best.tolist(), hopeless.tolist()))
+        return detected
 
-    def is_english(self, text: str) -> bool:
+    def detect(self, text: Optional[str]) -> str:
+        """Best language, or 'und' (undetermined) for hopeless input."""
+        return self.detect_all([text])[0]
+
+    def is_english(self, text: Optional[str]) -> bool:
         return self.detect(text) == "en"
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 
 def median(values: Sequence[float]) -> float:
     """Median with the usual even-count interpolation.
@@ -116,6 +118,20 @@ def counter_topn(counts: Dict[str, int], n: int) -> List[Tuple[str, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
+def first_occurrence_counts(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` in order of first occurrence, and
+    how often each occurs: the items of a ``Counter`` over ``keys``.
+
+    >>> [a.tolist() for a in first_occurrence_counts(np.array([5, 2, 5, 9]))]
+    [[5, 2, 9], [2, 1, 1]]
+    """
+    # ``return_index`` gives each value's first index (a stable sort).
+    unique, first, counts = np.unique(keys, return_index=True,
+                                      return_counts=True)
+    order = np.argsort(first)
+    return unique[order], counts[order]
+
+
 def histogram(values: Iterable[float], edges: Sequence[float]) -> List[int]:
     """Count values into half-open bins ``[edges[i], edges[i+1])``.
 
@@ -146,6 +162,7 @@ __all__ = [
     "Summary",
     "cdf_points",
     "counter_topn",
+    "first_occurrence_counts",
     "histogram",
     "median",
     "percentile",

@@ -1,12 +1,42 @@
 """Tests for the scam-infrastructure (lure domain) analysis."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.infrastructure import (
+    PLATFORM_DOMAINS,
     InfrastructureAnalysis,
+    _DOMAIN_RE,
     extract_domains,
 )
 from repro.core.dataset import PostRecord
+
+#: The domain pattern without its left anchor: the reference it must
+#: agree with on every string.
+REFERENCE_DOMAIN_RE = re.compile(
+    r"(?:https?://)?((?:[a-z0-9][a-z0-9-]*\.)+"
+    r"(?:example|com|net|io|org|xyz|link|onion))(?:/\S*)?",
+    re.IGNORECASE,
+)
+
+# Labels, dots, dashes, schemes and TLD fragments, plus characters that
+# IGNORECASE folds onto ASCII letters (Kelvin sign, long s) or that
+# lowercase to two code points (dotted capital I).
+_DOMAIN_PIECES = [
+    "a", "b7", "Z", "0", "lure", "x", "secure-claim", "-", "--", ".", "..",
+    "a.", "lure.", "-x.", "b7-.", "a.com", "x.example",
+    "http://", "https://", "HTTPS://", "http:/", "xhttp://", "example",
+    "EXAMPLE", "exampl", "com", "co", "net", "io", "org", "xyz", "link",
+    "onion", "/", "/path?id=1", " ", "\n", ",", "K", "\u212a", "\u017f",
+    "\u0130", "\u0131", "é", "_",
+]
+_domain_text = st.one_of(
+    st.lists(st.sampled_from(_DOMAIN_PIECES), max_size=16).map("".join),
+    st.text(alphabet="ab0-./:htpsKſİ ", max_size=30),
+)
 
 
 def post(text, handle="h1", platform="X"):
@@ -38,6 +68,23 @@ class TestExtraction:
 
     def test_plain_text_has_none(self):
         assert extract_domains("no links here, just a sentence.") == []
+
+    def test_scheme_after_a_letter(self):
+        # The anchored pattern starts this match at "a.com", not at
+        # "http://"; the domain it captures is the same.
+        assert extract_domains("xhttp://a.com") == ["a.com"]
+
+    @given(_domain_text)
+    @settings(max_examples=600, deadline=None)
+    def test_anchor_matches_reference_pattern(self, text):
+        def found(pattern):
+            return [(m.group(1), m.end()) for m in pattern.finditer(text)]
+
+        assert found(_DOMAIN_RE) == found(REFERENCE_DOMAIN_RE)
+        reference = [m.group(1).lower()
+                     for m in REFERENCE_DOMAIN_RE.finditer(text)]
+        assert extract_domains(text) == [
+            domain for domain in reference if domain not in PLATFORM_DOMAINS]
 
 
 class TestAggregation:

@@ -31,8 +31,8 @@ def truth(world):
 
 @pytest.fixture(scope="module")
 def english_posts(dataset):
-    detector = LanguageDetector()
-    return [p for p in dataset.posts if detector.is_english(p.text)]
+    languages = LanguageDetector().detect_all([p.text for p in dataset.posts])
+    return [p for p, lang in zip(dataset.posts, languages) if lang == "en"]
 
 
 class TestPipelineShape:

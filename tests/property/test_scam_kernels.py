@@ -33,15 +33,17 @@ from repro.nlp import cluster as cluster_module
 from repro.nlp.cluster import (
     _assign_blockwise,
     _kmeans_pp_init,
+    _row_sq_norms,
     _sum_by_center,
     kmeans,
 )
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.langdetect import (
+    _CHUNK_DOCS,
+    _POINT_BITS,
     _SEED_TEXT,
     LanguageDetector,
-    _DropNonLetters,
-    _letter_grams,
+    _gram_counts,
 )
 from repro.nlp.stopwords import remove_stopwords
 from repro.nlp.tokenize import bigrams, tokenize
@@ -186,6 +188,15 @@ def reference_scores(self, text: str) -> List[Tuple[str, float]]:
     return results
 
 
+def reference_detect_all(self, texts: Sequence[Optional[str]]) -> List[str]:
+    detected = []
+    for text in texts:
+        ranked = reference_scores(self, text)
+        detected.append("und" if ranked[0][1] < self.min_confidence
+                        else ranked[0][0])
+    return detected
+
+
 # -- reference: embeddings -----------------------------------------------------------
 
 
@@ -220,25 +231,30 @@ def reference_fit(self, texts: Sequence[str]):
     return self
 
 
+def reference_rows(self, texts: Sequence[str]) -> np.ndarray:
+    """The loop's float64 rows, before the cast to float32."""
+    matrix = np.zeros((len(texts), self.dims), dtype=np.float64)
+    for row, text in enumerate(texts):
+        counts: Dict[str, int] = {}
+        for feature in _reference_features(self, text):
+            counts[feature] = counts.get(feature, 0) + 1
+        for feature, count in counts.items():
+            idf = 1.0 if self._idf is None else self._idf.get(feature, 0.0)
+            if idf == 0.0:
+                continue
+            weight = (1.0 + math.log(count)) * idf
+            index, sign = _reference_hash_feature(feature, self.dims)
+            matrix[row, index] += sign * weight
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return matrix / norms
+
+
 def reference_transform(self, texts: Sequence[str]) -> np.ndarray:
     with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
-        matrix = np.zeros((len(texts), self.dims), dtype=np.float64)
-        for row, text in enumerate(texts):
-            counts: Dict[str, int] = {}
-            for feature in _reference_features(self, text):
-                counts[feature] = counts.get(feature, 0) + 1
-            for feature, count in counts.items():
-                idf = 1.0 if self._idf is None else self._idf.get(feature, 0.0)
-                if idf == 0.0:
-                    continue
-                weight = (1.0 + math.log(count)) * idf
-                index, sign = _reference_hash_feature(feature, self.dims)
-                matrix[row, index] += sign * weight
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
         # The stage clusters float32: the loop's float64 result is cast
         # once, at the end.
-        return (matrix / norms).astype(np.float32)
+        return reference_rows(self, texts).astype(np.float32)
 
 
 def reference_fit_transform(self, texts: Sequence[str]) -> np.ndarray:
@@ -250,6 +266,7 @@ def patch_reference_kernels(monkeypatch) -> None:
     monkeypatch.setattr(ClusterVetter, "_score_sample", reference_score_sample)
     monkeypatch.setattr(cluster_module, "kmeans", reference_kmeans)
     monkeypatch.setattr(LanguageDetector, "scores", reference_scores)
+    monkeypatch.setattr(LanguageDetector, "detect_all", reference_detect_all)
     monkeypatch.setattr(HashedTfidfEmbedder, "fit", reference_fit)
     monkeypatch.setattr(HashedTfidfEmbedder, "transform", reference_transform)
     monkeypatch.setattr(HashedTfidfEmbedder, "fit_transform",
@@ -367,7 +384,7 @@ class TestKmeansKernel:
     def test_seeding_matches_reference(self, points, k, seed):
         k = min(k, len(points))
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = _kmeans_pp_init(points, k, rng_new)
+        new = _kmeans_pp_init(points, _row_sq_norms(points), k, rng_new)
         ref = reference_kmeans_pp_init(points, k, rng_ref)
         assert new.dtype == ref.dtype
         assert np.array_equal(new, ref)
@@ -403,7 +420,8 @@ class TestKmeansKernel:
     def test_k_equals_n(self, dtype):
         points = np.random.default_rng(5).normal(size=(30, 4)).astype(dtype)
         rng_new, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
-        assert np.array_equal(_kmeans_pp_init(points, 30, rng_new),
+        assert np.array_equal(_kmeans_pp_init(points, _row_sq_norms(points),
+                                              30, rng_new),
                               reference_kmeans_pp_init(points, 30, rng_ref))
         assert np.array_equal(kmeans(points, 30, seed=2),
                               reference_kmeans(points, 30, seed=2))
@@ -414,7 +432,8 @@ class TestKmeansKernel:
         # ``total <= 0`` branch fills the rest at random.
         points = np.tile(np.array([[0.5, -1.25, 3.0]], dtype=dtype), (17, 1))
         rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-        assert np.array_equal(_kmeans_pp_init(points, 6, rng_new),
+        assert np.array_equal(_kmeans_pp_init(points, _row_sq_norms(points),
+                                              6, rng_new),
                               reference_kmeans_pp_init(points, 6, rng_ref))
         assert np.array_equal(kmeans(points, 6, seed=4),
                               reference_kmeans(points, 6, seed=4))
@@ -441,10 +460,11 @@ class TestKmeansKernel:
         rng = np.random.default_rng(17)
         points = rng.normal(size=(9_500, 12)).astype(dtype)
         rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
-        centers = _kmeans_pp_init(points, 40, rng_new)
+        norms = _row_sq_norms(points)
+        centers = _kmeans_pp_init(points, norms, 40, rng_new)
         assert np.array_equal(centers,
                               reference_kmeans_pp_init(points, 40, rng_ref))
-        assert np.array_equal(_assign_blockwise(points, centers),
+        assert np.array_equal(_assign_blockwise(points, norms, centers),
                               _reference_assign_blockwise(points, centers))
         assert np.array_equal(kmeans(points, 40, iterations=4, seed=3),
                               reference_kmeans(points, 40, iterations=4, seed=3))
@@ -453,25 +473,50 @@ class TestKmeansKernel:
 # -- language filter ---------------------------------------------------------------------
 
 
-def _spaced(gram: str) -> str:
-    """A letter gram in the reference's spelling: "x" -> " x ", "xy" -> "x y"."""
-    return f" {gram} " if len(gram) == 1 else " ".join(gram)
+def _spaced(gram: int) -> str:
+    """A gram id in the reference's spelling: "x" -> " x ", "xy" -> "x y"."""
+    if gram < 1 << _POINT_BITS:
+        return f" {chr(gram)} "
+    return f"{chr((gram >> _POINT_BITS) - 1)} {chr(gram & ((1 << _POINT_BITS) - 1))}"
 
 
 class TestLanguageKernel:
     def test_profiles_match_reference(self):
-        profiles = LanguageDetector()._profiles
-        assert list(profiles) == list(REFERENCE_PROFILES)
-        for lang, profile in profiles.items():
-            assert [(_spaced(gram), weight) for gram, weight in profile.items()] \
-                == list(REFERENCE_PROFILES[lang].items())
+        detector = LanguageDetector()
+        assert detector.languages == sorted(REFERENCE_PROFILES)
+        for lang, weights in zip(detector.languages, detector._weights):
+            profile = {_spaced(gram): weight for gram, weight in zip(
+                detector._grams.tolist(), weights.tolist()) if weight != 0.0}
+            assert profile == REFERENCE_PROFILES[lang]
 
     @given(_lang_text)
     @settings(max_examples=300, deadline=None)
     def test_grams_match_reference_in_order(self, text):
-        grams = _letter_grams(text, _DropNonLetters())
-        assert [(_spaced(gram), count) for gram, count in grams.items()] \
+        _, grams, counts = _gram_counts([LanguageDetector()._letters(text)])
+        assert [(_spaced(gram), count) for gram, count in zip(
+            grams.tolist(), counts.tolist())] \
             == list(reference_trigrams(text).items())
+
+    @given(st.lists(st.one_of(_lang_text, st.none()), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_matches_one_text_calls_and_reference(self, drawn, data):
+        # The drawn texts, with None, "" and non-ASCII text, repeated past
+        # one chunk and shifted, so each lands at several chunk positions.
+        shift = data.draw(st.integers(0, len(drawn) - 1))
+        pieces = drawn + [None, "", "café İstanbul straße ǅ", "😀 x"]
+        texts = (pieces * (_CHUNK_DOCS // len(pieces) + 2))[
+            shift : shift + _CHUNK_DOCS + len(pieces) + 1]
+        assert len(texts) > _CHUNK_DOCS
+        detector = LanguageDetector()
+        batch = detector.detect_all(texts)
+        assert batch == [detector.detect(text) for text in texts]
+        assert batch == reference_detect_all(detector, texts)
+        letters = [detector._letters(text) for text in texts[:_CHUNK_DOCS]]
+        assert np.array_equal(
+            detector._score_letters(letters),
+            np.vstack([detector._score_letters([one]) for one in letters]))
 
     @given(_lang_text)
     @settings(max_examples=300, deadline=None)
@@ -533,6 +578,12 @@ class TestEmbeddingKernel:
         matrix = embedder.fit_transform(texts)
         assert matrix.dtype == np.float32
         assert np.array_equal(matrix, reference_fit_transform(reference, texts))
+        # The float32 cast hides most last-bit differences of the float64
+        # sums, so the rows are compared before it too.
+        corpus = embedder._encode(texts)
+        rows = np.vstack([rows for _, rows in embedder._weighed_slices(
+            corpus, embedder._fit(corpus))])
+        assert np.array_equal(rows, reference_rows(reference, texts))
 
     @given(_embedder, _corpus, _corpus)
     @settings(max_examples=100, deadline=None)
@@ -544,6 +595,38 @@ class TestEmbeddingKernel:
         matrix = embedder.transform(texts)
         assert matrix.dtype == np.float32
         assert np.array_equal(matrix, reference_transform(reference, texts))
+
+    def test_min_df_zeroes_rare_features(self):
+        # With min_df=2 every feature seen in one document gets idf 0.0
+        # and is skipped; transforming another corpus adds unseen
+        # features, which are skipped too.
+        rng = np.random.default_rng(29)
+        letters = string.ascii_lowercase
+        words = [f"w{a}{b}{c}" for a in letters for b in letters[:10]
+                 for c in letters[:10]]
+        fit_on = [" ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+                  for _ in range(1_200)]
+        texts = fit_on[::3] + [f"{text} unseen {text}" for text in fit_on[1::3]]
+        embedder = HashedTfidfEmbedder(min_df=2)
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.fit_transform(fit_on),
+                              reference_fit_transform(reference, fit_on))
+        assert embedder._idf == reference._idf
+        assert 0 < len(embedder._idf) < len(embedder._encode(fit_on).vocab)
+        assert np.array_equal(embedder.transform(texts),
+                              reference_transform(reference, texts))
+
+    def test_features_repeated_within_a_document(self):
+        # A feature seen c times weighs 1 + ln(c): here features and
+        # bigrams repeat up to 48 times a document, stopwords between.
+        rng = np.random.default_rng(31)
+        texts = [" ".join(["crypto profit", "the", "now"][int(i) % 3]
+                          for i in rng.integers(0, 3, size=int(n)))
+                 for n in rng.integers(0, 120, size=300)]
+        embedder = HashedTfidfEmbedder(dims=32)
+        reference = _reference_twin(embedder)
+        assert np.array_equal(embedder.fit_transform(texts),
+                              reference_fit_transform(reference, texts))
 
     def test_matrix_past_one_slice(self):
         # Rows are normalized in 1024-row slices; 2,600 documents end on
@@ -587,8 +670,19 @@ class TestTransientMemory:
     Each bound sits between the two measured peaks on its input:
     whole-array temporaries (3.0x the float32 output for a float64
     embedding cast to float32, 2.0x the output for the assignment, 1.0x
-    the points for seeding) and row slices (1.71x, 1.26x, 0.13x).
+    the points for seeding, 118 bytes per character of text for the
+    language filter) and row slices or document chunks (1.71x, 1.26x,
+    0.13x, 1.6 bytes per character).
     """
+
+    def test_language_filter_peak(self):
+        rng = np.random.default_rng(7)
+        words = " ".join(_SEED_TEXT.values()).split()
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(8, 30))))
+                 for _ in range(20_000)]
+        detected, peak = _traced_peak(LanguageDetector().detect_all, texts)
+        assert len(detected) == len(texts)
+        assert peak < 4 * sum(map(len, texts))
 
     def test_embedder_peak(self):
         rng = np.random.default_rng(7)
@@ -602,11 +696,13 @@ class TestTransientMemory:
         rng = np.random.default_rng(7)
         points = rng.normal(size=(8_192, 64)).astype(np.float32)
         centers = points[:473].copy()
-        _, peak = _traced_peak(_assign_blockwise, points, centers)
+        _, peak = _traced_peak(
+            lambda: _assign_blockwise(points, _row_sq_norms(points), centers))
         products = len(points) * len(centers) * points.itemsize
         assert peak < 1.5 * products
 
     def test_seeding_peak(self):
         points = np.random.default_rng(7).normal(size=(20_000, 64)).astype(np.float32)
-        _, peak = _traced_peak(_kmeans_pp_init, points, 8, np.random.default_rng(1))
+        _, peak = _traced_peak(lambda: _kmeans_pp_init(
+            points, _row_sq_norms(points), 8, np.random.default_rng(1)))
         assert peak < 0.5 * points.nbytes
