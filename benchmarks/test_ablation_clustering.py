@@ -7,7 +7,7 @@ paper scale) that a coarse k-means absorbs into mixed clusters.
 """
 
 from benchmarks.conftest import record_report
-from repro.analysis.scam_posts import ClusterVetter, ScamPipelineConfig
+from repro.analysis.scam_posts import ClusterVetter
 from repro.nlp.cluster import ScalableDensityClusterer, cluster_stats
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.keywords import class_tfidf_keywords
@@ -17,7 +17,7 @@ from repro.synthetic import calibration as cal
 
 def _vet(texts, labels):
     keywords = class_tfidf_keywords(texts, labels, top_n=10)
-    verdicts = ClusterVetter(ScamPipelineConfig()).vet(texts, labels, keywords)
+    verdicts = ClusterVetter().vet(texts, labels, keywords)
     return {v.subtype for v in verdicts if v.is_scam}
 
 

@@ -8,7 +8,6 @@ paper's analysis was).
 """
 
 from benchmarks.conftest import record_report
-from repro.analysis import ScamPipelineConfig, ScamPostAnalysis
 from repro.nlp.langdetect import LanguageDetector
 
 

@@ -14,7 +14,7 @@ Usage::
 import argparse
 
 from repro import Study, StudyConfig
-from repro.analysis import InfrastructureAnalysis, ScamPostAnalysis, ScamPipelineConfig
+from repro.analysis import InfrastructureAnalysis, ScamPostAnalysis
 from repro.core import reports
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     args = parser.parse_args()
 
     result = Study(StudyConfig(seed=args.seed, scale=args.scale, iterations=4)).run()
-    analysis = ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9))
+    analysis = ScamPostAnalysis()
     report = analysis.run(result.dataset)
 
     print(f"Posts collected: {report.posts_considered}")

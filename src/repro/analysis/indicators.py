@@ -37,9 +37,9 @@ from repro.nlp.tokenize import tokenize
 from repro.synthetic.scamtext import VETTING_CODEBOOK
 from repro.util.simtime import STUDY_START, SimDate
 
-#: Default indicator weights; referral evidence is near-conclusive, the
+#: Indicator weights; referral evidence is near-conclusive, the
 #: behavioural signals are supporting evidence.
-DEFAULT_WEIGHTS: Dict[str, float] = {
+WEIGHTS: Dict[str, float] = {
     "marketplace_referral": 1.0,
     "trending_name": 0.35,
     "follower_anomaly": 0.5,
@@ -95,11 +95,9 @@ class IndicatorEvaluation:
 class IndicatorEngine:
     """Scores profiles with the Section-9 indicator set."""
 
-    def __init__(self, weights: Optional[Dict[str, float]] = None,
-                 enabled: Optional[Iterable[str]] = None) -> None:
-        self.weights = dict(weights or DEFAULT_WEIGHTS)
-        self.enabled = set(enabled) if enabled is not None else set(self.weights)
-        unknown = self.enabled - set(DEFAULT_WEIGHTS)
+    def __init__(self, enabled: Optional[Iterable[str]] = None) -> None:
+        self.enabled = set(enabled) if enabled is not None else set(WEIGHTS)
+        unknown = self.enabled - set(WEIGHTS)
         if unknown:
             raise ValueError(f"unknown indicators: {sorted(unknown)}")
 
@@ -152,7 +150,7 @@ class IndicatorEngine:
 
     def _hit(self, risk: ProfileRisk, name: str, detail: str) -> None:
         if name in self.enabled:
-            risk.hits.append(IndicatorHit(name, self.weights[name], detail))
+            risk.hits.append(IndicatorHit(name, WEIGHTS[name], detail))
 
     def _check_trending_name(self, risk: ProfileRisk, profile: ProfileRecord) -> None:
         blob = f"{profile.handle} {profile.name or ''}".lower()
@@ -214,9 +212,9 @@ class IndicatorEngine:
 
 
 __all__ = [
-    "DEFAULT_WEIGHTS",
     "IndicatorEngine",
     "IndicatorEvaluation",
     "IndicatorHit",
     "ProfileRisk",
+    "WEIGHTS",
 ]

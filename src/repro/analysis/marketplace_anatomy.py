@@ -109,13 +109,15 @@ class AnatomyReport:
     prices: PriceReport
 
 
+#: Prices at or above this are Figure-3 outliers, kept out of every
+#: aggregate.
+OUTLIER_THRESHOLD = 10_000_000.0
+#: Section 4.1's "> $20K" block.
+HIGH_PRICE_THRESHOLD = 20_000.0
+
+
 class MarketplaceAnatomy:
     """Computes the Section-4.1 report from a measurement dataset."""
-
-    def __init__(self, outlier_threshold: float = 10_000_000.0,
-                 high_price_threshold: float = 20_000.0) -> None:
-        self.outlier_threshold = outlier_threshold
-        self.high_price_threshold = high_price_threshold
 
     def run(self, dataset: MeasurementDataset) -> AnatomyReport:
         listings = dataset.listings
@@ -237,13 +239,13 @@ class MarketplaceAnatomy:
         # is_valid_price (not a None check): a NaN that slipped past the
         # contract boundary must not poison every aggregate below.
         priced = [l for l in listings if is_valid_price(l.price_usd)]
-        outliers = [l for l in priced if l.price_usd >= self.outlier_threshold]
-        regular = [l for l in priced if l.price_usd < self.outlier_threshold]
+        outliers = [l for l in priced if l.price_usd >= OUTLIER_THRESHOLD]
+        regular = [l for l in priced if l.price_usd < OUTLIER_THRESHOLD]
         by_platform: Dict[str, List[float]] = {}
         for listing in regular:
             if listing.platform:
                 by_platform.setdefault(listing.platform, []).append(listing.price_usd)
-        high = [l.price_usd for l in regular if l.price_usd > self.high_price_threshold]
+        high = [l.price_usd for l in regular if l.price_usd > HIGH_PRICE_THRESHOLD]
         all_prices = [l.price_usd for l in regular]
         return PriceReport(
             medians_by_platform={p: median(v) for p, v in sorted(by_platform.items())},

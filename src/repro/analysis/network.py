@@ -104,11 +104,6 @@ def _attribute_value(profile: ProfileRecord, attribute: str) -> Optional[str]:
 class NetworkAnalysis:
     """Buckets profiles by shared attributes and summarizes (Table 7)."""
 
-    def __init__(self, min_cluster_size: int = 2) -> None:
-        if min_cluster_size < 2:
-            raise ValueError("a cluster needs at least two accounts")
-        self.min_cluster_size = min_cluster_size
-
     def run(self, dataset: MeasurementDataset) -> NetworkReport:
         per_platform: Dict[str, PlatformClusterStats] = {}
         all_clusters: List[ProfileCluster] = []
@@ -175,7 +170,7 @@ class NetworkAnalysis:
             groups.setdefault(find(index), []).append(index)
         clusters: List[ProfileCluster] = []
         for root, indices in sorted(groups.items()):
-            if len(indices) < self.min_cluster_size:
+            if len(indices) < 2:  # a singleton, not a cluster
                 continue
             attribute, value = self._shared_attribute(profiles, indices, attributes)
             clusters.append(

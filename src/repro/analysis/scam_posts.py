@@ -33,27 +33,34 @@ from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY, VETTING_CODEBOOK
 from repro.util.rng import RngTree
 
 
+#: Hashed TF-IDF embedding width.
+EMBEDDING_DIMS = 192
+#: Exact DBSCAN's neighbourhood radius and core size (corpora up to
+#: ``large_corpus_threshold`` posts).
+DBSCAN_EPS = 0.9
+DBSCAN_MIN_SAMPLES = 5
+#: The scalable density clusterer's settings (larger corpora).
+MERGE_EPS = 0.4
+MIN_CLUSTER_SIZE = 6
+KMEANS_MAX_K = 512
+REFINE_MIN = 24
+REFINE_DIVISOR = 12
+#: Posts sampled per cluster for vetting (the paper used 25).
+VETTING_SAMPLE = 25
+#: A cluster is scam-labeled when at least this fraction of sampled
+#: posts match a scam subtype's indicators.
+VETTING_THRESHOLD = 0.5
+#: Seed of the k-means seeding and of the vetting samples.
+SEED = 7
+
+
 @dataclass(frozen=True)
 class ScamPipelineConfig:
-    """Tunables for the clustering pipeline."""
+    """Where the pipeline switches clusterers."""
 
-    embedding_dims: int = 192
     #: Corpora above this size use the scalable density clusterer (with a
     #: refinement pass) instead of exact DBSCAN.
     large_corpus_threshold: int = 12_000
-    dbscan_eps: float = 0.45
-    dbscan_min_samples: int = 5
-    merge_eps: float = 0.4
-    min_cluster_size: int = 6
-    kmeans_max_k: int = 512
-    refine_min: int = 24
-    refine_divisor: int = 12
-    #: Posts sampled per cluster for vetting (the paper used 25).
-    vetting_sample: int = 25
-    #: A cluster is scam-labeled when at least this fraction of sampled
-    #: posts match a scam subtype's indicators.
-    vetting_threshold: float = 0.5
-    seed: int = 7
 
 
 @dataclass
@@ -120,7 +127,7 @@ def _matches_indicator(token: str, indicator: str) -> bool:
 class ClusterVetter:
     """The programmatic stand-in for manual cluster review.
 
-    For each cluster, sample ``vetting_sample`` posts and score every
+    For each cluster, sample ``VETTING_SAMPLE`` posts and score every
     scam subtype in the codebook: a sampled post "matches" a subtype when
     it contains at least two of that subtype's indicator keywords.  The
     best-scoring subtype above the threshold labels the cluster.
@@ -131,9 +138,8 @@ class ClusterVetter:
     subtype is the number of that subtype's bits set in it.
     """
 
-    def __init__(self, config: ScamPipelineConfig) -> None:
-        self._config = config
-        self._rng = RngTree(config.seed, name="vetter")
+    def __init__(self) -> None:
+        self._rng = RngTree(SEED, name="vetter")
         self._indicators: List[str] = []
         self._subtype_masks: Dict[str, int] = {}
         for subtype, indicators in VETTING_CODEBOOK.items():
@@ -156,7 +162,7 @@ class ClusterVetter:
         verdicts: List[ClusterVerdict] = []
         for label in sorted(members_by_label):
             member_indices = members_by_label[label]
-            sample_size = min(self._config.vetting_sample, len(member_indices))
+            sample_size = min(VETTING_SAMPLE, len(member_indices))
             sample = self._rng.child(f"cluster-{label}").sample(
                 member_indices, sample_size
             )
@@ -198,7 +204,7 @@ class ClusterVetter:
             scores[subtype] = matches / max(1, len(sample))
         best_subtype = max(scores, key=lambda s: (scores[s], s))
         best = scores[best_subtype]
-        if best >= self._config.vetting_threshold:
+        if best >= VETTING_THRESHOLD:
             return best_subtype, best
         return None, best
 
@@ -216,7 +222,6 @@ class ScamPostAnalysis:
         return self.run_posts(dataset.posts)
 
     def run_posts(self, posts: Sequence[PostRecord]) -> ScamReport:
-        config = self.config
         tracer = self.telemetry.tracer
         with tracer.span("nlp.language_filter", n_posts=len(posts)):
             languages = self._detector.detect_all([p.text for p in posts])
@@ -232,7 +237,7 @@ class ScamPostAnalysis:
         stats = cluster_stats(labels)
         with tracer.span("nlp.keywords", n_clusters=stats.n_clusters):
             keywords = class_tfidf_keywords(texts, labels, top_n=10)
-        vetter = ClusterVetter(config)
+        vetter = ClusterVetter()
         with tracer.span("nlp.vetting", n_clusters=stats.n_clusters):
             verdicts = vetter.vet(texts, labels, keywords)
         return self._aggregate(posts, english, labels, verdicts, stats)
@@ -240,24 +245,21 @@ class ScamPostAnalysis:
     # -- clustering -------------------------------------------------------------
 
     def _cluster(self, texts: List[str]) -> np.ndarray:
-        config = self.config
-        embedder = HashedTfidfEmbedder(
-            dims=config.embedding_dims, telemetry=self.telemetry
-        )
+        embedder = HashedTfidfEmbedder(dims=EMBEDDING_DIMS,
+                                       telemetry=self.telemetry)
         matrix = embedder.fit_transform(texts)
-        if len(texts) > config.large_corpus_threshold:
+        if len(texts) > self.config.large_corpus_threshold:
             clusterer = ScalableDensityClusterer(
-                merge_eps=config.merge_eps,
-                min_cluster_size=config.min_cluster_size,
-                max_k=config.kmeans_max_k,
-                seed=config.seed,
-                refine_min=config.refine_min,
-                refine_divisor=config.refine_divisor,
+                merge_eps=MERGE_EPS,
+                min_cluster_size=MIN_CLUSTER_SIZE,
+                max_k=KMEANS_MAX_K,
+                seed=SEED,
+                refine_min=REFINE_MIN,
+                refine_divisor=REFINE_DIVISOR,
                 telemetry=self.telemetry,
             )
             return clusterer.fit_predict(matrix)
-        dbscan = DBSCAN(eps=config.dbscan_eps,
-                        min_samples=config.dbscan_min_samples,
+        dbscan = DBSCAN(eps=DBSCAN_EPS, min_samples=DBSCAN_MIN_SAMPLES,
                         telemetry=self.telemetry)
         return dbscan.fit_predict(matrix)
 

@@ -20,7 +20,7 @@ from repro.analysis.infrastructure import InfrastructureAnalysis
 from repro.analysis.indicators import IndicatorEngine
 from repro.analysis.marketplace_anatomy import MarketplaceAnatomy
 from repro.analysis.network import NetworkAnalysis
-from repro.analysis.scam_posts import ScamPipelineConfig, ScamPostAnalysis
+from repro.analysis.scam_posts import ScamPostAnalysis
 from repro.analysis.sellers import SellerActivityAnalysis
 from repro.analysis.underground_analysis import UndergroundAnalysis
 from repro.contracts.supervisor import StageFailure, StageSupervisor
@@ -70,7 +70,6 @@ def run_analysis_suite(
     dataset: MeasurementDataset,
     supervisor: StageSupervisor,
     telemetry=None,
-    scam_config: Optional[ScamPipelineConfig] = None,
 ) -> AnalysisResults:
     """Run all nine stages under ``supervisor``.
 
@@ -78,7 +77,6 @@ def run_analysis_suite(
     functions of the (seeded) dataset, so a resumed run replays the
     identical sequence of supervisor decisions.
     """
-    scam_config = scam_config or ScamPipelineConfig(dbscan_eps=0.9)
     results = AnalysisResults()
     telemetry = telemetry or NULL_TELEMETRY
 
@@ -105,7 +103,7 @@ def run_analysis_suite(
 
     stage("anatomy", MarketplaceAnatomy().run, dataset)
     stage("account_setup", AccountSetupAnalysis().run, dataset)
-    stage("scam_posts", ScamPostAnalysis(scam_config, telemetry).run, dataset)
+    stage("scam_posts", ScamPostAnalysis(telemetry=telemetry).run, dataset)
     network = stage("network", NetworkAnalysis().run, dataset)
     stage("efficacy", EfficacyAnalysis().run, dataset)
     stage("underground", UndergroundAnalysis().run, dataset.underground)

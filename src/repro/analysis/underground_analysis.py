@@ -58,11 +58,12 @@ class UndergroundReport:
         return max(self.markets.values(), key=lambda m: m.posts).market
 
 
+#: Postings at least this similar are one reuse group (the paper's 88 %).
+SIMILARITY_THRESHOLD = 0.88
+
+
 class UndergroundAnalysis:
     """Computes the Section-4.2 report from collected postings."""
-
-    def __init__(self, similarity_threshold: float = 0.88) -> None:
-        self.similarity_threshold = similarity_threshold
 
     def run(self, postings: List[UndergroundRecord]) -> UndergroundReport:
         markets = self._market_stats(postings)
@@ -107,7 +108,7 @@ class UndergroundAnalysis:
         and platforms), then attributed per platform.
         """
         texts = [p.body for p in postings]
-        groups = reuse_groups(texts, threshold=self.similarity_threshold)
+        groups = reuse_groups(texts, threshold=SIMILARITY_THRESHOLD)
         in_group: Dict[int, ReuseGroup] = {}
         for group in groups:
             for index in group.indices:

@@ -28,18 +28,14 @@ from repro.contracts.schema import (
     validate_dataset,
 )
 from repro.contracts.supervisor import (
-    DEFAULT_POLICY,
     InjectedStageError,
     StageFailure,
-    StagePolicy,
     StageSupervisor,
-    TransientStageError,
 )
 
 __all__ = [
     "CONTRACTS",
     "ContractViolationError",
-    "DEFAULT_POLICY",
     "DEGRADE",
     "FieldSpec",
     "InjectedStageError",
@@ -53,9 +49,7 @@ __all__ = [
     "RecordOutcome",
     "SOURCE_VALIDATION",
     "StageFailure",
-    "StagePolicy",
     "StageSupervisor",
-    "TransientStageError",
     "ValidationReport",
     "validate_dataset",
 ]

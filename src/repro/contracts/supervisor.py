@@ -1,11 +1,11 @@
 """Stage supervision: isolation boundaries around analysis stages.
 
 A multi-iteration study must not die because one analysis stage hit a
-record shape it could not digest.  :class:`StageSupervisor` wraps each
-stage invocation with a per-stage :class:`StagePolicy`: transient errors
-are retried up to ``retries`` times; deterministic errors (or exhausted
-retries) become a typed :class:`StageFailure` recorded on the supervisor
-and the stage's report degrades to ``None`` — the run continues.
+record shape it could not digest.  :class:`StageSupervisor` makes one
+attempt at each stage invocation: an error becomes a typed
+:class:`StageFailure` recorded on the supervisor and the stage's report
+degrades to ``None`` — the run continues.  Stages are deterministic
+functions of the dataset, so a second attempt would fail the same way.
 
 Supervisor decisions are pure functions of the stage callables and the
 (seeded, deterministic) dataset, so a resumed run replays the exact same
@@ -17,7 +17,7 @@ CLI's ``--fail-stage`` flag uses it for degraded-run drills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 
@@ -25,29 +25,13 @@ class InjectedStageError(RuntimeError):
     """Deliberate failure injected via ``fail_stages`` / ``--fail-stage``."""
 
 
-class TransientStageError(RuntimeError):
-    """An error the policy may retry (analogue of a 5xx, not a 4xx)."""
-
-
-@dataclass(frozen=True)
-class StagePolicy:
-    """How the supervisor treats one stage's errors."""
-
-    #: Extra attempts after the first, for transient errors only.
-    retries: int = 0
-    #: Exception types considered transient (retryable).
-    transient: Tuple[type, ...] = (TransientStageError, OSError)
-    #: ``skip`` records a StageFailure and degrades; ``raise`` propagates
-    #: (strict mode forces ``raise`` for every stage).
-    on_error: str = "skip"
-
-
-DEFAULT_POLICY = StagePolicy()
-
-
 @dataclass
 class StageFailure:
-    """Typed record of one supervised stage that did not produce a report."""
+    """Typed record of one supervised stage that did not produce a report.
+
+    ``attempts`` and ``disposition`` are fields of manifests, traces and
+    registry documents; the supervisor always writes 1 and "skipped".
+    """
 
     stage: str
     kind: str  # exception class name
@@ -103,62 +87,37 @@ class StageSupervisor:
                 return failure
         return None
 
-    def run(self, stage: str, fn: Callable, *args,
-            policy: StagePolicy = DEFAULT_POLICY, **kwargs):
+    def run(self, stage: str, fn: Callable, *args, **kwargs):
         """Invoke ``fn(*args, **kwargs)`` under supervision.
 
         Returns the stage's report, or ``None`` when the stage failed
-        and the policy degraded it.
+        and was degraded.
         """
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                if stage in self.fail_stages:
-                    raise InjectedStageError(
-                        f"stage {stage!r} failed by --fail-stage injection"
-                    )
-                result = fn(*args, **kwargs)
-            except Exception as exc:  # noqa: BLE001 - the boundary itself
-                transient = isinstance(exc, policy.transient) and not isinstance(
-                    exc, InjectedStageError
+        try:
+            if stage in self.fail_stages:
+                raise InjectedStageError(
+                    f"stage {stage!r} failed by --fail-stage injection"
                 )
-                if transient and attempts <= policy.retries:
-                    self._emit("stage.retry", "warning", stage=stage,
-                               attempt=attempts,
-                               error_kind=type(exc).__name__,
-                               detail=str(exc))
-                    continue
-                failure = StageFailure(
-                    stage=stage,
-                    kind=type(exc).__name__,
-                    detail=str(exc),
-                    attempts=attempts,
-                    disposition="skipped",
-                )
-                self.failures.append(failure)
-                if self._failures_metric is not None:
-                    self._failures_metric.inc(stage=stage, kind=failure.kind)
-                self._emit("stage.failed", "error", stage=stage,
-                           error_kind=failure.kind, detail=failure.detail,
-                           attempts=attempts)
-                if self.strict or policy.on_error == "raise":
-                    raise
-                return None
-            else:
-                self._emit("stage.ok", "debug", stage=stage, attempts=attempts)
-                return result
+            result = fn(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - the boundary itself
+            failure = StageFailure(
+                stage=stage, kind=type(exc).__name__, detail=str(exc),
+            )
+            self.failures.append(failure)
+            if self._failures_metric is not None:
+                self._failures_metric.inc(stage=stage, kind=failure.kind)
+            self._emit("stage.failed", "error", stage=stage,
+                       error_kind=failure.kind, detail=failure.detail,
+                       attempts=failure.attempts)
+            if self.strict:
+                raise
+            return None
+        self._emit("stage.ok", "debug", stage=stage, attempts=1)
+        return result
 
     def _emit(self, kind: str, level: str, **fields) -> None:
         if self._telemetry is not None:
             self._telemetry.events.emit(kind, level=level, **fields)
 
 
-__all__ = [
-    "DEFAULT_POLICY",
-    "InjectedStageError",
-    "StageFailure",
-    "StagePolicy",
-    "StageSupervisor",
-    "TransientStageError",
-]
+__all__ = ["InjectedStageError", "StageFailure", "StageSupervisor"]

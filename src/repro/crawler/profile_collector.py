@@ -9,7 +9,6 @@ the raw material of the Section 8 efficacy analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.dataset import (
@@ -18,7 +17,6 @@ from repro.core.dataset import (
     ProfileRecord,
     add_provenance,
 )
-from repro.crawler.crawler import CrawlError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.platforms.api import (
     ApiStatus,
@@ -34,22 +32,6 @@ from repro.web.url import url_host, url_path
 _HOST_TO_PLATFORM: Dict[str, Platform] = {
     host: platform for platform, host in PLATFORM_HOSTS.items()
 }
-
-
-@dataclass
-class CollectionReport:
-    profiles_queried: int = 0
-    profiles_active: int = 0
-    profiles_inactive: int = 0
-    posts_collected: int = 0
-    errors: int = 0
-    error_details: List[CrawlError] = field(default_factory=list)
-
-    def record_error(self, url: str, kind: str, detail: str = "") -> CrawlError:
-        error = CrawlError(url=url, kind=kind, detail=detail)
-        self.errors += 1
-        self.error_details.append(error)
-        return error
 
 
 def platform_of_url(profile_url: str) -> Optional[Platform]:
@@ -69,7 +51,6 @@ class ProfileCollector:
                  telemetry: Optional[Telemetry] = None) -> None:
         self._client = client
         self.timeline_page_size = timeline_page_size
-        self.report = CollectionReport()
         self.telemetry = telemetry or getattr(client, "telemetry", NULL_TELEMETRY)
         self._m_profiles = self.telemetry.metrics.counter(
             "profiles_queried_total", "profile API queries, by outcome",
@@ -80,7 +61,6 @@ class ProfileCollector:
         )
 
     def _fail(self, url: str, kind: str, detail: str = "") -> None:
-        self.report.record_error(url, kind, detail)
         self.telemetry.events.emit(kind, url=url, stage="profiles", detail=detail)
 
     def collect(
@@ -114,7 +94,6 @@ class ProfileCollector:
             return None
         handle = handle_of_url(profile_url)
         host = PLATFORM_HOSTS[platform]
-        self.report.profiles_queried += 1
         try:
             response = self._client.get(f"http://{host}/api/users/{handle}")
         except HttpError as exc:
@@ -129,10 +108,8 @@ class ProfileCollector:
             status=payload.status.value,
         )
         if payload.status is not ApiStatus.ACTIVE:
-            self.report.profiles_inactive += 1
             self._m_profiles.inc(outcome="inactive")
             return record, []
-        self.report.profiles_active += 1
         self._m_profiles.inc(outcome="active")
         record.account_id = payload.account_id
         record.name = payload.name
@@ -232,9 +209,8 @@ class ProfileCollector:
             offset += len(payload.posts)
             if offset >= payload.total or not payload.posts:
                 break
-        self.report.posts_collected += len(posts)
         self._m_posts.inc(len(posts))
         return posts, complete
 
 
-__all__ = ["CollectionReport", "ProfileCollector", "handle_of_url", "platform_of_url"]
+__all__ = ["ProfileCollector", "handle_of_url", "platform_of_url"]

@@ -14,7 +14,7 @@ the 5-page / 25-posting budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.dataset import UndergroundRecord
@@ -33,16 +33,12 @@ from repro.web.url import join_url, url_path
 
 MAX_RESULT_PAGES = 5
 MAX_POSTINGS_PER_PLATFORM = 25
-
-
-@dataclass
-class UndergroundReport:
-    markets_visited: int = 0
-    registrations_failed: int = 0
-    postings_recorded: int = 0
-    pages_read: int = 0
-    blocked: int = 0
-
+#: The account name registered on every forum.
+USERNAME = "survey_reader"
+#: CAPTCHAs a person tries before giving up on registering.
+REGISTRATION_ATTEMPTS = 3
+#: Simulated seconds a person takes to read and answer one CAPTCHA.
+SECONDS_PER_CHALLENGE = 25.0
 
 #: Section 3.2's search keywords: "[account/s | profile/s] [platform]".
 SEARCH_KEYWORDS = ("account", "accounts", "profile", "profiles")
@@ -61,8 +57,6 @@ class UndergroundCollector:
 
     client: HttpClient  # must be Tor-enabled (ClientConfig.via_tor)
     solver: HumanSolver
-    username: str = "survey_reader"
-    report: UndergroundReport = field(default_factory=UndergroundReport)
     telemetry: Optional[Telemetry] = None
 
     @property
@@ -75,9 +69,7 @@ class UndergroundCollector:
             return self._collect_market(market, host)
 
     def _collect_market(self, market: str, host: str) -> List[UndergroundRecord]:
-        self.report.markets_visited += 1
         if not self._register(host):
-            self.report.registrations_failed += 1
             self._telemetry.events.emit(
                 "registration_failed", market=market, host=host
             )
@@ -94,7 +86,6 @@ class UndergroundCollector:
             return []
         if not response.ok:
             return []
-        self.report.pages_read += 1
         per_platform: Dict[str, int] = {}
         try:
             section_urls = extract_section_links(forum_url, response.body)
@@ -111,14 +102,12 @@ class UndergroundCollector:
                 # entering the next section.
                 try:
                     self.client.get(forum_url)
-                    self.report.pages_read += 1
                 except HttpError:
                     break
             platform = self._platform_from_section(section_url)
             records.extend(
                 self._walk_section(market, section_url, platform, per_platform)
             )
-        self.report.postings_recorded += len(records)
         return records
 
     def collect_market_via_search(
@@ -126,9 +115,7 @@ class UndergroundCollector:
         platforms: tuple = ("X", "Instagram", "Facebook", "TikTok", "YouTube"),
     ) -> List[UndergroundRecord]:
         """Criterion (ii): forum search with the paper's keyword pattern."""
-        self.report.markets_visited += 1
         if not self._register(host):
-            self.report.registrations_failed += 1
             self._telemetry.events.emit(
                 "registration_failed", market=market, host=host
             )
@@ -149,15 +136,14 @@ class UndergroundCollector:
                     if record.url not in seen_urls:
                         seen_urls.add(record.url)
                         records.append(record)
-        self.report.postings_recorded += len(records)
         return records
 
     # -- registration -------------------------------------------------------
 
-    def _register(self, host: str, attempts: int = 3) -> bool:
+    def _register(self, host: str) -> bool:
         """Solve the CAPTCHA and obtain a session; a few human retries."""
         register_url = f"http://{host}/register"
-        for _ in range(attempts):
+        for _ in range(REGISTRATION_ATTEMPTS):
             try:
                 page = self.client.get(register_url)
             except HttpError:
@@ -170,7 +156,7 @@ class UndergroundCollector:
             if prompt_el is None or challenge_el is None:
                 return False
             # A person reads the prompt and types an answer.
-            self.client.clock.advance(self.solver.seconds_per_challenge)
+            self.client.clock.advance(SECONDS_PER_CHALLENGE)
             answer = self.solver.solve(prompt_el.text)
             try:
                 response = self.client.post(
@@ -178,7 +164,7 @@ class UndergroundCollector:
                     form={
                         "challenge_id": challenge_el.get("value"),
                         "captcha_answer": answer,
-                        "username": self.username,
+                        "username": USERNAME,
                     },
                 )
             except HttpError:
@@ -213,7 +199,6 @@ class UndergroundCollector:
             except HttpError:
                 break
             if response.status == 403:
-                self.report.blocked += 1
                 self._telemetry.events.emit(
                     "forum_blocked", url=page_url, marketplace=market
                 )
@@ -221,7 +206,6 @@ class UndergroundCollector:
             if not response.ok:
                 break
             pages_seen += 1
-            self.report.pages_read += 1
             try:
                 thread_list = extract_thread_list(page_url, response.body)
             except ExtractionError as exc:
@@ -248,14 +232,12 @@ class UndergroundCollector:
         except HttpError:
             return None
         if response.status == 403:
-            self.report.blocked += 1
             self._telemetry.events.emit(
                 "forum_blocked", url=thread_url, marketplace=market
             )
             return None
         if not response.ok:
             return None
-        self.report.pages_read += 1
         platform_name = _slug_to_platform(platform)
         try:
             return extract_underground_posting(
@@ -286,5 +268,4 @@ __all__ = [
     "MAX_POSTINGS_PER_PLATFORM",
     "MAX_RESULT_PAGES",
     "UndergroundCollector",
-    "UndergroundReport",
 ]

@@ -53,6 +53,10 @@ class DegradedCycleFault(CycleFault):
     kind = "degraded"
 
 
+#: Each further retry of a cycle backs off this many times longer.
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class CyclePolicy:
     """How hard one cycle is allowed to try before it counts as failed."""
@@ -61,14 +65,12 @@ class CyclePolicy:
     max_attempts: int = 2
     #: Simulated-seconds backoff before the first retry.
     backoff_seconds: float = 300.0
-    #: Backoff multiplier per further retry.
-    backoff_factor: float = 2.0
     #: Failed cycles in a row before the daemon trips its circuit.
     max_consecutive_failures: int = 3
 
     def backoff_for(self, attempt: int) -> float:
         """Backoff before attempt N (attempts count from 1)."""
-        return self.backoff_seconds * (self.backoff_factor ** (attempt - 2))
+        return self.backoff_seconds * (BACKOFF_FACTOR ** (attempt - 2))
 
 
 @dataclass

@@ -93,6 +93,8 @@ _SEED_TEXT: Dict[str, str] = {
 
 _SOCIAL_TOKEN_RE = re.compile(r"(?:https?://\S+|[#@]\w+)")
 
+#: A text whose best cosine score is below this is undetermined ('und').
+MIN_CONFIDENCE = 0.05
 #: Documents scored per pass of the array kernel.
 _CHUNK_DOCS = 256
 #: A letter's gram id is its code point (below ``1 << _POINT_BITS``); a
@@ -162,7 +164,7 @@ class LanguageDetector:
     ['en', 'und', 'de']
     """
 
-    def __init__(self, min_confidence: float = 0.05) -> None:
+    def __init__(self) -> None:
         self._letters_only = _DropNonLetters()
         self._languages = sorted(_SEED_TEXT)
         doc, gram, counts = _gram_counts(
@@ -174,7 +176,6 @@ class LanguageDetector:
         self._weights = np.zeros((len(self._languages), len(self._grams)))
         self._weights[doc, columns] = _unit_weights(doc, counts,
                                                     len(self._languages))
-        self.min_confidence = min_confidence
 
     @property
     def languages(self) -> List[str]:
@@ -222,14 +223,14 @@ class LanguageDetector:
     def detect_all(self, texts: Sequence[Optional[str]]) -> List[str]:
         """Each text's best language, ties going to the alphabetically
         first, or 'und' (undetermined) when its score is below
-        ``min_confidence``; scored ``_CHUNK_DOCS`` texts at a time."""
+        ``MIN_CONFIDENCE``; scored ``_CHUNK_DOCS`` texts at a time."""
         detected: List[str] = []
         for start in range(0, len(texts), _CHUNK_DOCS):
             scores = self._score_letters(
                 [self._letters(text)
                  for text in texts[start : start + _CHUNK_DOCS]])
             best = scores.argmax(axis=1)  # the first of equal scores
-            hopeless = scores[np.arange(len(best)), best] < self.min_confidence
+            hopeless = scores[np.arange(len(best)), best] < MIN_CONFIDENCE
             detected.extend(
                 "und" if no_match else self._languages[column]
                 for column, no_match in zip(best.tolist(), hopeless.tolist()))

@@ -18,7 +18,7 @@ from repro.synthetic.countries import COUNTRIES, PROFILE_LOCATION_HEAD
 from repro.synthetic.model import AccountFate, AccountType, Platform, SocialAccount
 from repro.synthetic.names import NameForge
 from repro.synthetic.scamtext import SCAM_CATEGORY_TREE
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, ZipfTable
 from repro.util.simtime import SimDate
 
 #: Profile-description templates; cluster members share one instance
@@ -173,13 +173,14 @@ class AccountFactory:
         head_weights = [float(c) for _n, c in cal.PROFILE_TOP_LOCATIONS]
         tail = [c for c in COUNTRIES if c not in head][: cal.PROFILE_LOCATION_UNIQUE - len(head)]
         head_share = sum(head_weights) / cal.PROFILE_LOCATION_COUNT
+        tail_zipf = ZipfTable(len(tail), s=0.7)
         for account in accounts:
             if not rng.bernoulli(fraction):
                 continue
             if rng.bernoulli(head_share):
                 account.location = rng.weighted_choice(head, head_weights)
             else:
-                account.location = tail[rng.zipf_index(len(tail), s=0.7)]
+                account.location = tail[rng.zipf_index(tail_zipf)]
 
     def _assign_affiliated_categories(self, accounts: List[SocialAccount]) -> None:
         """~10% of profiles carry a platform-assigned category (Section 5)."""
@@ -189,13 +190,14 @@ class AccountFactory:
         head_weights = [float(c) for _n, c in cal.AFFILIATED_TOP_CATEGORIES]
         tail = [c for c in self._affiliated if c not in head]
         head_share = sum(head_weights) / cal.AFFILIATED_CATEGORY_ACCOUNTS
+        tail_zipf = ZipfTable(len(tail), s=0.7)
         for account in accounts:
             if not rng.bernoulli(fraction):
                 continue
             if rng.bernoulli(head_share):
                 account.affiliated_category = rng.weighted_choice(head, head_weights)
             else:
-                account.affiliated_category = tail[rng.zipf_index(len(tail), s=0.7)]
+                account.affiliated_category = tail[rng.zipf_index(tail_zipf)]
 
     def _assign_account_types(self, accounts: List[SocialAccount]) -> None:
         """Business / verified / private / protected minorities (Section 5)."""

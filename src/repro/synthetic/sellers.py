@@ -14,7 +14,7 @@ from repro.synthetic import calibration as cal
 from repro.synthetic.countries import COUNTRIES, SELLER_COUNTRY_HEAD
 from repro.synthetic.model import Seller
 from repro.synthetic.names import NameForge
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, ZipfTable
 from repro.util.simtime import SimDate
 
 
@@ -31,6 +31,7 @@ class SellerFactory:
         self._tail = [c for c in COUNTRIES if c not in head][
             : cal.SELLER_COUNTRY_COUNT - len(head)
         ]
+        self._tail_zipf = ZipfTable(len(self._tail), s=0.6)
         total_disclosed = 8833.0  # Section 4.1: sellers that disclosed a country
         self._head_share = sum(self._head_weights) / total_disclosed
 
@@ -38,7 +39,7 @@ class SellerFactory:
         rng = self._rng
         if rng.bernoulli(self._head_share):
             return rng.weighted_choice(self._head, self._head_weights)
-        return self._tail[rng.zipf_index(len(self._tail), s=0.6)]
+        return self._tail[rng.zipf_index(self._tail_zipf)]
 
     def build_market_sellers(self, marketplace: str, count: int) -> List[Seller]:
         """Generate ``count`` sellers for one marketplace."""
@@ -82,8 +83,9 @@ class SellerFactory:
             sellers[i % len(sellers)].seller_id
             for i in range(min(len(sellers), listing_count))
         ]
+        power_sellers = ZipfTable(len(sellers), s=0.85)
         for _ in range(listing_count - len(assignments)):
-            index = rng.zipf_index(len(sellers), s=0.85)
+            index = rng.zipf_index(power_sellers)
             assignments.append(sellers[index].seller_id)
         rng.shuffle(assignments)
         return assignments

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -26,6 +28,28 @@ def _derive_seed(parent_seed: int, name: str) -> int:
     payload = f"{parent_seed & _MASK64:016x}:{name}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class ZipfTable:
+    """The truncated zeta distribution over ``[0, n)`` with weights
+    ``1 / (i + 1) ** s``, for :meth:`RngTree.zipf_index`.
+
+    Build one table per ``(n, s)`` where the draws happen: building
+    costs ``O(n)``, and each draw is then one binary search over the
+    running sums.
+    """
+
+    __slots__ = ("cumulative", "total")
+
+    def __init__(self, n: int, s: float) -> None:
+        if n <= 0:
+            raise ValueError("n must be positive")
+        weights = [1.0 / (i + 1) ** s for i in range(n)]
+        # ``sum`` of floats is compensated on Python 3.12+, so ``total``
+        # may differ from the last running sum; draws scale by ``total``
+        # and compare against the running sums, so each stays as it is.
+        self.total = sum(weights)
+        self.cumulative = list(accumulate(weights))
 
 
 class RngTree:
@@ -110,27 +134,20 @@ class RngTree:
             result = min(result, cap)
         return max(minimum, result)
 
-    def zipf_index(self, n: int, s: float = 1.1) -> int:
-        """Sample an index in ``[0, n)`` with Zipf-like popularity decay.
+    def zipf_index(self, table: ZipfTable) -> int:
+        """Sample an index of ``table`` with Zipf-like popularity decay.
 
-        Used to assign listings to categories so that a handful of
-        categories (Humor/Memes, Luxury/Motivation, ...) dominate, as in
-        Section 4.1 of the paper.
+        Used for the world's heavy tails: the power sellers that own the
+        surplus listings, and the long tails of seller countries, profile
+        locations and affiliated categories.  ``n`` reaches the thousands
+        (a marketplace's sellers), hence the table.
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        # Inverse-CDF on the truncated zeta distribution via bisection-free
-        # approximation: sample u and walk the harmonic weights.  n is at
-        # most a few hundred (category counts), so a linear walk is fine.
-        weights = [1.0 / (i + 1) ** s for i in range(n)]
-        total = sum(weights)
-        u = self._random.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u <= acc:
-                return i
-        return n - 1
+        # Inverse CDF: the first index whose running sum reaches u.  A u
+        # past the last running sum (``total`` rounds differently) takes
+        # the last index.
+        u = self._random.random() * table.total
+        cumulative = table.cumulative
+        return min(bisect_left(cumulative, u), len(cumulative) - 1)
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         if len(items) != len(weights):
@@ -163,4 +180,4 @@ class RngTree:
         return floors
 
 
-__all__ = ["RngTree"]
+__all__ = ["RngTree", "ZipfTable"]

@@ -81,13 +81,11 @@ class HumanSolver:
     _ARITHMETIC = re.compile(r"What is (\d+) plus (\d+)\?")
     _WORD_PICK = re.compile(r"Type the word number (\d+) from: (.+)$")
 
-    def __init__(self, rng: RngTree, accuracy: float = 0.96,
-                 seconds_per_challenge: float = 25.0) -> None:
+    def __init__(self, rng: RngTree, accuracy: float = 0.96) -> None:
         if not 0 < accuracy <= 1:
             raise ValueError("accuracy must be in (0, 1]")
         self._rng = rng
         self.accuracy = accuracy
-        self.seconds_per_challenge = seconds_per_challenge
 
     def solve(self, prompt: str) -> str:
         """Work out the answer from the prompt, with human error."""

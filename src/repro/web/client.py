@@ -6,11 +6,10 @@ retryable statuses, per-host politeness delays, and robots.txt compliance.
 All timing is charged to the simulated clock, so crawls are deterministic.
 
 The client is hardened against a hostile substrate (see
-:mod:`repro.faults`): requests time out after
-:attr:`ClientConfig.timeout_seconds` of simulated time, transient
-transport failures (connect errors, timeouts) are retried with the same
-backoff as retryable statuses, each host has a finite *retry budget* per
-crawl epoch, and a per-host circuit breaker
+:mod:`repro.faults`): requests time out after ``TIMEOUT_SECONDS`` of
+simulated time, transient transport failures (connect errors, timeouts)
+are retried with the same backoff as retryable statuses, each host has a
+finite *retry budget* per crawl epoch, and a per-host circuit breaker
 (:class:`~repro.web.breaker.CircuitBreaker`) fast-fails requests to
 hosts that keep failing, probing them again after a cooldown.
 
@@ -53,27 +52,29 @@ _BREAKER_FAILURE_CODES = frozenset({
     http.GATEWAY_TIMEOUT,
 })
 
+USER_AGENT = "repro-measurement-crawler/1.0"
+MAX_REDIRECTS = 5
+#: Each retry backs off this many times longer than the one before.
+BACKOFF_MULTIPLIER = 2.0
+#: Give up on a response after this much simulated time: hung servers
+#: otherwise stall the crawl forever.
+TIMEOUT_SECONDS = 30.0
+#: Retries allowed per host per crawl epoch; once spent, transient
+#: failures surface immediately instead of backing off again.
+RETRY_BUDGET_PER_HOST = 64
+
 
 @dataclass
 class ClientConfig:
     """Tunables for :class:`HttpClient`."""
 
-    user_agent: str = "repro-measurement-crawler/1.0"
-    max_redirects: int = 5
     max_retries: int = 3
     backoff_base_seconds: float = 1.0
-    backoff_multiplier: float = 2.0
     #: Minimum spacing between requests to the same host (politeness).
     per_host_delay_seconds: float = 0.5
     #: Honour robots.txt on public (non-onion) hosts.
     respect_robots: bool = True
     via_tor: bool = False
-    #: Give up on a response after this much simulated time (None = never).
-    #: Hung servers otherwise stall the crawl forever.
-    timeout_seconds: Optional[float] = 30.0
-    #: Retries allowed per host per crawl epoch; once spent, transient
-    #: failures surface immediately instead of backing off again.
-    retry_budget_per_host: int = 64
     #: Per-host circuit breaker (None disables breaking entirely).
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
 
@@ -277,7 +278,7 @@ class HttpClient:
             response = self._send_with_retries(method, current_url, params, form)
             if response.is_redirect:
                 redirects += 1
-                if redirects > self.config.max_redirects:
+                if redirects > MAX_REDIRECTS:
                     raise TooManyRedirects(f"redirect limit exceeded at {current_url}")
                 current_url = join_url(current_url, response.headers["Location"])
                 method, params, form = "GET", None, None
@@ -333,7 +334,7 @@ class HttpClient:
             self.stats.retry_wait_seconds += wait
             self._m_retry_wait.inc(wait, host=host)
             self._internet.clock.advance(wait)
-            backoff *= self.config.backoff_multiplier
+            backoff *= BACKOFF_MULTIPLIER
 
     def _breaker_for(self, host: str) -> Optional[CircuitBreaker]:
         if self.config.breaker is None:
@@ -355,7 +356,7 @@ class HttpClient:
         return breaker
 
     def _take_retry_token(self, host: str) -> bool:
-        remaining = self._retry_budget.get(host, self.config.retry_budget_per_host)
+        remaining = self._retry_budget.get(host, RETRY_BUDGET_PER_HOST)
         if remaining <= 0:
             return False
         self._retry_budget[host] = remaining - 1
@@ -374,7 +375,7 @@ class HttpClient:
         request = Request(
             method=method,
             url=url,
-            headers={"User-Agent": self.config.user_agent},
+            headers={"User-Agent": USER_AGENT},
             params=dict(params or {}),
             form=dict(form or {}),
             cookies=dict(self.cookies.get(host, {})),
@@ -393,13 +394,12 @@ class HttpClient:
             raise
         self._last_request_at[host] = self._internet.clock.now()
         elapsed = self._internet.clock.now() - fetch_started
-        timeout = self.config.timeout_seconds
-        if timeout is not None and elapsed > timeout:
+        if elapsed > TIMEOUT_SECONDS:
             # The answer arrived after the client hung up: discard it.
             self.stats.timeouts += 1
             self._m_timeouts.inc(host=host)
             error = RequestTimeout(
-                f"no response from {host} within {timeout:.0f}s "
+                f"no response from {host} within {TIMEOUT_SECONDS:.0f}s "
                 f"(server took {elapsed:.0f}s)"
             )
             if self.capture is not None:
@@ -434,7 +434,7 @@ class HttpClient:
         # robots.txt Crawl-delay overrides the default spacing upward.
         policy = self._robots_cache.get(host)
         if self.config.respect_robots and policy is not None:
-            crawl_delay = policy.crawl_delay(self.config.user_agent)
+            crawl_delay = policy.crawl_delay(USER_AGENT)
             if crawl_delay is not None:
                 delay = max(delay, crawl_delay)
         elapsed = self._internet.clock.now() - last
@@ -451,7 +451,7 @@ class HttpClient:
         if path == "/robots.txt":
             return
         policy = self._robots_policy(host, url)
-        if policy is not None and not policy.allows(self.config.user_agent, path):
+        if policy is not None and not policy.allows(USER_AGENT, path):
             self.stats.robots_blocked += 1
             self._m_robots_blocked.inc(host=host)
             self.telemetry.events.emit(
@@ -467,7 +467,7 @@ class HttpClient:
             request = Request(
                 method="GET",
                 url=robots_url,
-                headers={"User-Agent": self.config.user_agent},
+                headers={"User-Agent": USER_AGENT},
             )
             response = self._internet.fetch(
                 request, client_id=self.client_id, via_tor=self.config.via_tor

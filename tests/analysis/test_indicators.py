@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.indicators import (
-    DEFAULT_WEIGHTS,
+    WEIGHTS,
     IndicatorEngine,
     IndicatorEvaluation,
 )
@@ -81,7 +81,7 @@ class TestIndividualIndicators:
     def test_score_sums_weights(self):
         engine = IndicatorEngine()
         risk = engine.score_profile(profile(), [], referred=True, clustered=True)
-        expected = DEFAULT_WEIGHTS["marketplace_referral"] + DEFAULT_WEIGHTS["coordinated_cluster"]
+        expected = WEIGHTS["marketplace_referral"] + WEIGHTS["coordinated_cluster"]
         assert risk.score == pytest.approx(expected)
 
     def test_disabled_indicators_never_fire(self):

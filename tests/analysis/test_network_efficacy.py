@@ -118,10 +118,6 @@ class TestNetworkMechanics:
         report = NetworkAnalysis().run(self._dataset(profiles))
         assert report.total_clusters == 0
 
-    def test_min_cluster_size_validated(self):
-        with pytest.raises(ValueError):
-            NetworkAnalysis(min_cluster_size=1)
-
 
 class TestEfficacy:
     def test_per_platform_rates_match_table8(self, efficacy):

@@ -17,7 +17,7 @@ from tests.property.test_scam_kernels import patch_reference_kernels
 
 @pytest.fixture(scope="module")
 def scam_report(dataset):
-    return ScamPostAnalysis(ScamPipelineConfig(dbscan_eps=0.9)).run(dataset)
+    return ScamPostAnalysis().run(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +119,13 @@ def _hits(vetter: ClusterVetter, text: str, subtype: str) -> int:
 
 class TestVetter:
     def test_codebook_match_requires_two_indicators(self):
-        vetter = ClusterVetter(ScamPipelineConfig())
+        vetter = ClusterVetter()
         assert _hits(vetter, "bitcoin weather", "Crypto Scams") == 1
         assert vetter._score_sample(["bitcoin weather"]) == (None, 0.0)
         assert vetter._score_sample(["bitcoin profit"]) == ("Crypto Scams", 1.0)
 
     def test_prefix_stemming(self):
-        vetter = ClusterVetter(ScamPipelineConfig())
+        vetter = ClusterVetter()
         assert _matches_indicator("investment", "invest")
         assert _matches_indicator("donations", "donation")
         assert _hits(vetter, "investment donations", "Crypto Scams") == 1
@@ -148,7 +148,7 @@ class TestReferenceKernels:
 
     def test_scalable_path_identical_to_reference_kernels(self, dataset,
                                                           monkeypatch):
-        config = ScamPipelineConfig(dbscan_eps=0.9, large_corpus_threshold=5000)
+        config = ScamPipelineConfig(large_corpus_threshold=5000)
         labels = []
         cluster = ScamPostAnalysis._cluster
 

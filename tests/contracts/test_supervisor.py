@@ -3,13 +3,7 @@
 import pytest
 
 from repro.analysis.suite import STAGE_NAMES, run_analysis_suite
-from repro.contracts import (
-    InjectedStageError,
-    StageFailure,
-    StagePolicy,
-    StageSupervisor,
-    TransientStageError,
-)
+from repro.contracts import StageFailure, StageSupervisor
 from repro.core.dataset import MeasurementDataset
 from repro.obs.telemetry import Telemetry
 
@@ -35,48 +29,22 @@ def test_deterministic_error_degrades_to_stage_failure():
     assert failure.disposition == "skipped"
 
 
-def test_transient_error_is_retried():
-    supervisor = StageSupervisor()
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise TransientStageError("blip")
-        return "ok"
-
-    result = supervisor.run(
-        "stage", flaky, policy=StagePolicy(retries=3)
-    )
-    assert result == "ok"
-    assert len(calls) == 3
-    assert supervisor.failures == []
-
-
-def test_exhausted_retries_degrade():
-    supervisor = StageSupervisor()
-
-    def always_flaky():
-        raise TransientStageError("still down")
-
-    assert supervisor.run(
-        "stage", always_flaky, policy=StagePolicy(retries=2)
-    ) is None
-    failure = supervisor.failures[0]
-    assert failure.attempts == 3  # 1 initial + 2 retries
-    assert failure.kind == "TransientStageError"
-
-
 def test_deterministic_error_is_not_retried():
+    # Stages are deterministic functions of the dataset: every error,
+    # an OSError included, gets exactly one attempt.
     supervisor = StageSupervisor()
     calls = []
 
-    def boom():
+    def boom(error):
         calls.append(1)
-        raise KeyError("missing")
+        raise error
 
-    supervisor.run("stage", boom, policy=StagePolicy(retries=5))
-    assert len(calls) == 1
+    supervisor.run("keys", boom, KeyError("missing"))
+    supervisor.run("disk", boom, OSError("gone"))
+    assert len(calls) == 2
+    assert [(f.stage, f.kind, f.attempts) for f in supervisor.failures] == [
+        ("keys", "KeyError", 1), ("disk", "OSError", 1),
+    ]
 
 
 def test_strict_mode_reraises():
@@ -97,36 +65,22 @@ def test_fail_stages_injection():
     assert supervisor.run("network", lambda: "ok") is None
     failure = supervisor.failure_for("network")
     assert failure.kind == "InjectedStageError"
-
-
-def test_injected_failure_is_never_retried():
-    supervisor = StageSupervisor(fail_stages=("s",))
-    # InjectedStageError subclasses RuntimeError, but even with a broad
-    # transient tuple the injection must not be retried away.
-    supervisor.run(
-        "s", lambda: "ok", policy=StagePolicy(retries=5, transient=(Exception,))
-    )
-    assert supervisor.failure_for("s").attempts == 1
+    assert failure.attempts == 1
 
 
 def test_events_emitted_per_decision():
     telemetry = Telemetry()
     supervisor = StageSupervisor(telemetry)
     supervisor.run("good", lambda: 1)
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 2:
-            raise TransientStageError("blip")
-        return 1
-
-    supervisor.run("flaky", flaky, policy=StagePolicy(retries=1))
     supervisor.run("bad", lambda: 1 / 0)
-    kinds = [e.kind for e in telemetry.events.events]
-    assert kinds.count("stage.ok") == 2
-    assert kinds.count("stage.retry") == 1
-    assert kinds.count("stage.failed") == 1
+    supervisor.run("also_good", lambda: 2)
+    events = [(e.kind, e.fields["stage"], e.fields["attempts"])
+              for e in telemetry.events.events]
+    assert events == [
+        ("stage.ok", "good", 1),
+        ("stage.failed", "bad", 1),
+        ("stage.ok", "also_good", 1),
+    ]
     metric = telemetry.metrics.counter(
         "stage_failures_total", labels=("stage", "kind")
     )

@@ -13,6 +13,7 @@ from repro.crawler.underground_collector import (
     UndergroundCollector,
 )
 from repro.marketplaces.underground import UndergroundForumSite
+from repro.obs.telemetry import Telemetry
 from repro.platforms.base import PLATFORM_HOSTS, profile_url
 from repro.platforms.deploy import deploy_platforms, enable_moderation
 from repro.synthetic import WorldBuilder, WorldConfig
@@ -155,13 +156,18 @@ class TestUndergroundCollector:
 
     def test_hopeless_captcha_gives_up(self, forum_net):
         site, client, _nexus = forum_net
+        telemetry = Telemetry()
         collector = UndergroundCollector(
             client=client,
             solver=HumanSolver(RngTree(6).child("s"), accuracy=0.01),
+            telemetry=telemetry,
         )
         records = collector.collect_market("Nexus", site.host)
         assert records == []
-        assert collector.report.registrations_failed == 1
+        failed = [e for e in telemetry.events.events
+                  if e.kind == "registration_failed"]
+        assert len(failed) == 1
+        assert failed[0].fields == {"market": "Nexus", "host": site.host}
 
     def test_human_pace_charged_to_clock(self, forum_net):
         site, client, _nexus = forum_net

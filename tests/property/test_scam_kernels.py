@@ -15,6 +15,7 @@ The references are also the kernels the stage-level differential test in
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import string
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.scam_posts import ClusterVetter, ScamPipelineConfig
+from repro.analysis.scam_posts import VETTING_THRESHOLD, ClusterVetter
 from repro.nlp import cluster as cluster_module
 from repro.nlp.cluster import (
     _assign_blockwise,
@@ -42,6 +43,7 @@ from repro.nlp.langdetect import (
     _CHUNK_DOCS,
     _POINT_BITS,
     _SEED_TEXT,
+    MIN_CONFIDENCE,
     LanguageDetector,
     _gram_counts,
 )
@@ -78,7 +80,7 @@ def reference_score_sample(self, sample: List[str]) -> Tuple[Optional[str], floa
         scores[subtype] = matches / max(1, len(sample))
     best_subtype = max(scores, key=lambda s: (scores[s], s))
     best = scores[best_subtype]
-    if best >= self._config.vetting_threshold:
+    if best >= VETTING_THRESHOLD:
         return best_subtype, best
     return None, best
 
@@ -192,7 +194,7 @@ def reference_detect_all(self, texts: Sequence[Optional[str]]) -> List[str]:
     detected = []
     for text in texts:
         ranked = reference_scores(self, text)
-        detected.append("und" if ranked[0][1] < self.min_confidence
+        detected.append("und" if ranked[0][1] < MIN_CONFIDENCE
                         else ranked[0][0])
     return detected
 
@@ -345,7 +347,7 @@ class TestVettingKernel:
     @given(st.lists(_vetting_text, max_size=25))
     @settings(max_examples=200, deadline=None)
     def test_score_sample_matches_reference(self, sample):
-        vetter = ClusterVetter(ScamPipelineConfig())
+        vetter = ClusterVetter()
         assert repr(vetter._score_sample(sample)) == repr(
             reference_score_sample(vetter, sample))
 
@@ -354,7 +356,7 @@ class TestVettingKernel:
     def test_hit_counts_match_reference(self, text):
         # Stronger than the verdict: every subtype's hit count agrees,
         # not only which side of the two-indicator threshold it falls.
-        vetter = ClusterVetter(ScamPipelineConfig())
+        vetter = ClusterVetter()
         mask = vetter._post_mask(text)
         tokens = set(tokenize(text, keep_handles=False))
         for subtype, indicators in VETTING_CODEBOOK.items():
@@ -368,7 +370,7 @@ class TestVettingKernel:
         ["fan fans"], ["vip odds"], ["ship shipping order"],
     ])
     def test_edge_samples(self, sample):
-        vetter = ClusterVetter(ScamPipelineConfig())
+        vetter = ClusterVetter()
         assert repr(vetter._score_sample(sample)) == repr(
             reference_score_sample(vetter, sample))
 
@@ -630,15 +632,18 @@ class TestEmbeddingKernel:
 
     def test_matrix_past_one_slice(self):
         # Rows are normalized in 1024-row slices; 2,600 documents end on
-        # a partial slice.
+        # a partial slice.  The words are letters only, since ``tokenize``
+        # drops a word with a digit in it.
         rng = np.random.default_rng(23)
-        words = [f"w{i}" for i in range(400)] + ["the", "and", "crypto"]
+        words = ["".join(letters) for letters in itertools.product(
+            string.ascii_lowercase, repeat=3)][:400] + ["the", "and", "crypto"]
         texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 20))))
                  for _ in range(2_600)]
         embedder = HashedTfidfEmbedder()
         reference = _reference_twin(embedder)
         matrix = embedder.fit_transform(texts)
         assert matrix.dtype == np.float32
+        assert np.count_nonzero(matrix.any(axis=1)) == 2_466
         assert np.array_equal(matrix, reference_fit_transform(reference, texts))
 
 

@@ -1,10 +1,40 @@
 """Tests for the hierarchical RNG tree."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, ZipfTable
+
+
+def reference_zipf_index(rng: RngTree, n: int, s: float) -> int:
+    """The per-draw linear walk over freshly computed weights that
+    ``ZipfTable`` replaced, kept as the reference for its draws."""
+    weights = [1.0 / (i + 1) ** s for i in range(n)]
+    total = sum(weights)
+    u = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u <= acc:
+            return i
+    return n - 1
+
+
+class _Fixed:
+    """A stand-in for ``random.Random`` whose ``random()`` is one value."""
+
+    def __init__(self, value: float) -> None:
+        self._value = value
+
+    def random(self) -> float:
+        return self._value
+
+
+def _fixed_rng(u: float) -> RngTree:
+    rng = RngTree(0)
+    rng._random = _Fixed(u)
+    return rng
 
 
 class TestDeterminism:
@@ -64,7 +94,8 @@ class TestDistributions:
 
     def test_zipf_index_in_range_and_head_heavy(self):
         rng = RngTree(17)
-        draws = [rng.zipf_index(50, s=1.2) for _ in range(2000)]
+        table = ZipfTable(50, s=1.2)
+        draws = [rng.zipf_index(table) for _ in range(2000)]
         assert all(0 <= d < 50 for d in draws)
         head = sum(1 for d in draws if d < 5)
         tail = sum(1 for d in draws if d >= 45)
@@ -72,7 +103,7 @@ class TestDistributions:
 
     def test_zipf_index_rejects_empty(self):
         with pytest.raises(ValueError):
-            RngTree(1).zipf_index(0)
+            ZipfTable(0, s=1.1)
 
     def test_weighted_choice_respects_zero_weight(self):
         rng = RngTree(19)
@@ -128,3 +159,49 @@ class TestPartitionCount:
         for part, weight in zip(parts, weights):
             exact = total * weight / weight_sum
             assert abs(part - exact) < 1.0 + 1e-9
+
+
+class TestZipfTable:
+    @given(n=st.integers(1, 400), s=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2**64 - 1), draws=st.integers(1, 30))
+    @example(n=6_617, s=0.85, seed=99, draws=300)  # a marketplace's sellers
+    @settings(max_examples=200, deadline=None)
+    def test_draws_match_reference_walk(self, n, s, seed, draws):
+        table = ZipfTable(n, s)
+        shipped, reference = RngTree(seed), RngTree(seed)
+        assert ([shipped.zipf_index(table) for _ in range(draws)]
+                == [reference_zipf_index(reference, n, s)
+                    for _ in range(draws)])
+
+    @given(n=st.integers(1, 400), s=st.floats(0.0, 3.0),
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    @example(n=1, s=1.1, u=0.0)
+    @example(n=2, s=0.6, u=5e-324)
+    @example(n=288, s=0.7, u=1.0 - 2.0 ** -53)
+    @example(n=6_617, s=0.85, u=1.0 - 2.0 ** -53)
+    # s = 0 makes every weight 1.0, so these draws land exactly on a
+    # running sum, which takes that sum's index.
+    @example(n=4, s=0.0, u=0.25)
+    @example(n=4, s=0.0, u=0.5)
+    @example(n=4, s=0.0, u=0.75)
+    @settings(deadline=None)
+    def test_any_uniform_draw_matches_reference_walk(self, n, s, u):
+        assert (_fixed_rng(u).zipf_index(ZipfTable(n, s))
+                == reference_zipf_index(_fixed_rng(u), n, s))
+
+    def test_draw_past_last_running_sum_takes_last_index(self):
+        table = ZipfTable(10, s=1.0)
+        table.total = table.cumulative[-1] * 2  # a sum rounded upward
+        assert _fixed_rng(0.999).zipf_index(table) == 9
+
+    def test_table_holds_running_sums_and_sum(self):
+        # At this size another summation order changes the total's last
+        # bit, so the check pins ``sum`` over the weights in index order.
+        table = ZipfTable(6_617, s=0.85)
+        weights = [1.0 / (i + 1) ** 0.85 for i in range(6_617)]
+        running, acc = [], 0.0
+        for w in weights:
+            acc += w
+            running.append(acc)
+        assert table.cumulative == running
+        assert table.total == sum(weights)
