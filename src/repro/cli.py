@@ -157,6 +157,8 @@ from repro.monitor import (
     render_status,
 )
 from repro.obs.report_html import REPORT_FILENAME
+from repro.obs.summary import format_text
+from repro.obs.trends import runs_section
 from repro.serve import (
     CATALOG_HOST,
     Catalog,
@@ -741,22 +743,7 @@ def cmd_runs_ingest(args: argparse.Namespace) -> int:
 def cmd_runs_list(args: argparse.Namespace) -> int:
     with RunRegistry.open_existing(args.registry) as registry:
         rows = registry.runs(last_n=args.last)
-    if not rows:
-        print("no runs registered")
-        return 0
-    # Sorted by run id (content-derived), not ingestion seq, and without
-    # the wall-clock ingestion stamp: two state dirs holding the same
-    # runs list byte-identically no matter when they were ingested.
-    for run in sorted(rows, key=lambda run: run.run_id):
-        scorecard = (
-            "-" if run.scorecard_passed is None
-            else "PASS" if run.scorecard_passed else "FAIL"
-        )
-        print(
-            f"{run.seq:>4}  {run.run_id}  seed={run.seed}  "
-            f"config={run.config_hash}  chaos={run.chaos or 'off'}  "
-            f"scorecard={scorecard}"
-        )
+    print(format_text([runs_section(rows)]))
     return 0
 
 
@@ -785,7 +772,8 @@ def cmd_runs_trends(args: argparse.Namespace) -> int:
     if args.html:
         with _writing(args.html), open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_fleet_html(
-                runs, series_list, report, registry_path=args.registry,
+                runs, series_list, report.to_dict(),
+                registry_path=args.registry,
             ))
         print(f"wrote {args.html}")
         return 0

@@ -15,8 +15,9 @@ from typing import List, Optional
 from repro.monitor.daemon import CYCLES_DIRNAME, run_id_for_cycle
 from repro.monitor.ledger import LEDGER_FILENAME, ScheduleLedger
 from repro.monitor.lock import LOCK_FILENAME, default_pid_alive
-from repro.obs.alerts import ALERTS_FILENAME
+from repro.obs.alerts import ALERTS_FILENAME, alerts_section
 from repro.obs.registry import REGISTRY_FILENAME, RegistryError, RunRegistry
+from repro.obs.summary import format_text
 
 
 def _lock_line(state_dir: str) -> str:
@@ -58,16 +59,7 @@ def _latest_alert_lines(state_dir: str,
             report = json.load(handle)
     except (OSError, ValueError):
         return [f"alerts ({run_id_for_cycle(cycle)}): unreadable"]
-    alerts = report.get("alerts") or []
-    if not alerts:
-        return [f"alerts ({run_id_for_cycle(cycle)}): none fired"]
-    lines = [f"alerts ({run_id_for_cycle(cycle)}): {len(alerts)} fired"]
-    for alert in alerts:
-        lines.append(
-            f"  [{alert.get('severity')}] {alert.get('rule')} "
-            f"{alert.get('metric')}: {alert.get('message')}"
-        )
-    return lines
+    return format_text([alerts_section(report)]).splitlines()
 
 
 def render_status(state_dir: str) -> str:

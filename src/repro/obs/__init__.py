@@ -12,15 +12,16 @@ package makes it inspectable end to end:
   diffable (config, git revision, stage durations, error counts);
 * :mod:`repro.obs.telemetry` — the facade threading all of the above
   through the pipeline, with a zero-cost disabled mode;
-* :mod:`repro.obs.summary` — the run-dir document every telemetry-dir
-  renderer formats, and its ``repro trace <run-dir>`` text rendering;
+* :mod:`repro.obs.summary` — the run-dir document, the report sections
+  built from it, and the text formatter (``repro trace <run-dir>``);
 * :mod:`repro.obs.quality` — the end-of-run fidelity scorecard scored
   against ground truth and the paper-shape calibration targets;
 * :mod:`repro.obs.watchdog` — in-flight crawl-health monitors
   (coverage, error/ban rates, stalls);
 * :mod:`repro.obs.rundir` — defensive loading of telemetry dirs;
 * :mod:`repro.obs.diff` — run-to-run regression diffing;
-* :mod:`repro.obs.report_html` — the single-file health dashboard;
+* :mod:`repro.obs.report_html` — the HTML formatter: the single-file
+  health dashboard and the fleet view;
 * :mod:`repro.obs.prof` — the ``--profile`` performance profiler, an
   observer of the tracer's phase and stage spans (their wall and sim
   time, plus memory and throughput → profile.json);
@@ -101,7 +102,6 @@ from repro.obs.registry import (
     metrics_from_document,
 )
 from repro.obs.report_html import (
-    FLEET_FILENAME,
     health_problems,
     render_fleet_html,
     render_health_html,
@@ -152,7 +152,6 @@ __all__ = [
     "AlertReport",
     "BENCH_FILENAME",
     "BENCH_SCHEMA",
-    "FLEET_FILENAME",
     "IngestResult",
     "KNOWN_SCHEMAS",
     "MANIFEST_SCHEMA",

@@ -41,12 +41,12 @@ nothing), which CI enforces with its twin-run registry gate.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.obs.schemas import ALERTS_SCHEMA
+from repro.obs.summary import Section, format_text
 from repro.obs.trends import TrendSeries, compute_trends
 from repro.util.fileio import atomic_write_json
 
@@ -181,27 +181,41 @@ class AlertReport:
         }
 
     def render_text(self) -> str:
-        if not self.alerts:
-            lines = [
-                f"no alerts: latest run {self.run_id} is within baseline "
-                f"({self.runs_considered} run(s) considered)"
-            ]
-        else:
-            lines = [
-                f"{len(self.alerts)} alert(s) on run {self.run_id} "
-                f"({self.runs_considered} run(s) considered):"
-            ]
-            for alert in sorted(
-                self.alerts,
-                key=lambda a: (a.severity != "critical", a.rule, a.metric),
-            ):
-                lines.append(
-                    f"  [{alert.severity}] {alert.rule} {alert.metric}: "
-                    f"{alert.message}"
-                )
-        for note in sorted(self.notes, key=lambda n: (n.kind, n.metric)):
-            lines.append(f"  [note] {note.kind} {note.metric}: {note.detail}")
-        return "\n".join(lines)
+        """The ``repro runs alerts`` verdict (:func:`alerts_section`)."""
+        return format_text([alerts_section(self.to_dict())])
+
+
+def alerts_section(document: dict) -> Section:
+    """The alerts table of one ``alerts.json`` document
+    (:meth:`AlertReport.to_dict`): its fired alerts, critical first,
+    then its notes."""
+    alerts = document.get("alerts") or []
+    notes = document.get("notes") or []
+    run_id = document.get("run_id")
+    considered = f"{document.get('runs_considered')} run(s) considered"
+    if alerts:
+        title = f"{len(alerts)} alert(s) on run {run_id} ({considered})"
+    else:
+        title = (f"no alerts: latest run {run_id} is within baseline "
+                 f"({considered})")
+    rows = [
+        [str(alert.get("severity")), str(alert.get("rule")),
+         str(alert.get("metric")), f"{alert.get('value'):g}",
+         f"{alert.get('threshold'):g}", str(alert.get("message"))]
+        for alert in alerts
+    ] + [
+        ["note", str(note.get("kind")), str(note.get("metric")), "", "",
+         str(note.get("detail"))]
+        for note in notes
+    ]
+    return Section(
+        title,
+        headers=["severity", "rule", "metric", "value", "threshold",
+                 "message"],
+        rows=rows, numeric=(3, 4),
+        status=[str(alert.get("severity")) for alert in alerts]
+        + [""] * len(notes),
+    )
 
 
 def evaluate_alerts(registry, config: Optional[AlertConfig] = None,
@@ -433,6 +447,7 @@ __all__ = [
     "AlertConfig",
     "AlertNote",
     "AlertReport",
+    "alerts_section",
     "evaluate_alerts",
     "write_alerts",
 ]

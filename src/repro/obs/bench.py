@@ -38,6 +38,7 @@ from repro.obs.manifest import git_describe
 from repro.obs.prof import StageProfiler
 from repro.obs.schemas import BENCH_SCHEMA
 from repro.util.fileio import atomic_write_json
+from repro.util.stats import percentile
 
 BENCH_FILENAME = "BENCH_pipeline.json"
 
@@ -80,26 +81,12 @@ def env_fingerprint() -> dict:
     }
 
 
-def _quantile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated quantile of a small sample."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = min(max(q, 0.0), 1.0) * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-
-
 def _summary(values: Sequence[float]) -> dict:
     return {
-        "median": round(_quantile(values, 0.5), 6),
-        "p95": round(_quantile(values, 0.95), 6),
-        "min": round(min(values), 6) if values else 0.0,
-        "max": round(max(values), 6) if values else 0.0,
+        "median": round(percentile(values, 50), 6),
+        "p95": round(percentile(values, 95), 6),
+        "min": round(min(values), 6),
+        "max": round(max(values), 6),
         "rounds": [round(v, 6) for v in values],
     }
 
@@ -168,14 +155,14 @@ def run_bench(rounds: Optional[int] = None, scale: float = 0.02,
         if profile_out:
             profiler.export_json(profile_out)
 
-    wall_median = _quantile(total_walls, 0.5)
+    wall_median = percentile(total_walls, 50)
     pages = int(counts.get("pages", 0))
     records = int(counts.get("records", 0))
     stages = {}
     for name, walls in sorted(stage_walls.items()):
         stages[name] = {
-            "wall_median": round(_quantile(walls, 0.5), 6),
-            "wall_p95": round(_quantile(walls, 0.95), 6),
+            "wall_median": round(percentile(walls, 50), 6),
+            "wall_p95": round(percentile(walls, 95), 6),
             "sim_seconds": stage_sims.get(name, 0.0),
         }
         if name in stage_memory:

@@ -39,6 +39,7 @@ from repro.synthetic.calibration import (
     TOTAL_VISIBLE,
 )
 from repro.util.fileio import atomic_write_json
+from repro.util.stats import median
 
 SCORECARD_FILENAME = "scorecard.json"
 
@@ -181,17 +182,6 @@ def _pair_set(membership: Dict[object, object]) -> Set[FrozenSet]:
             for b in members[i + 1:]:
                 pairs.add(frozenset((a, b)))
     return pairs
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +369,7 @@ def _add_calibration_entries(add, dataset, scam, network, efficacy) -> None:
         prices = prices_by_platform.get(platform)
         if not prices:
             continue
-        measured = _median(prices)
+        measured = median(prices)
         add(f"calib_price_median_ratio_{platform.lower()}", "calibration",
             measured / paper_median,
             f"measured ${measured:,.0f} vs paper ${paper_median:,.0f}")

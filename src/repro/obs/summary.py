@@ -1,19 +1,26 @@
-"""The run-dir document, and its rendering for ``repro trace <run-dir>``.
+"""The run-dir document, its report sections, and the text formatter.
 
 :func:`trace_document` is the only code that reads a telemetry
 directory's artifacts (manifest.json / metrics.json / trace.jsonl /
 events.jsonl / scorecard.json / profile.json, any subset, loaded through
 :class:`~repro.obs.rundir.RunDir`).  ``repro trace --json`` prints the
-document and the run registry stores it; :func:`render_trace_summary`,
-:mod:`repro.obs.report_html` and :mod:`repro.obs.diff` are pure
-formatters over it.  The text summary shows the per-stage time summary,
-per-host HTTP latency quantiles and retry/politeness overhead, watchdog
-and scorecard status, and event and crawl-error breakdowns.
+document and the run registry stores it; :mod:`repro.obs.diff` compares
+two of them.
+
+:func:`trace_sections` builds every table of the run report from the
+document, once: header, scorecard, stage failures, contracts, archive,
+stages, hot stages, memory peaks, watchdog, HTTP, events and crawl.  A
+:class:`Section` holds plain strings, so a format is only a formatter:
+:func:`format_text` prints ``repro trace`` and
+:func:`repro.obs.report_html.format_html` writes ``health.html``.  The
+fleet view's sections (:mod:`repro.obs.trends`, :mod:`repro.obs.alerts`)
+go through the same two formatters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import exported_histogram_quantile
 from repro.obs.prof import profile_stage_coverage
@@ -22,220 +29,61 @@ from repro.obs.schemas import TRACE_DOC_SCHEMA, config_hash
 
 _Labels = Tuple[Tuple[str, str], ...]
 
+#: Rows of the hot-stages and memory-peaks tables.
+_TOP_PHASES = 10
 
-def _format_table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
+
+@dataclass
+class Section:
+    """One table of a report, before formatting.
+
+    ``lines`` are free text under the title; ``rows`` hold one string
+    per header.  ``numeric`` names the columns aligned right, and
+    ``status`` is empty or gives each row a tag (``ok``, ``fail``, a
+    severity such as ``warning`` or ``critical``, or ``""``), which the
+    HTML page shows as the row's colour.
+    """
+
+    title: str
+    lines: List[str] = field(default_factory=list)
+    headers: List[str] = field(default_factory=list)
+    rows: List[List[str]] = field(default_factory=list)
+    numeric: Tuple[int, ...] = ()
+    status: List[str] = field(default_factory=list)
+
+
+def format_text(sections: Sequence[Section]) -> str:
+    """Sections as plain text: each title (with a colon when a table
+    follows), its lines indented two spaces, then its table; a blank
+    line between sections."""
+    blocks = []
+    for section in sections:
+        title = f"{section.title}:" if section.rows else section.title
+        block = [title] + [f"  {line}" for line in section.lines]
+        if section.rows:
+            block.append(_format_table(section))
+        blocks.append("\n".join(block))
+    return "\n\n".join(blocks)
+
+
+def _format_table(section: Section) -> str:
+    widths = [len(header) for header in section.headers]
+    for row in section.rows:
         for index, cell in enumerate(row):
             widths[index] = max(widths[index], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines)
 
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(
+            cell.rjust(widths[index]) if index in section.numeric
+            else cell.ljust(widths[index])
+            for index, cell in enumerate(cells)
+        ).rstrip()
 
-def _stage_rows(stages: List[dict]) -> str:
-    rows = []
-    for stage in stages:
-        rows.append([
-            stage["name"],
-            f"{stage['sim_seconds']:,.1f}",
-            f"{stage['wall_seconds']:.3f}",
-            str(stage["spans"]),
-        ])
-    return _format_table(["stage", "sim s", "wall s", "spans"], rows)
-
-
-def _http_section(http: Dict[str, dict]) -> Optional[str]:
-    """Per-host request counts, p50/p95 sim latency, and the retry /
-    politeness wait totals."""
-    if not http:
-        return None
-    rows = []
-    for host, row in http.items():
-        rows.append([
-            host, str(row["requests"]),
-            f"{row['p50_sim_seconds']:.3f}", f"{row['p95_sim_seconds']:.3f}",
-            f"{row['retry_wait_seconds']:,.1f}",
-            f"{row['politeness_wait_seconds']:,.1f}",
-        ])
-    return (
-        "http client, per host (sim seconds):\n"
-        + _format_table(
-            ["host", "requests", "p50", "p95", "retry wait", "polite wait"],
-            rows,
-        )
-    )
-
-
-def memory_totals_label(profile: dict) -> str:
-    """The run-wide memory high-water marks, e.g. ``tracemalloc peak 1.2
-    MB, max RSS 80.0 MB`` (empty when the profile recorded neither)."""
-    totals = profile["totals"]
-    bits = []
-    if totals["tracemalloc_peak_bytes"]:
-        bits.append(
-            f"tracemalloc peak {totals['tracemalloc_peak_bytes'] / 1e6:,.1f} MB"
-        )
-    if totals["rss_max_kb"]:
-        bits.append(f"max RSS {totals['rss_max_kb'] / 1024:,.1f} MB")
-    return ", ".join(bits)
-
-
-def _profile_sections(profile: Optional[dict]) -> List[str]:
-    """"hot stages" and "memory peaks", when the run was profiled
-    (``repro run --profile``)."""
-    if not profile:
-        return []
-    phases = profile["phases"]
-    sections: List[str] = []
-    hot = sorted(phases, key=lambda p: -(p["wall_seconds"] or 0.0))[:8]
-    if hot:
-        rows = []
-        for phase in hot:
-            rate = ", ".join(
-                f"{key.replace('_per_second', '')} {value:,.0f}/s"
-                for key, value in sorted(phase["throughput"].items())
-            )
-            rows.append([
-                phase["name"],
-                f"{phase['wall_seconds'] or 0.0:.3f}",
-                f"{phase['sim_seconds'] or 0.0:,.1f}",
-                rate,
-            ])
-        sections.append(
-            "hot stages (profile.json, by wall time):\n"
-            + _format_table(["phase", "wall s", "sim s", "throughput"], rows)
-        )
-    by_peak = sorted(phases, key=lambda p: -p["memory"]["peak_bytes"])[:8]
-    mem_rows = []
-    for phase in by_peak:
-        memory = phase["memory"]
-        if not memory["peak_bytes"]:
-            continue
-        mem_rows.append([
-            phase["name"],
-            f"{memory['peak_bytes'] / 1e6:,.1f}",
-            f"{memory['net_bytes'] / 1e6:,.1f}",
-            memory["top_site"],
-        ])
-    if mem_rows:
-        label = memory_totals_label(profile)
-        sections.append(
-            f"memory peaks{f' ({label})' if label else ''}:\n"
-            + _format_table(
-                ["phase", "peak MB", "net MB", "top allocation site"],
-                mem_rows,
-            )
-        )
-    return sections
-
-
-def _watchdog_section(watchdog: Optional[dict]) -> Optional[str]:
-    if watchdog is None:
-        return None
-    findings = watchdog["findings"]
-    if not findings:
-        return "watchdog: no findings"
-    label = ", ".join(f"{k}={v}" for k, v in watchdog["counts"].items())
-    rows = [
-        [
-            finding.get("severity", ""),
-            finding.get("check", ""),
-            finding.get("subject", ""),
-            str(finding.get("iteration", "")),
-            finding.get("message", ""),
-        ]
-        for finding in findings
-    ]
-    return (
-        f"watchdog findings ({label}):\n"
-        + _format_table(
-            ["severity", "check", "subject", "iter", "message"], rows
-        )
-    )
-
-
-def _scorecard_section(card: Optional[dict]) -> Optional[str]:
-    if not card:
-        return None
-    status = "PASS" if card["passed"] else "FAIL"
-    failed = [entry for entry in card["entries"] if not entry["passed"]]
-    lines = [
-        f"fidelity scorecard: {status} "
-        f"({card['n_entries']} metrics, {len(failed)} out of band)"
-    ]
-    for entry in failed:
-        lines.append(
-            f"  {entry['name']}: {entry['value']} outside "
-            f"[{entry['low']}, {entry['high']}]"
-        )
-    return "\n".join(lines)
-
-
-def _contracts_section(contracts: Optional[dict]) -> Optional[str]:
-    if not contracts:
-        return None
-    lines = []
-    validation = contracts.get("validation")
-    if validation:
-        lines.append(
-            "contracts: "
-            f"{sum((validation.get('checked') or {}).values())} checked, "
-            f"{validation.get('repaired', 0)} repaired, "
-            f"{validation.get('degraded', 0)} degraded, "
-            f"{validation.get('quarantined', 0)} quarantined "
-            f"(coverage {validation.get('coverage', 1.0):.4f})"
-        )
-    quarantine = contracts.get("quarantine")
-    if quarantine and quarantine.get("by_rule"):
-        for rule, count in sorted(quarantine["by_rule"].items()):
-            lines.append(f"  quarantined {rule}: {count}")
-    return "\n".join(lines) if lines else None
-
-
-def _archive_section(archive: Optional[dict]) -> Optional[str]:
-    if not archive:
-        return None
-    lines = [
-        "crawl archive: "
-        f"{archive.get('exchanges_total', 0)} exchanges "
-        f"({archive.get('outcomes_total', 0)} outcomes), "
-        f"{archive.get('blobs_total', 0)} unique bodies, "
-        f"{archive.get('bytes_total', 0):,} bytes, "
-        f"dedup ratio {archive.get('dedup_ratio', 0.0):.3f}"
-    ]
-    if archive.get("dir"):
-        lines.append(f"  dir: {archive['dir']}")
-    if archive.get("chain_sha256"):
-        lines.append(f"  chain: {archive['chain_sha256']}")
-    return "\n".join(lines)
-
-
-def _stage_failures_section(failures: List[dict]) -> Optional[str]:
-    if not failures:
-        return None
-    rows = [
-        [
-            failure.get("stage", ""),
-            failure.get("kind", ""),
-            str(failure.get("attempts", 1)),
-            failure.get("disposition", ""),
-            failure.get("detail", ""),
-        ]
-        for failure in failures
-    ]
-    return (
-        f"stage failures ({len(failures)} degraded):\n"
-        + _format_table(
-            ["stage", "kind", "attempts", "disposition", "detail"], rows
-        )
-    )
+    return "\n".join([
+        line(section.headers),
+        "  ".join("-" * width for width in widths),
+        *(line(row) for row in section.rows),
+    ])
 
 
 def _series_name(name: str, labels: _Labels) -> str:
@@ -426,64 +274,289 @@ def trace_document(source: Union[str, RunDir]) -> dict:
     }
 
 
-def render_trace_summary(document: dict) -> str:
-    """The full ``repro trace`` report for one :func:`trace_document`."""
-    sections: List[str] = []
+# ---------------------------------------------------------------------------
+# the run report's sections
+# ---------------------------------------------------------------------------
+
+def _header_section(document: dict) -> Optional[Section]:
     run = document["run"]
+    if run["manifest_schema"] is None:
+        return None
+    lines = []
+    if run["git"]:
+        lines.append(f"git={run['git']}")
+    if run["config"]:
+        lines.append("config: " + ", ".join(
+            f"{key}={value}" for key, value in run["config"].items()))
+    lines.append(f"simulated_seconds={run['simulated_seconds'] or 0.0:,.1f}")
+    return Section(f"run manifest: schema={run['manifest_schema']}", lines)
 
-    if run["manifest_schema"] is not None:
-        header = [f"run manifest: schema={run['manifest_schema']}"]
-        if run["git"]:
-            header.append(f"git={run['git']}")
-        if run["config"]:
-            header.append(
-                "config: " + ", ".join(
-                    f"{key}={value}" for key, value in run["config"].items()
-                )
-            )
-        header.append(
-            f"simulated_seconds={run['simulated_seconds'] or 0.0:,.1f}"
+
+def _scorecard_section(card: Optional[dict]) -> Optional[Section]:
+    if not card:
+        return None
+    rows, status = [], []
+    for entry in card["entries"]:
+        value = entry["value"]
+        # An unscorable entry (a degraded stage's null or placeholder)
+        # has no place in its band: out of band whatever it claims.
+        scored = isinstance(value, (int, float))
+        passed = scored and entry["passed"]
+        rows.append([
+            str(entry["name"]),
+            str(entry["kind"]),
+            f"{value:.4f}" if scored else str(value),
+            f"[{entry['low']}, {entry['high']}]",
+            "ok" if passed else "out of band",
+            str(entry["detail"]),
+        ])
+        status.append("ok" if passed else "fail")
+    verdict = "PASS" if card["passed"] else "FAIL"
+    return Section(
+        f"fidelity scorecard: {verdict} ({card['n_entries']} metrics, "
+        f"{status.count('fail')} out of band)",
+        headers=["metric", "kind", "value", "band", "status", "detail"],
+        rows=rows, numeric=(2,), status=status,
+    )
+
+
+def _stage_failures_section(failures: List[dict]) -> Optional[Section]:
+    if not failures:
+        return None
+    return Section(
+        f"stage failures ({len(failures)} degraded)",
+        headers=["stage", "kind", "attempts", "disposition", "detail"],
+        rows=[
+            [str(failure.get("stage", "")), str(failure.get("kind", "")),
+             str(failure.get("attempts", 1)),
+             str(failure.get("disposition", "")),
+             str(failure.get("detail", ""))]
+            for failure in failures
+        ],
+        numeric=(2,), status=["fail"] * len(failures),
+    )
+
+
+def _contracts_section(contracts: Optional[dict]) -> Optional[Section]:
+    if not contracts:
+        return None
+    quarantine = contracts.get("quarantine") or {}
+    lines = [
+        f"quarantined {rule}: {count}"
+        for rule, count in sorted((quarantine.get("by_rule") or {}).items())
+    ]
+    validation = contracts.get("validation")
+    if not validation:
+        return Section("contracts", lines) if lines else None
+    return Section(
+        "contracts: "
+        f"{sum((validation.get('checked') or {}).values())} checked, "
+        f"{validation.get('repaired', 0)} repaired, "
+        f"{validation.get('degraded', 0)} degraded, "
+        f"{validation.get('quarantined', 0)} quarantined "
+        f"(coverage {validation.get('coverage', 1.0):.4f})",
+        lines,
+    )
+
+
+def _archive_section(archive: Optional[dict]) -> Optional[Section]:
+    if not archive:
+        return None
+    lines = []
+    if archive.get("dir"):
+        lines.append(f"dir: {archive['dir']}")
+    if archive.get("chain_sha256"):
+        lines.append(f"chain: {archive['chain_sha256']}")
+    return Section(
+        "crawl archive: "
+        f"{archive.get('exchanges_total', 0)} exchanges "
+        f"({archive.get('outcomes_total', 0)} outcomes), "
+        f"{archive.get('blobs_total', 0)} unique bodies, "
+        f"{archive.get('bytes_total', 0):,} bytes, "
+        f"dedup ratio {archive.get('dedup_ratio', 0.0):.3f}",
+        lines,
+    )
+
+
+def _stages_section(document: dict) -> Section:
+    if not document["stages"]:
+        return Section(f"no trace data found in {document['path']}")
+    return Section(
+        "per-stage summary",
+        headers=["stage", "sim s", "wall s", "spans"],
+        rows=[
+            [str(stage["name"]), f"{stage['sim_seconds']:,.1f}",
+             f"{stage['wall_seconds']:.3f}", str(stage["spans"])]
+            for stage in document["stages"]
+        ],
+        numeric=(1, 2, 3),
+    )
+
+
+def _memory_label(profile: dict) -> str:
+    """The run-wide memory high-water marks, e.g. ``tracemalloc peak 1.2
+    MB, max RSS 80.0 MB`` (empty when the profile recorded neither)."""
+    totals = profile["totals"]
+    bits = []
+    if totals["tracemalloc_peak_bytes"]:
+        bits.append(
+            f"tracemalloc peak {totals['tracemalloc_peak_bytes'] / 1e6:,.1f} MB"
         )
-        sections.append("\n".join(header))
+    if totals["rss_max_kb"]:
+        bits.append(f"max RSS {totals['rss_max_kb'] / 1024:,.1f} MB")
+    return ", ".join(bits)
 
-    if document["stages"]:
-        sections.append(
-            "per-stage summary:\n" + _stage_rows(document["stages"]))
-    else:
-        sections.append(f"no trace data found in {document['path']}")
 
-    for section in (
+def _profile_sections(profile: Optional[dict]) -> List[Section]:
+    """"hot stages" and "memory peaks", when the run was profiled
+    (``repro run --profile``)."""
+    if not profile:
+        return []
+    phases = profile["phases"]
+    hot = sorted(phases, key=lambda p: -(p["wall_seconds"] or 0.0))
+    lines = []
+    if profile["missing_stages"]:
+        lines.append("profile missing analysis stages: "
+                     + ", ".join(profile["missing_stages"]))
+    sections = [Section(
+        "hot stages (profile.json, by wall time)", lines,
+        headers=["phase", "wall s", "sim s", "throughput"],
+        rows=[
+            [
+                str(phase["name"]),
+                f"{phase['wall_seconds'] or 0.0:.3f}",
+                f"{phase['sim_seconds'] or 0.0:,.1f}",
+                ", ".join(
+                    f"{key.replace('_per_second', '')} {value:,.0f}/s"
+                    for key, value in sorted(phase["throughput"].items())
+                ),
+            ]
+            for phase in hot[:_TOP_PHASES]
+        ],
+        numeric=(1, 2),
+    )]
+    peaks = [
+        phase for phase in
+        sorted(phases, key=lambda p: -p["memory"]["peak_bytes"])
+        if phase["memory"]["peak_bytes"]
+    ]
+    if peaks:
+        label = _memory_label(profile)
+        sections.append(Section(
+            f"memory peaks ({label})" if label else "memory peaks",
+            headers=["phase", "peak MB", "net MB", "top allocation site"],
+            rows=[
+                [
+                    str(phase["name"]),
+                    f"{phase['memory']['peak_bytes'] / 1e6:,.1f}",
+                    f"{phase['memory']['net_bytes'] / 1e6:,.1f}",
+                    str(phase["memory"]["top_site"]),
+                ]
+                for phase in peaks[:_TOP_PHASES]
+            ],
+            numeric=(1, 2),
+        ))
+    return sections
+
+
+def _watchdog_section(watchdog: Optional[dict]) -> Optional[Section]:
+    if watchdog is None:
+        return None
+    findings = watchdog["findings"]
+    if not findings:
+        return Section("watchdog: no findings")
+    label = ", ".join(f"{k}={v}" for k, v in watchdog["counts"].items())
+    return Section(
+        f"watchdog findings ({label})",
+        headers=["severity", "check", "subject", "iteration", "message"],
+        rows=[
+            [str(finding.get(key, "")) for key in (
+                "severity", "check", "subject", "iteration", "message")]
+            for finding in findings
+        ],
+        numeric=(3,),
+        status=[str(finding.get("severity", "")) for finding in findings],
+    )
+
+
+def _http_section(http: Dict[str, dict]) -> Optional[Section]:
+    """Per-host request counts, p50/p95 sim latency, and the retry /
+    politeness wait totals."""
+    if not http:
+        return None
+    return Section(
+        "http client, per host (sim seconds)",
+        headers=["host", "requests", "p50", "p95", "retry wait",
+                 "polite wait"],
+        rows=[
+            [
+                host, str(row["requests"]),
+                f"{row['p50_sim_seconds']:.3f}",
+                f"{row['p95_sim_seconds']:.3f}",
+                f"{row['retry_wait_seconds']:,.1f}",
+                f"{row['politeness_wait_seconds']:,.1f}",
+            ]
+            for host, row in http.items()
+        ],
+        numeric=(1, 2, 3, 4, 5),
+    )
+
+
+def _events_section(counts: Dict[str, int]) -> Section:
+    if not counts:
+        return Section("events by kind: none recorded")
+    return Section(
+        "events by kind",
+        headers=["kind", "count"],
+        rows=[[kind, str(count)] for kind, count in counts.items()],
+        numeric=(1,),
+    )
+
+
+def _crawl_section(crawl: dict) -> Optional[Section]:
+    if not crawl["by_marketplace"]:
+        return None
+    keys = ("pages_fetched", "offers_found", "offers_parsed", "errors")
+    return Section(
+        "crawl totals (summed over iterations)",
+        headers=["marketplace", "pages", "offers found", "offers parsed",
+                 "errors"],
+        rows=[
+            [name] + [str(row[key]) for key in keys]
+            for name, row in crawl["by_marketplace"].items()
+        ],
+        numeric=(1, 2, 3, 4),
+    )
+
+
+def trace_sections(document: dict) -> List[Section]:
+    """Every table of the run report for one :func:`trace_document`, in
+    order; a table whose artifact is absent is left out."""
+    sections = [
+        _header_section(document),
         _scorecard_section(document["scorecard"]),
         _stage_failures_section(document["stage_failures"]),
         _contracts_section(document["contracts"]),
         _archive_section(document["archive"]),
+        _stages_section(document),
         *_profile_sections(document["profile"]),
         _watchdog_section(document["watchdog"]),
         _http_section(document["http"]),
-    ):
-        if section:
-            sections.append(section)
-
-    counts = document["events"]
-    if counts:
-        rows = [[kind, str(count)] for kind, count in counts.items()]
-        sections.append("events by kind:\n" + _format_table(["kind", "count"], rows))
-    else:
-        sections.append("events by kind: none recorded")
-
-    by_marketplace = document["crawl"]["by_marketplace"]
-    if by_marketplace:
-        rows = [
-            [name, str(row["pages_fetched"]), str(row["offers_parsed"]),
-             str(row["errors"])]
-            for name, row in by_marketplace.items()
-        ]
-        sections.append(
-            "crawl totals (summed over iterations):\n"
-            + _format_table(["marketplace", "pages", "offers", "errors"], rows)
-        )
-
-    return "\n\n".join(sections)
+        _events_section(document["events"]),
+        _crawl_section(document["crawl"]),
+    ]
+    return [section for section in sections if section is not None]
 
 
-__all__ = ["render_trace_summary", "trace_document"]
+def render_trace_summary(document: dict) -> str:
+    """The full ``repro trace`` report for one :func:`trace_document`."""
+    return format_text(trace_sections(document))
+
+
+__all__ = [
+    "Section",
+    "format_text",
+    "render_trace_summary",
+    "trace_document",
+    "trace_sections",
+]

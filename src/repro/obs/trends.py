@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.schemas import TRENDS_SCHEMA
-from repro.obs.summary import _format_table
+from repro.obs.summary import Section, format_text
+from repro.util import stats
 
 #: Metric-name prefixes whose values depend on the machine, not the
 #: seed; rendered for context but excluded from default alerting.
@@ -31,20 +32,12 @@ _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
 def median(values: Sequence[float]) -> float:
-    """The median of a non-empty sequence (0.0 when empty)."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+    """The median of a sequence (0.0 when empty)."""
+    return float(stats.median(values)) if values else 0.0
 
 
 def mad(values: Sequence[float], center: Optional[float] = None) -> float:
     """Median absolute deviation around ``center`` (default: median)."""
-    if not values:
-        return 0.0
     mid = median(values) if center is None else center
     return median([abs(value - mid) for value in values])
 
@@ -169,31 +162,72 @@ def trends_document(series_list: Sequence[TrendSeries],
     }
 
 
-def render_trends_text(series_list: Sequence[TrendSeries]) -> str:
-    """The ``repro runs trends`` table: one row per metric with its
-    history sparkline and baseline statistics."""
+_TREND_HEADERS = ["metric", "n", "min", "median", "mad", "latest",
+                  "delta", "trend"]
+
+
+def _trend_row(series: TrendSeries) -> List[str]:
+    values = series.values
+    return [
+        series.name,
+        str(series.n),
+        _fmt(min(values)),
+        _fmt(median(values)),
+        _fmt(mad(values)),
+        _fmt(series.latest),
+        _fmt(series.delta, signed=True),
+        sparkline(values),
+    ]
+
+
+def trend_sections(series_list: Sequence[TrendSeries]) -> List[Section]:
+    """One table of deterministic series and one of machine-dependent
+    series, each row a metric with its baseline statistics and history
+    sparkline."""
     if not series_list:
-        return "no metrics registered yet"
-    headers = ["metric", "n", "min", "median", "mad", "latest",
-               "delta", "trend"]
-    rows: List[List[str]] = []
-    for series in series_list:
-        values = series.values
+        return [Section("no metrics registered yet")]
+    groups = (
+        ("trends (deterministic metrics)", [], False),
+        ("trends (machine-dependent: wall clock, memory)",
+         ["excluded from default alerting"], True),
+    )
+    sections = []
+    for title, lines, machine in groups:
+        rows = [_trend_row(series) for series in series_list
+                if series.machine_dependent == machine]
+        if rows:
+            sections.append(Section(title, lines, _TREND_HEADERS, rows,
+                                    numeric=(1, 2, 3, 4, 5, 6)))
+    return sections
+
+
+def runs_section(runs: Sequence) -> Section:
+    """The run roster of a registry
+    (:class:`~repro.obs.registry.RunRow`): sorted by run id and without
+    the wall-clock ingestion stamp, so two registries holding the same
+    runs list them byte-identically."""
+    if not runs:
+        return Section("no runs registered")
+    rows, status = [], []
+    for run in sorted(runs, key=lambda run: run.run_id):
+        passed = run.scorecard_passed
         rows.append([
-            series.name + (" *" if series.machine_dependent else ""),
-            str(series.n),
-            _fmt(min(values)),
-            _fmt(median(values)),
-            _fmt(mad(values)),
-            _fmt(series.latest),
-            _fmt(series.delta, signed=True),
-            sparkline(values),
+            str(run.seq), run.run_id, str(run.seed), run.config_hash,
+            run.chaos or "off", run.git or "",
+            "-" if passed is None else "PASS" if passed else "FAIL",
         ])
-    text = _format_table(headers, rows)
-    if any(series.machine_dependent for series in series_list):
-        text += ("\n\n* machine-dependent (wall clock / memory); "
-                 "excluded from default alerting")
-    return text
+        status.append("" if passed is None else "ok" if passed else "fail")
+    return Section(
+        f"runs ({len(runs)} registered)",
+        headers=["seq", "run id", "seed", "config", "chaos", "git",
+                 "scorecard"],
+        rows=rows, numeric=(0,), status=status,
+    )
+
+
+def render_trends_text(series_list: Sequence[TrendSeries]) -> str:
+    """The ``repro runs trends`` tables (:func:`trend_sections`)."""
+    return format_text(trend_sections(series_list))
 
 
 def _fmt(value: float, signed: bool = False) -> str:
@@ -212,6 +246,8 @@ __all__ = [
     "mad",
     "median",
     "render_trends_text",
+    "runs_section",
     "sparkline",
+    "trend_sections",
     "trends_document",
 ]

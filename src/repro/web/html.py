@@ -52,11 +52,13 @@ class Element:
         self,
         tag: str,
         attrs: Optional[Dict[str, str]] = None,
-        children: Optional[Sequence[Node]] = None,
+        children: Optional[List[Node]] = None,
     ) -> None:
+        # The element takes ownership of ``attrs`` and ``children``: the
+        # parser and the builder hand over fresh containers.
         self.tag = tag.lower()
-        self.attrs: Dict[str, str] = dict(attrs or {})
-        self.children: List[Node] = list(children or [])
+        self.attrs: Dict[str, str] = {} if attrs is None else attrs
+        self.children: List[Node] = [] if children is None else children
 
     # -- construction -------------------------------------------------------
 

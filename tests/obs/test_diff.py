@@ -252,8 +252,8 @@ class TestHealthDashboard:
         assert "Fidelity scorecard" in html
         assert "scam_account_recall" in html
         assert "Watchdog" in html
-        assert "Stage durations" in html
-        assert "HTTP client, per host" in html
+        assert "Per-stage summary" in html
+        assert "Http client, per host" in html
 
     def test_default_output_inside_run_dir(self, twin_runs):
         a, _ = twin_runs
@@ -284,10 +284,11 @@ class TestHealthDashboard:
         assert "UNHEALTHY" in capsys.readouterr().out
         page = open(out).read()
         for shown in ("None", "degraded"):
-            # The raw value, no meter, and an out-of-band status.
+            # The raw value in a failing row with an out-of-band status.
             assert re.search(
-                rf'<td class="num">{shown}</td><td>\[[^]]*\]</td><td></td>'
-                r'<td><span class="fail">out of band</span>', page)
+                r'<tr class="fail"><td>[^<]*</td><td>[^<]*</td>'
+                rf'<td class="num">{shown}</td><td>\[[^]]*\]</td>'
+                r'<td>out of band</td>', page)
 
 
 #: A small profile.json with one expected stage never reported.

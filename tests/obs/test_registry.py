@@ -159,8 +159,9 @@ class TestRunsCli:
         capsys.readouterr()
         assert main(["runs", "list", "--registry", registry_path]) == 0
         out = capsys.readouterr().out
-        assert "seed=21" in out
-        assert "scorecard=PASS" in out
+        row = out.splitlines()[-1].split()
+        assert row[2] == "21"  # seed
+        assert row[-1] == "PASS"  # scorecard
 
     def test_show(self, registry_path, capsys):
         capsys.readouterr()
@@ -204,7 +205,7 @@ class TestRunsCli:
         page = open(out_path, encoding="utf-8").read()
         assert "Fleet view" in page
         assert "fidelity.calib_efficacy_rate" in page
-        assert "no alerts" in page
+        assert "No alerts" in page
 
     def test_alerts_clean_single_run(self, registry_path, tmp_path, capsys):
         capsys.readouterr()

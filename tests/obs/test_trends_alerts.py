@@ -2,6 +2,7 @@
 over synthetic documents so each rule can be driven precisely."""
 
 import json
+import re
 
 import pytest
 
@@ -155,7 +156,8 @@ class TestTrends:
     def test_render_text_footnote_only_with_wall_metrics(self, registry):
         ingest_n(registry, 2)
         text = render_trends_text(compute_trends(registry))
-        assert "stage_wall_seconds.bootstrap *" in text
+        machine = text.split("trends (machine-dependent")[1]
+        assert "stage_wall_seconds.bootstrap" in machine
         assert "machine-dependent" in text
         assert render_trends_text([]) == "no metrics registered yet"
 
@@ -359,14 +361,14 @@ class TestDegradedLatestRun:
         assert all(set(note) == {"kind", "metric", "detail"}
                    for note in document["notes"])
         text = report.render_text()
-        assert "[note] missing_metric" in text
-        assert "[note] unscorable_entry" in text
+        assert re.search(r"^note +missing_metric ", text, re.M)
+        assert re.search(r"^note +unscorable_entry ", text, re.M)
 
     def test_healthy_history_has_no_notes(self, registry):
         ingest_n(registry, 4)
         report = evaluate_alerts(registry)
         assert report.notes == []
-        assert "[note]" not in report.render_text()
+        assert not re.search(r"^note ", report.render_text(), re.M)
 
 
 class TestAlertReport:
@@ -401,7 +403,7 @@ class TestAlertReport:
             make_document(error_rate=0.30), run_id="spiky")
         fired = evaluate_alerts(registry)
         text = fired.render_text()
-        assert "[critical] error_rate_spike" in text
+        assert re.search(r"^critical +error_rate_spike ", text, re.M)
 
     def test_write_alerts_to_dir_or_file(self, registry, tmp_path):
         report = evaluate_alerts(registry)
