@@ -12,12 +12,13 @@ from repro.nlp.cluster import ScalableDensityClusterer, cluster_stats
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.keywords import class_tfidf_keywords
 from repro.nlp.langdetect import LanguageDetector
+from repro.nlp.tokenize import TokenStream
 from repro.synthetic import calibration as cal
 
 
-def _vet(texts, labels):
-    keywords = class_tfidf_keywords(texts, labels, top_n=10)
-    verdicts = ClusterVetter().vet(texts, labels, keywords)
+def _vet(docs, labels):
+    keywords = class_tfidf_keywords(docs.words(), labels, top_n=10)
+    verdicts = ClusterVetter().vet(docs.words(), labels, keywords)
     return {v.subtype for v in verdicts if v.is_scam}
 
 
@@ -27,7 +28,8 @@ def test_ablation_clustering_refinement(benchmark, bench_study):
     texts = [p.text for p, lang in
              zip(posts, detector.detect_all([p.text for p in posts]))
              if lang == "en"]
-    matrix = HashedTfidfEmbedder(dims=192).fit_transform(texts)
+    docs = TokenStream().documents(texts)
+    matrix = HashedTfidfEmbedder(dims=192).fit_transform(docs)
     paper_subtypes = {
         subtype for subtypes in cal.SCAM_TAXONOMY.values() for subtype in subtypes
     }
@@ -41,7 +43,7 @@ def test_ablation_clustering_refinement(benchmark, bench_study):
             )
             labels = clusterer.fit_predict(matrix)
             stats = cluster_stats(labels)
-            results[name] = (stats.n_clusters, _vet(texts, labels))
+            results[name] = (stats.n_clusters, _vet(docs, labels))
         return results
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

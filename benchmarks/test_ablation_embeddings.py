@@ -10,6 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import record_report
 from repro.nlp.embeddings import HashedTfidfEmbedder
+from repro.nlp.tokenize import TokenStream
 from repro.synthetic.scamtext import ALL_SUBTYPES, scam_post_text
 from repro.util.rng import RngTree
 
@@ -32,6 +33,7 @@ def test_ablation_embeddings(benchmark):
             texts.append(scam_post_text(subtype, rng))
             labels.append(index)
     label_array = np.array(labels)
+    docs = TokenStream().documents(texts)
 
     def run_all():
         margins = {}
@@ -39,8 +41,8 @@ def test_ablation_embeddings(benchmark):
             for use_bigrams in (True, False):
                 embedder = HashedTfidfEmbedder(dims=192, use_bigrams=use_bigrams)
                 matrix = (
-                    embedder.fit_transform(texts)
-                    if use_idf else embedder.transform(texts)
+                    embedder.fit_transform(docs)
+                    if use_idf else embedder.transform(docs)
                 )
                 name = f"idf={use_idf} bigrams={use_bigrams}"
                 margins[name] = _margin(matrix.astype(np.float32), label_array)

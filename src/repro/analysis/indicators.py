@@ -32,9 +32,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.efficacy import TREND_TOKENS
 from repro.analysis.network import NetworkReport
+from repro.analysis.scam_posts import CODEBOOK_INDICATORS, SUBTYPE_MASKS
 from repro.core.dataset import MeasurementDataset, PostRecord, ProfileRecord
-from repro.nlp.tokenize import tokenize
-from repro.synthetic.scamtext import VETTING_CODEBOOK
+from repro.nlp.tokenize import TokenStream
 from repro.util.simtime import STUDY_START, SimDate
 
 #: Indicator weights; referral evidence is near-conclusive, the
@@ -45,6 +45,14 @@ WEIGHTS: Dict[str, float] = {
     "follower_anomaly": 0.5,
     "scam_content": 0.9,
     "coordinated_cluster": 0.7,
+}
+
+
+#: Indicator -> the bits of the codebook entries that are exactly it.
+_ENTRY_BITS: Dict[str, int] = {
+    indicator: sum(1 << bit for bit, entry in enumerate(CODEBOOK_INDICATORS)
+                   if entry == indicator)
+    for indicator in CODEBOOK_INDICATORS
 }
 
 
@@ -104,8 +112,12 @@ class IndicatorEngine:
     # -- scoring ---------------------------------------------------------
 
     def score_dataset(self, dataset: MeasurementDataset,
-                      network: Optional[NetworkReport] = None) -> List[ProfileRisk]:
-        """Score every collected profile."""
+                      network: Optional[NetworkReport] = None,
+                      stream: Optional[TokenStream] = None) -> List[ProfileRisk]:
+        """Score every collected profile; ``stream`` (a new one when
+        ``None``) tokenizes each post text it has not seen."""
+        if stream is None:
+            stream = TokenStream()
         referred = {
             listing.profile_url
             for listing in dataset.listings
@@ -128,19 +140,22 @@ class IndicatorEngine:
                     posts_by_profile.get(key, []),
                     referred=profile.profile_url in referred,
                     clustered=key in clustered,
+                    stream=stream,
                 )
             )
         return risks
 
     def score_profile(self, profile: ProfileRecord, posts: Sequence[PostRecord],
-                      referred: bool, clustered: bool) -> ProfileRisk:
+                      referred: bool, clustered: bool,
+                      stream: Optional[TokenStream] = None) -> ProfileRisk:
         risk = ProfileRisk(handle=profile.handle, platform=profile.platform)
         if referred:
             self._hit(risk, "marketplace_referral",
                       "profile linked from a marketplace listing")
         self._check_trending_name(risk, profile)
         self._check_follower_anomaly(risk, profile, posts)
-        self._check_scam_content(risk, posts)
+        self._check_scam_content(risk, posts,
+                                 TokenStream() if stream is None else stream)
         if clustered:
             self._hit(risk, "coordinated_cluster",
                       "shares identity attributes with other profiles")
@@ -173,12 +188,21 @@ class IndicatorEngine:
                           f"{followers:,} followers on a {age_days}-day-old account")
 
     def _check_scam_content(self, risk: ProfileRisk,
-                            posts: Sequence[PostRecord]) -> None:
+                            posts: Sequence[PostRecord],
+                            stream: TokenStream) -> None:
+        """Fires on the first post whose words hold three or more of
+        one subtype's indicators: a post's hit count for a subtype is the
+        number of that subtype's codebook bits its words set."""
+        tokens = stream.tokens
         for post in posts:
-            tokens = set(tokenize(post.text))
-            for subtype, indicators in VETTING_CODEBOOK.items():
-                hits = sum(1 for ind in indicators if ind in tokens)
-                if hits >= 3:
+            mask = 0
+            for word in set(stream.ids(stream.row(post.text), handles=False)):
+                mask |= _ENTRY_BITS.get(tokens[word], 0)
+            if not mask:
+                continue
+            for subtype, subtype_mask in SUBTYPE_MASKS.items():
+                # bin().count rather than int.bit_count, which needs 3.10.
+                if bin(mask & subtype_mask).count("1") >= 3:
                     self._hit(risk, "scam_content",
                               f"post matches '{subtype}' indicators")
                     return

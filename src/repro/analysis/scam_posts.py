@@ -28,7 +28,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.nlp.embeddings import HashedTfidfEmbedder
 from repro.nlp.keywords import class_tfidf_keywords
 from repro.nlp.langdetect import LanguageDetector
-from repro.nlp.tokenize import tokenize
+from repro.nlp.tokenize import Documents, TokenStream
 from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY, VETTING_CODEBOOK
 from repro.util.rng import RngTree
 
@@ -110,6 +110,21 @@ class ScamReport:
         return set(self.scam_accounts)
 
 
+def _codebook_bits() -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    indicators: List[str] = []
+    masks: Dict[str, int] = {}
+    for subtype, entries in VETTING_CODEBOOK.items():
+        first = len(indicators)
+        indicators.extend(entries)
+        masks[subtype] = (1 << len(indicators)) - (1 << first)
+    return tuple(indicators), masks
+
+
+#: Every (subtype, indicator) entry of the codebook, in order, and each
+#: subtype's mask: entry ``i`` owns bit ``i`` of a post's mask.
+CODEBOOK_INDICATORS, SUBTYPE_MASKS = _codebook_bits()
+
+
 def _matches_indicator(token: str, indicator: str) -> bool:
     """Whether a token counts as an indicator keyword, with light
     stemming: either is a prefix of the other (so 'investment' matches
@@ -132,29 +147,26 @@ class ClusterVetter:
     it contains at least two of that subtype's indicator keywords.  The
     best-scoring subtype above the threshold labels the cluster.
 
-    Every (subtype, indicator) entry of the codebook owns one bit.  A
-    token maps, once, to the bits of the indicators it matches; a post's
-    mask is the OR over its tokens, and the post's hit count for a
-    subtype is the number of that subtype's bits set in it.
+    A token maps, once, to the bits of the codebook entries it matches
+    (``CODEBOOK_INDICATORS``); a post's mask is the OR over its words,
+    and the post's hit count for a subtype is the number of that
+    subtype's bits set in it.  A mask maps, once, to the subtypes it hits
+    at least twice.
     """
 
     def __init__(self) -> None:
         self._rng = RngTree(SEED, name="vetter")
-        self._indicators: List[str] = []
-        self._subtype_masks: Dict[str, int] = {}
-        for subtype, indicators in VETTING_CODEBOOK.items():
-            first = len(self._indicators)
-            self._indicators.extend(indicators)
-            self._subtype_masks[subtype] = (
-                (1 << len(self._indicators)) - (1 << first))
         self._token_bits: Dict[str, int] = {}
+        self._matched: Dict[int, List[str]] = {}
 
     def vet(
         self,
-        texts: Sequence[str],
+        docs: Documents,
         labels: np.ndarray,
         keywords: Dict[int, List[Tuple[str, float]]],
     ) -> List[ClusterVerdict]:
+        """One verdict per cluster label, in label order; ``docs`` are
+        the posts' words."""
         members_by_label: Dict[int, List[int]] = {}
         for index, label in enumerate(labels):
             if label >= 0:
@@ -166,7 +178,8 @@ class ClusterVetter:
             sample = self._rng.child(f"cluster-{label}").sample(
                 member_indices, sample_size
             )
-            subtype, score = self._score_sample([texts[i] for i in sample])
+            subtype, score = self._score_sample([
+                self._post_mask(docs[i], docs.stream.tokens) for i in sample])
             verdicts.append(
                 ClusterVerdict(
                     cluster_id=label,
@@ -179,29 +192,36 @@ class ClusterVetter:
             )
         return verdicts
 
-    def _post_mask(self, text: str) -> int:
-        """The codebook bits a post's tokens match."""
+    def _post_mask(self, words: Sequence[int], tokens: Sequence[str]) -> int:
+        """The codebook bits a post's words match; ``tokens`` spells
+        the word ids."""
         token_bits = self._token_bits
         mask = 0
-        for token in set(tokenize(text, keep_handles=False)):
+        for word in set(words):
+            token = tokens[word]
             bits = token_bits.get(token)
             if bits is None:
                 bits = token_bits[token] = sum(
-                    1 << bit for bit, indicator in enumerate(self._indicators)
+                    1 << bit for bit, indicator in enumerate(CODEBOOK_INDICATORS)
                     if _matches_indicator(token, indicator)
                 )
             mask |= bits
         return mask
 
-    def _score_sample(self, sample: List[str]) -> Tuple[Optional[str], float]:
-        scores: Dict[str, float] = {}
-        masks = [self._post_mask(text) for text in sample]
-        for subtype, subtype_mask in self._subtype_masks.items():
-            # bin().count rather than int.bit_count, which needs 3.10.
-            matches = sum(
-                1 for mask in masks if bin(mask & subtype_mask).count("1") >= 2
-            )
-            scores[subtype] = matches / max(1, len(sample))
+    def _score_sample(self, masks: List[int]) -> Tuple[Optional[str], float]:
+        """The best subtype for a sample of post masks, and its score."""
+        matches: Counter = Counter()
+        for mask in masks:
+            matched = self._matched.get(mask)
+            if matched is None:
+                # bin().count rather than int.bit_count, which needs 3.10.
+                matched = self._matched[mask] = [
+                    subtype for subtype, subtype_mask in SUBTYPE_MASKS.items()
+                    if bin(mask & subtype_mask).count("1") >= 2
+                ]
+            matches.update(matched)
+        scores = {subtype: matches[subtype] / max(1, len(masks))
+                  for subtype in SUBTYPE_MASKS}
         best_subtype = max(scores, key=lambda s: (scores[s], s))
         best = scores[best_subtype]
         if best >= VETTING_THRESHOLD:
@@ -218,37 +238,46 @@ class ScamPostAnalysis:
         self.telemetry = telemetry or NULL_TELEMETRY
         self._detector = LanguageDetector()
 
-    def run(self, dataset: MeasurementDataset) -> ScamReport:
-        return self.run_posts(dataset.posts)
+    def run(self, dataset: MeasurementDataset,
+            stream: Optional[TokenStream] = None) -> ScamReport:
+        return self.run_posts(dataset.posts, stream)
 
-    def run_posts(self, posts: Sequence[PostRecord]) -> ScamReport:
+    def run_posts(self, posts: Sequence[PostRecord],
+                  stream: Optional[TokenStream] = None) -> ScamReport:
+        """The pipeline over ``posts``; ``stream`` (a new one when
+        ``None``) tokenizes each English text it has not seen."""
         tracer = self.telemetry.tracer
         with tracer.span("nlp.language_filter", n_posts=len(posts)):
             languages = self._detector.detect_all([p.text for p in posts])
             english = [p for p, lang in zip(posts, languages) if lang == "en"]
-        texts = [p.text for p in english]
-        if not texts:
+        if not english:
             return ScamReport(
                 posts_considered=len(posts), posts_english=0, n_clusters=0,
                 n_noise=0, verdicts=[], table5={}, table6={},
                 total_scam_accounts=0, total_scam_posts=0,
             )
-        labels = self._cluster(texts)
+        if stream is None:
+            stream = TokenStream()
+        # Embedded with their handles; keywords and vetting read words.
+        docs = stream.documents([p.text for p in english])
+        labels = self._cluster(docs)
         stats = cluster_stats(labels)
+        words = docs.words()
         with tracer.span("nlp.keywords", n_clusters=stats.n_clusters):
-            keywords = class_tfidf_keywords(texts, labels, top_n=10)
+            keywords = class_tfidf_keywords(words, labels, top_n=10)
         vetter = ClusterVetter()
         with tracer.span("nlp.vetting", n_clusters=stats.n_clusters):
-            verdicts = vetter.vet(texts, labels, keywords)
+            verdicts = vetter.vet(words, labels, keywords)
         return self._aggregate(posts, english, labels, verdicts, stats)
 
     # -- clustering -------------------------------------------------------------
 
-    def _cluster(self, texts: List[str]) -> np.ndarray:
-        embedder = HashedTfidfEmbedder(dims=EMBEDDING_DIMS,
-                                       telemetry=self.telemetry)
-        matrix = embedder.fit_transform(texts)
-        if len(texts) > self.config.large_corpus_threshold:
+    def _cluster(self, docs: Documents) -> np.ndarray:
+        # The embedder (and its IDF table) is freed before clustering,
+        # which sets the stage's peak memory.
+        matrix = HashedTfidfEmbedder(
+            dims=EMBEDDING_DIMS, telemetry=self.telemetry).fit_transform(docs)
+        if len(docs) > self.config.large_corpus_threshold:
             clusterer = ScalableDensityClusterer(
                 merge_eps=MERGE_EPS,
                 min_cluster_size=MIN_CLUSTER_SIZE,

@@ -25,6 +25,7 @@ from repro.analysis.sellers import SellerActivityAnalysis
 from repro.analysis.underground_analysis import UndergroundAnalysis
 from repro.contracts.supervisor import StageFailure, StageSupervisor
 from repro.core.dataset import MeasurementDataset
+from repro.nlp.tokenize import TokenStream
 from repro.obs.prof import STAGE_PREFIX
 from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -103,7 +104,11 @@ def run_analysis_suite(
 
     stage("anatomy", MarketplaceAnatomy().run, dataset)
     stage("account_setup", AccountSetupAnalysis().run, dataset)
-    stage("scam_posts", ScamPostAnalysis(telemetry=telemetry).run, dataset)
+    # The scam-post and indicator stages read one token stream: each
+    # post text is tokenized once, by whichever stage asks first.
+    stream = TokenStream()
+    stage("scam_posts", ScamPostAnalysis(telemetry=telemetry).run, dataset,
+          stream)
     network = stage("network", NetworkAnalysis().run, dataset)
     stage("efficacy", EfficacyAnalysis().run, dataset)
     stage("underground", UndergroundAnalysis().run, dataset.underground)
@@ -112,7 +117,7 @@ def run_analysis_suite(
     # Indicators consume the network clustering when it exists; a failed
     # network stage degrades them to unclustered scoring, not to failure.
     stage("indicators", IndicatorEngine().score_dataset, dataset,
-          network=network)
+          network=network, stream=stream)
 
     results.failures = list(supervisor.failures)
     return results

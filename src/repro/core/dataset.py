@@ -187,6 +187,22 @@ class MeasurementDataset:
         return {name: len(getattr(self, name)) for name in _RECORD_TYPES}
 
 
+#: Each record type's field names, in declaration order.
+_FIELD_NAMES = {
+    record_type: tuple(f.name for f in dataclasses.fields(record_type))
+    for record_type in _RECORD_TYPES.values()
+}
+
+
+def record_to_dict(record) -> dict:
+    """The record as a JSON payload, field by field in declaration order.
+
+    Every record type holds flat scalars, so this is
+    ``dataclasses.asdict(record)`` without its recursive deep copy.
+    """
+    return {name: getattr(record, name) for name in _FIELD_NAMES[type(record)]}
+
+
 def record_from_dict(record_type, payload: dict):
     """Build a record from a JSON payload, dropping unknown keys.
 
@@ -213,4 +229,5 @@ __all__ = [
     "add_provenance",
     "provenance_flags",
     "record_from_dict",
+    "record_to_dict",
 ]

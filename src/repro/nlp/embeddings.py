@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
-from collections import defaultdict
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nlp.stopwords import remove_stopwords
-from repro.nlp.tokenize import bigrams, tokenize
+from repro.nlp.stopwords import STOPWORDS
+from repro.nlp.tokenize import Documents
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.stats import first_occurrence_counts
 
@@ -50,8 +48,8 @@ class _Encoded(NamedTuple):
     first appearance."""
 
     vocab: Dict[str, int]
-    ids: array
-    offsets: List[int]
+    ids: np.ndarray
+    offsets: np.ndarray
 
     def distinct_features(self, start: int, stop: int) -> Tuple[
             np.ndarray, np.ndarray, np.ndarray]:
@@ -59,8 +57,7 @@ class _Encoded(NamedTuple):
         as ``(row, feature id, count)`` arrays: row ``r`` is document
         ``start + r``, and each row's features come in order of first
         appearance (the order of a ``Counter`` over the document)."""
-        ids = np.frombuffer(self.ids, dtype=np.intc)[
-            self.offsets[start] : self.offsets[stop]]
+        ids = self.ids[self.offsets[start] : self.offsets[stop]]
         rows = np.repeat(np.arange(stop - start, dtype=np.int64),
                          np.diff(self.offsets[start : stop + 1]))
         width = max(1, len(self.vocab))
@@ -74,49 +71,86 @@ class HashedTfidfEmbedder:
     Usage::
 
         embedder = HashedTfidfEmbedder(dims=256)
-        matrix = embedder.fit_transform(texts)   # (n_docs, dims) float32, rows L2=1
+        docs = TokenStream().documents(texts)    # or docs.words()
+        matrix = embedder.fit_transform(docs)    # (n_docs, dims) float32, rows L2=1
 
-    ``fit_transform`` tokenizes each document once and hashes each
-    distinct feature once.
+    A document's features are its tokens less stopwords, then (with
+    ``use_bigrams``) each adjacent pair of those joined by ``_``.  A
+    feature is its string, so the bigram of ``#a`` and ``b`` is the
+    token ``#a_b``; each distinct feature is hashed once.
     """
 
     def __init__(self, dims: int = 256, use_bigrams: bool = True,
-                 keep_handles: bool = True, min_df: int = 1,
+                 min_df: int = 1,
                  telemetry: Optional[Telemetry] = None) -> None:
         if dims < 8:
             raise ValueError("dims must be at least 8")
         self.dims = dims
         self.use_bigrams = use_bigrams
-        self.keep_handles = keep_handles
         self.min_df = min_df
         self.telemetry = telemetry or NULL_TELEMETRY
         self._idf: Optional[Dict[str, float]] = None
 
     # -- features ------------------------------------------------------------
 
-    def features(self, text: str) -> List[str]:
-        tokens = remove_stopwords(tokenize(text, keep_handles=self.keep_handles))
-        feats = list(tokens)
-        if self.use_bigrams:
-            feats.extend(bigrams(tokens))
-        return feats
+    def _encode(self, docs: Documents) -> _Encoded:
+        tokens = docs.stream.tokens
+        width = len(tokens)
+        stop = np.array([token in STOPWORDS for token in tokens], dtype=bool)
+        vocab: Dict[str, int] = {}
+        # Feature key -> id.  A token's key is its id; the bigram of
+        # tokens ``a`` and ``b`` is ``width * (1 + a) + b``.
+        feature_of: Dict[int, int] = {}
+        ids: List[np.ndarray] = []
+        sizes: List[np.ndarray] = []
+        # One slice at least, so an empty corpus concatenates too.
+        for start in range(0, max(1, len(docs)), _NORM_ROWS):
+            keys, rows = self._feature_keys(docs, start, stop, width)
+            distinct, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True)
+            feature = np.empty(len(distinct), dtype=np.intc)
+            # Keys in order of first appearance, so new features take
+            # ids in that order.
+            for index in np.argsort(first).tolist():
+                key = int(distinct[index])
+                feature_id = feature_of.get(key)
+                if feature_id is None:
+                    name = tokens[key] if key < width else (
+                        f"{tokens[key // width - 1]}_{tokens[key % width]}")
+                    feature_id = feature_of[key] = vocab.setdefault(
+                        name, len(vocab))
+                feature[index] = feature_id
+            ids.append(feature[inverse])
+            sizes.append(np.bincount(
+                rows, minlength=min(_NORM_ROWS, len(docs) - start)))
+        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes), out=offsets[1:])
+        return _Encoded(vocab, np.concatenate(ids), offsets)
 
-    def _encode(self, texts: Sequence[str]) -> _Encoded:
-        vocab: Dict[str, int] = defaultdict()
-        vocab.default_factory = vocab.__len__  # a new feature takes the next id
-        ids = array("i")
-        offsets = [0]
-        for text in texts:
-            ids.extend(map(vocab.__getitem__, self.features(text)))
-            offsets.append(len(ids))
-        return _Encoded(vocab, ids, offsets)
+    def _feature_keys(self, docs: Documents, start: int, stop: np.ndarray,
+                      width: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Documents ``start:start + _NORM_ROWS``'s feature keys, each
+        document's unigrams then its bigrams in text order, and the row
+        of each key within the slice."""
+        ids, offsets = docs.flat(start, start + _NORM_ROWS)
+        rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        kept = ~stop[ids]
+        keys, rows = ids[kept].astype(np.int64), rows[kept]
+        if not self.use_bigrams:
+            return keys, rows
+        pair = rows[1:] == rows[:-1]
+        keys = np.concatenate([keys, width * (1 + keys[:-1][pair])
+                               + keys[1:][pair]])
+        rows = np.concatenate([rows, rows[1:][pair]])
+        order = np.argsort(rows, kind="stable")
+        return keys[order], rows[order]
 
     # -- fitting ---------------------------------------------------------------
 
-    def fit(self, texts: Sequence[str]) -> "HashedTfidfEmbedder":
+    def fit(self, docs: Documents) -> "HashedTfidfEmbedder":
         """Learn IDF weights over a corpus."""
-        with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(texts)):
-            self._fit(self._encode(texts))
+        with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(docs)):
+            self._fit(self._encode(docs))
         return self
 
     def _fit(self, corpus: _Encoded) -> List[float]:
@@ -137,11 +171,11 @@ class HashedTfidfEmbedder:
                     math.log((1 + n_docs) / (1 + df)) + 1.0)
         return idf
 
-    def transform(self, texts: Sequence[str]) -> np.ndarray:
+    def transform(self, docs: Documents) -> np.ndarray:
         """Embed documents as float32 rows, L2-normalized in float64
         (zero rows stay zero)."""
-        with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
-            corpus = self._encode(texts)
+        with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(docs)):
+            corpus = self._encode(docs)
             if self._idf is None:
                 idf = [1.0] * len(corpus.vocab)
             else:
@@ -185,11 +219,11 @@ class HashedTfidfEmbedder:
             rows /= norms
             yield start, rows
 
-    def fit_transform(self, texts: Sequence[str]) -> np.ndarray:
-        with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(texts)):
-            corpus = self._encode(texts)
+    def fit_transform(self, docs: Documents) -> np.ndarray:
+        with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(docs)):
+            corpus = self._encode(docs)
             idf = self._fit(corpus)
-        with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
+        with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(docs)):
             return self._weigh(corpus, idf)
 
 

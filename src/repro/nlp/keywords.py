@@ -9,47 +9,57 @@ class frequency.  The top terms per cluster are what the vetting step
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from repro.nlp.stopwords import remove_stopwords
-from repro.nlp.tokenize import tokenize
+import numpy as np
+
+from repro.nlp.stopwords import STOPWORDS
+from repro.nlp.tokenize import Documents
 
 
 def class_tfidf_keywords(
-    texts: Sequence[str],
+    docs: Documents,
     labels: Sequence[int],
     top_n: int = 10,
 ) -> Dict[int, List[Tuple[str, float]]]:
     """Top ``top_n`` keywords per cluster label (noise ``-1`` excluded).
 
-    Returns ``{label: [(term, score), ...]}`` with scores sorted
-    descending and deterministic tie-breaking on the term.
+    A class's terms are its documents' tokens less stopwords (the
+    pipeline passes words, without handles).  Returns
+    ``{label: [(term, score), ...]}`` with scores sorted descending and
+    deterministic tie-breaking on the term.
     """
-    if len(texts) != len(labels):
-        raise ValueError("texts and labels must align")
-    class_counts: Dict[int, Counter] = {}
-    term_class_presence: Counter = Counter()
-    for text, label in zip(texts, labels):
-        if label < 0:
-            continue
-        counts = class_counts.setdefault(label, Counter())
-        tokens = remove_stopwords(tokenize(text))
-        counts.update(tokens)
-    for label, counts in class_counts.items():
-        for term in counts:
-            term_class_presence[term] += 1
-    n_classes = max(1, len(class_counts))
+    if len(docs) != len(labels):
+        raise ValueError("docs and labels must align")
+    tokens = docs.stream.tokens
+    width = max(1, len(tokens))
+    stop = np.array([token in STOPWORDS for token in tokens], dtype=bool)
+    # Class ``c`` is the ``c``-th distinct label >= 0 in document order.
+    classes: Dict[int, int] = {}
+    for label in labels:
+        if label >= 0:
+            classes.setdefault(int(label), len(classes))
+    ids, offsets = docs.flat()
+    class_of_doc = np.array([classes.get(int(label), -1) for label in labels],
+                            dtype=np.int64)
+    class_of_id = np.repeat(class_of_doc, np.diff(offsets))
+    kept = (class_of_id >= 0) & ~stop[ids]
+    pairs, counts = np.unique(class_of_id[kept] * width + ids[kept],
+                              return_counts=True)
+    pair_class, pair_term = (pairs // width).tolist(), (pairs % width).tolist()
+    presence = np.bincount(pair_term, minlength=width).tolist()
+    totals = np.bincount(pair_class, weights=counts,
+                         minlength=len(classes)).tolist()
+    n_classes = max(1, len(classes))
+    scored: List[List[Tuple[str, float]]] = [[] for _ in classes]
+    for c, term, count in zip(pair_class, pair_term, counts.tolist()):
+        tf = count / int(totals[c])
+        idf = math.log(1 + n_classes / presence[term])
+        scored[c].append((tokens[term], tf * idf))
     keywords: Dict[int, List[Tuple[str, float]]] = {}
-    for label, counts in class_counts.items():
-        total = sum(counts.values()) or 1
-        scored = []
-        for term, count in counts.items():
-            tf = count / total
-            idf = math.log(1 + n_classes / term_class_presence[term])
-            scored.append((term, tf * idf))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        keywords[label] = scored[:top_n]
+    for label, c in classes.items():
+        scored[c].sort(key=lambda pair: (-pair[1], pair[0]))
+        keywords[label] = scored[c][:top_n]
     return keywords
 
 

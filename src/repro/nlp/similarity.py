@@ -49,10 +49,14 @@ class ReuseGroup:
 def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGroup]:
     """Group documents whose pairwise similarity reaches ``threshold``.
 
-    Single-link (union-find) over all pairs — the underground corpus is
-    tiny (65 postings), so the O(n²) pass is the honest implementation.
+    Single-link (union-find) over all pairs.  Each text is normalized
+    once.  A pair whose ``real_quick_ratio()`` or ``quick_ratio()`` is
+    below ``threshold`` is skipped: difflib computes both, like
+    ``ratio()``, as 2·M/T with an M no smaller than the matches, so the
+    pair's ratio could not reach the threshold either.
     """
-    n = len(texts)
+    normalized = [normalize_for_similarity(text) for text in texts]
+    n = len(normalized)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -61,42 +65,43 @@ def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGro
             x = parent[x]
         return x
 
-    similarities: Dict[Tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim = normalized_word_similarity(texts[i], texts[j])
+    # (i, similarity) of every linked pair (i, j), i < j.
+    linked: List[Tuple[int, float]] = []
+    # The matcher caches facts about its second sequence, so each text
+    # is ``b`` once, against every earlier text as ``a``.
+    matcher = SequenceMatcher(autojunk=False)
+    for j, wj in enumerate(normalized):
+        matcher.set_seq2(wj)
+        for i in range(j):
+            wi = normalized[i]
+            if not wi and not wj:
+                sim = 1.0
+            else:
+                matcher.set_seq1(wi)
+                if (matcher.real_quick_ratio() < threshold
+                        or matcher.quick_ratio() < threshold):
+                    continue
+                sim = matcher.ratio()
             if sim >= threshold:
-                similarities[(i, j)] = sim
+                linked.append((i, sim))
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
     members: Dict[int, List[int]] = {}
     for i in range(n):
         members.setdefault(find(i), []).append(i)
-    groups: List[ReuseGroup] = []
-    for group_indices in members.values():
-        if len(group_indices) < 2:
-            continue
-        sims = [
-            similarities.get((a, b)) or similarities.get((b, a))
-            for ai, a in enumerate(group_indices)
-            for b in group_indices[ai + 1 :]
-        ]
-        sims = [s for s in sims if s is not None]
-        if not sims:
-            # Linked only transitively: recompute the direct bounds.
-            sims = [
-                normalized_word_similarity(texts[a], texts[b])
-                for ai, a in enumerate(group_indices)
-                for b in group_indices[ai + 1 :]
-            ]
-        groups.append(
-            ReuseGroup(
-                indices=sorted(group_indices),
-                min_similarity=min(sims),
-                max_similarity=max(sims),
-            )
-        )
+    # Every union recorded the pair that caused it, so every group of
+    # two or more holds a linked pair.
+    bounds: Dict[int, Tuple[float, float]] = {}
+    for i, sim in linked:
+        root = find(i)
+        low, high = bounds.get(root, (sim, sim))
+        bounds[root] = (min(low, sim), max(high, sim))
+    groups = [
+        ReuseGroup(indices=indices, min_similarity=bounds[root][0],
+                   max_similarity=bounds[root][1])
+        for root, indices in members.items() if len(indices) >= 2
+    ]
     groups.sort(key=lambda g: (-g.size, g.indices[0]))
     return groups
 

@@ -13,7 +13,6 @@ corrupt records quarantine instead of crashing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -21,6 +20,7 @@ from repro.core.dataset import (
     MeasurementDataset,
     _RECORD_TYPES,
     record_from_dict,
+    record_to_dict,
 )
 from repro.faults.disk import DiskFullError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -56,7 +56,7 @@ class StoreSaveReport:
 def _iter_dataset(dataset: MeasurementDataset) -> Iterator[Tuple[str, dict]]:
     for name in _RECORD_TYPES:
         for record in getattr(dataset, name):
-            yield name, dataclasses.asdict(record)
+            yield name, record_to_dict(record)
 
 
 def save_dataset(dataset: MeasurementDataset, directory: str,

@@ -1,6 +1,8 @@
 """Tests for the Section-9 indicator engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.indicators import (
     WEIGHTS,
@@ -9,6 +11,8 @@ from repro.analysis.indicators import (
 )
 from repro.analysis.network import NetworkAnalysis
 from repro.core.dataset import PostRecord, ProfileRecord
+from repro.nlp.tokenize import TokenStream, tokenize
+from repro.synthetic.scamtext import VETTING_CODEBOOK
 
 
 def profile(**kwargs):
@@ -160,3 +164,54 @@ class TestEvaluation:
                                          true_positives=10, relevant=10)
         assert evaluation.precision == 1.0
         assert evaluation.recall == 1.0
+
+
+def reference_check_scam_content(self, risk, posts, stream=None):
+    """The scam-content check as it read texts, one ``tokenize`` a post."""
+    for post in posts:
+        tokens = set(tokenize(post.text))
+        for subtype, indicators in VETTING_CODEBOOK.items():
+            hits = sum(1 for ind in indicators if ind in tokens)
+            if hits >= 3:
+                self._hit(risk, "scam_content",
+                          f"post matches '{subtype}' indicators")
+                return
+
+
+_CODEBOOK_WORDS = sorted({i for group in VETTING_CODEBOOK.values() for i in group})
+_post_text = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_CODEBOOK_WORDS + [
+        "the", "weather", "#crypto", "@wallet", "https://x.example/profit",
+        "Profit!", "BITCOIN", "42"]), max_size=10).map(" ".join),
+)
+
+
+class TestReferenceScamContent:
+    """The check over a shared stream's word ids against the loop over
+    ``set(tokenize(post.text))`` it replaced."""
+
+    def test_dataset_scoring_identical(self, dataset, monkeypatch):
+        network = NetworkAnalysis().run(dataset)
+        shipped = IndicatorEngine().score_dataset(dataset, network)
+        with monkeypatch.context() as patch:
+            patch.setattr(IndicatorEngine, "_check_scam_content",
+                          reference_check_scam_content)
+            reference = IndicatorEngine().score_dataset(dataset, network)
+        assert repr(shipped) == repr(reference)
+        assert sum("scam_content" in r.indicator_names for r in shipped) > 10
+
+    @given(st.lists(st.lists(_post_text, max_size=4), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_profiles_over_one_stream_match_reference(self, timelines):
+        # One stream across profiles, as the suite shares it; repeated
+        # texts reuse their rows.
+        engine, stream = IndicatorEngine(), TokenStream()
+        for texts in timelines:
+            posts = [post(text) for text in texts]
+            shipped = engine.score_profile(profile(), posts, referred=False,
+                                           clustered=False, stream=stream)
+            reference = engine.score_profile(profile(), [], referred=False,
+                                             clustered=False)
+            reference_check_scam_content(engine, reference, posts)
+            assert repr(shipped) == repr(reference)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.scam_posts import (
+    SUBTYPE_MASKS,
     ClusterVetter,
     ScamPipelineConfig,
     ScamPostAnalysis,
@@ -11,6 +12,7 @@ from repro.analysis.scam_posts import (
 )
 from repro.core.dataset import PostRecord
 from repro.nlp.langdetect import LanguageDetector
+from repro.nlp.tokenize import TokenStream
 from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY
 from tests.property.test_scam_kernels import patch_reference_kernels
 
@@ -113,16 +115,23 @@ class TestDetectionQuality:
 
 
 def _hits(vetter: ClusterVetter, text: str, subtype: str) -> int:
-    mask = vetter._post_mask(text) & vetter._subtype_masks[subtype]
-    return bin(mask).count("1")
+    words = TokenStream().documents([text]).words()
+    mask = vetter._post_mask(words[0], words.stream.tokens)
+    return bin(mask & SUBTYPE_MASKS[subtype]).count("1")
+
+
+def _score(vetter: ClusterVetter, text: str):
+    words = TokenStream().documents([text]).words()
+    return vetter._score_sample([vetter._post_mask(words[0],
+                                                   words.stream.tokens)])
 
 
 class TestVetter:
     def test_codebook_match_requires_two_indicators(self):
         vetter = ClusterVetter()
         assert _hits(vetter, "bitcoin weather", "Crypto Scams") == 1
-        assert vetter._score_sample(["bitcoin weather"]) == (None, 0.0)
-        assert vetter._score_sample(["bitcoin profit"]) == ("Crypto Scams", 1.0)
+        assert _score(vetter, "bitcoin weather") == (None, 0.0)
+        assert _score(vetter, "bitcoin profit") == ("Crypto Scams", 1.0)
 
     def test_prefix_stemming(self):
         vetter = ClusterVetter()
@@ -152,8 +161,8 @@ class TestReferenceKernels:
         labels = []
         cluster = ScamPostAnalysis._cluster
 
-        def recording_cluster(self, texts):
-            labels.append(cluster(self, texts))
+        def recording_cluster(self, docs):
+            labels.append(cluster(self, docs))
             return labels[-1]
 
         monkeypatch.setattr(ScamPostAnalysis, "_cluster", recording_cluster)

@@ -5,11 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.keywords import class_tfidf_keywords
+from repro.nlp.tokenize import TokenStream
 from repro.nlp.similarity import (
     normalize_for_similarity,
     normalized_word_similarity,
     reuse_groups,
 )
+
+
+def _words(texts):
+    return TokenStream().documents(texts).words()
 
 
 class TestKeywords:
@@ -21,7 +26,7 @@ class TestKeywords:
             "puppy kitten garden animals sunshine play",
         ]
         labels = [0, 0, 1, 1]
-        keywords = class_tfidf_keywords(texts, labels, top_n=5)
+        keywords = class_tfidf_keywords(_words(texts), labels, top_n=5)
         crypto_terms = {t for t, _s in keywords[0]}
         pet_terms = {t for t, _s in keywords[1]}
         assert "bitcoin" in crypto_terms
@@ -29,19 +34,19 @@ class TestKeywords:
         assert "puppy" not in crypto_terms
 
     def test_noise_excluded(self):
-        keywords = class_tfidf_keywords(["a b", "c d"], [-1, 0])
+        keywords = class_tfidf_keywords(_words(["a b", "c d"]), [-1, 0])
         assert -1 not in keywords
         assert 0 in keywords
 
     def test_shared_terms_downweighted(self):
         texts = ["common alpha alpha", "common beta beta"]
-        keywords = class_tfidf_keywords(texts, [0, 1], top_n=2)
+        keywords = class_tfidf_keywords(_words(texts), [0, 1], top_n=2)
         assert keywords[0][0][0] == "alpha"
         assert keywords[1][0][0] == "beta"
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
-            class_tfidf_keywords(["a"], [0, 1])
+            class_tfidf_keywords(_words(["a"]), [0, 1])
 
 
 class TestSimilarity:

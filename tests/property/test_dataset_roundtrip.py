@@ -9,6 +9,8 @@ twin-run invariant CI diffs; field identity of save→load is what the
 analyses depend on.
 """
 
+import dataclasses
+import json
 import math
 
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.core.dataset import (
     ProfileRecord,
     SellerRecord,
     UndergroundRecord,
+    record_to_dict,
 )
 from repro.store import load_dataset, save_dataset
 
@@ -165,3 +168,20 @@ class TestStoreRoundtrip:
         reloaded = load_dataset(first)
         save_dataset(reloaded, second, segment_max_records=segment_max)
         assert tree_bytes(first) == tree_bytes(second)
+
+
+class TestRecordEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(record=st.one_of(_seller, _listing, _profile, _post, _underground,
+                            st.builds(SellerRecord), st.builds(ListingRecord),
+                            st.builds(ProfileRecord), st.builds(PostRecord),
+                            st.builds(UndergroundRecord)))
+    def test_encoder_equals_asdict(self, record):
+        # The store's payload, key order included, is what
+        # ``dataclasses.asdict`` gave for every record type.
+        encoded = record_to_dict(record)
+        reference = dataclasses.asdict(record)
+        assert list(encoded) == list(reference)
+        assert json.dumps(encoded, sort_keys=True) \
+            == json.dumps(reference, sort_keys=True)
+        assert all(encoded[key] is getattr(record, key) for key in encoded)

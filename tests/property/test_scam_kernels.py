@@ -1,12 +1,15 @@
-"""Differential tests for the scam-post stage's four inner loops.
+"""Differential tests for the scam-post stage's inner loops.
 
 Each optimised kernel is compared, with exact equality, against the loop
 it replaced: the cluster vetter's indicator scan, k-means++ seeding and
-the Lloyd update, the language filter's n-gram scoring, and the hashed
-TF-IDF embedder.  The references below are those loops, unchanged, so a
-kernel that reorders one floating-point operation fails here.  Arrays
-compare with ``np.array_equal`` and scores by ``repr``, which also tells
-an int ``0`` from ``0.0``.
+the Lloyd update, the language filter's n-gram scoring, the hashed
+TF-IDF embedder and the class TF-IDF keywords.  The references below are
+those loops, unchanged, so a kernel that reorders one floating-point
+operation fails here.  They read texts and tokenize each one themselves,
+as every consumer did before the stage shared one
+:class:`~repro.nlp.tokenize.TokenStream`.  Arrays compare with
+``np.array_equal`` and scores by ``repr``, which also tells an int ``0``
+from ``0.0``.
 
 The references are also the kernels the stage-level differential test in
 ``tests/analysis/test_scam_posts.py`` patches in.
@@ -29,7 +32,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.scam_posts import VETTING_THRESHOLD, ClusterVetter
+from repro.analysis import scam_posts
+from repro.analysis.scam_posts import (
+    CODEBOOK_INDICATORS,
+    SUBTYPE_MASKS,
+    VETTING_SAMPLE,
+    VETTING_THRESHOLD,
+    ClusterVerdict,
+    ClusterVetter,
+    _matches_indicator,
+)
 from repro.nlp import cluster as cluster_module
 from repro.nlp.cluster import (
     _assign_blockwise,
@@ -39,6 +51,7 @@ from repro.nlp.cluster import (
     kmeans,
 )
 from repro.nlp.embeddings import HashedTfidfEmbedder
+from repro.nlp.keywords import class_tfidf_keywords
 from repro.nlp.langdetect import (
     _CHUNK_DOCS,
     _POINT_BITS,
@@ -48,8 +61,21 @@ from repro.nlp.langdetect import (
     _gram_counts,
 )
 from repro.nlp.stopwords import remove_stopwords
-from repro.nlp.tokenize import bigrams, tokenize
-from repro.synthetic.scamtext import VETTING_CODEBOOK
+from repro.nlp.tokenize import TokenStream, bigrams, tokenize
+from repro.synthetic.scamtext import SUBTYPE_TO_CATEGORY, VETTING_CODEBOOK
+
+
+def _docs(texts: Sequence[Optional[str]], handles: bool = True):
+    """``texts`` over a new stream, as tokens or as words."""
+    docs = TokenStream().documents(texts)
+    return docs if handles else docs.words()
+
+
+def _masks(vetter: ClusterVetter, texts: Sequence[Optional[str]]) -> List[int]:
+    """The shipped vetter's post masks for ``texts``."""
+    words = _docs(texts, handles=False)
+    return [vetter._post_mask(words[d], words.stream.tokens)
+            for d in range(len(words))]
 
 # -- reference: cluster vetting ------------------------------------------------
 
@@ -69,6 +95,21 @@ def reference_indicator_hits(tokens: Set[str], indicators: Sequence[str]) -> int
     return hits
 
 
+def reference_post_mask(self, text: str) -> int:
+    """The codebook bits a post's tokens match."""
+    token_bits = self._token_bits
+    mask = 0
+    for token in set(tokenize(text, keep_handles=False)):
+        bits = token_bits.get(token)
+        if bits is None:
+            bits = token_bits[token] = sum(
+                1 << bit for bit, indicator in enumerate(CODEBOOK_INDICATORS)
+                if _matches_indicator(token, indicator)
+            )
+        mask |= bits
+    return mask
+
+
 def reference_score_sample(self, sample: List[str]) -> Tuple[Optional[str], float]:
     scores: Dict[str, float] = {}
     token_sets = [set(tokenize(text, keep_handles=False)) for text in sample]
@@ -83,6 +124,69 @@ def reference_score_sample(self, sample: List[str]) -> Tuple[Optional[str], floa
     if best >= VETTING_THRESHOLD:
         return best_subtype, best
     return None, best
+
+
+def reference_vet(self, texts: Sequence[str], labels: np.ndarray,
+                  keywords: Dict[int, List[Tuple[str, float]]]
+                  ) -> List[ClusterVerdict]:
+    members_by_label: Dict[int, List[int]] = {}
+    for index, label in enumerate(labels):
+        if label >= 0:
+            members_by_label.setdefault(int(label), []).append(index)
+    verdicts: List[ClusterVerdict] = []
+    for label in sorted(members_by_label):
+        member_indices = members_by_label[label]
+        sample_size = min(VETTING_SAMPLE, len(member_indices))
+        sample = self._rng.child(f"cluster-{label}").sample(
+            member_indices, sample_size
+        )
+        subtype, score = reference_score_sample(self, [texts[i] for i in sample])
+        verdicts.append(
+            ClusterVerdict(
+                cluster_id=label,
+                size=len(member_indices),
+                keywords=keywords.get(label, []),
+                subtype=subtype,
+                category=SUBTYPE_TO_CATEGORY.get(subtype) if subtype else None,
+                match_score=score,
+            )
+        )
+    return verdicts
+
+
+# -- reference: keywords --------------------------------------------------------
+
+
+def reference_class_tfidf_keywords(
+    texts: Sequence[str],
+    labels: Sequence[int],
+    top_n: int = 10,
+) -> Dict[int, List[Tuple[str, float]]]:
+    if len(texts) != len(labels):
+        raise ValueError("texts and labels must align")
+    class_counts: Dict[int, Counter] = {}
+    term_class_presence: Counter = Counter()
+    for text, label in zip(texts, labels):
+        if label < 0:
+            continue
+        counts = class_counts.setdefault(label, Counter())
+        tokens = remove_stopwords(tokenize(text))
+        counts.update(tokens)
+    for label, counts in class_counts.items():
+        for term in counts:
+            term_class_presence[term] += 1
+    n_classes = max(1, len(class_counts))
+    keywords: Dict[int, List[Tuple[str, float]]] = {}
+    for label, counts in class_counts.items():
+        total = sum(counts.values()) or 1
+        scored = []
+        for term, count in counts.items():
+            tf = count / total
+            idf = math.log(1 + n_classes / term_class_presence[term])
+            scored.append((term, tf * idf))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        keywords[label] = scored[:top_n]
+    return keywords
 
 
 # -- reference: k-means ----------------------------------------------------------
@@ -210,19 +314,19 @@ def _reference_hash_feature(feature: str, dims: int) -> tuple:
     return index, sign
 
 
-def _reference_features(self, text: str) -> List[str]:
-    tokens = remove_stopwords(tokenize(text, keep_handles=self.keep_handles))
+def _reference_features(self, text: str, keep_handles: bool = True) -> List[str]:
+    tokens = remove_stopwords(tokenize(text, keep_handles=keep_handles))
     feats = list(tokens)
     if self.use_bigrams:
         feats.extend(bigrams(tokens))
     return feats
 
 
-def reference_fit(self, texts: Sequence[str]):
+def reference_fit(self, texts: Sequence[str], keep_handles: bool = True):
     with self.telemetry.tracer.span("nlp.embed.fit", n_docs=len(texts)):
         doc_freq: Dict[str, int] = {}
         for text in texts:
-            for feature in set(_reference_features(self, text)):
+            for feature in set(_reference_features(self, text, keep_handles)):
                 doc_freq[feature] = doc_freq.get(feature, 0) + 1
         n_docs = max(1, len(texts))
         self._idf = {
@@ -233,12 +337,13 @@ def reference_fit(self, texts: Sequence[str]):
     return self
 
 
-def reference_rows(self, texts: Sequence[str]) -> np.ndarray:
+def reference_rows(self, texts: Sequence[str],
+                   keep_handles: bool = True) -> np.ndarray:
     """The loop's float64 rows, before the cast to float32."""
     matrix = np.zeros((len(texts), self.dims), dtype=np.float64)
     for row, text in enumerate(texts):
         counts: Dict[str, int] = {}
-        for feature in _reference_features(self, text):
+        for feature in _reference_features(self, text, keep_handles):
             counts[feature] = counts.get(feature, 0) + 1
         for feature, count in counts.items():
             idf = 1.0 if self._idf is None else self._idf.get(feature, 0.0)
@@ -252,20 +357,40 @@ def reference_rows(self, texts: Sequence[str]) -> np.ndarray:
     return matrix / norms
 
 
-def reference_transform(self, texts: Sequence[str]) -> np.ndarray:
+def reference_transform(self, texts: Sequence[str],
+                        keep_handles: bool = True) -> np.ndarray:
     with self.telemetry.tracer.span("nlp.embed.transform", n_docs=len(texts)):
         # The stage clusters float32: the loop's float64 result is cast
         # once, at the end.
-        return reference_rows(self, texts).astype(np.float32)
+        return reference_rows(self, texts, keep_handles).astype(np.float32)
 
 
-def reference_fit_transform(self, texts: Sequence[str]) -> np.ndarray:
-    return reference_transform(reference_fit(self, texts), texts)
+def reference_fit_transform(self, texts: Sequence[str],
+                            keep_handles: bool = True) -> np.ndarray:
+    return reference_transform(reference_fit(self, texts, keep_handles),
+                               texts, keep_handles)
+
+
+class _Texts(list):
+    """What a patched ``TokenStream.documents`` hands the stage: the
+    texts themselves, for the references to tokenize."""
+
+    def words(self) -> "_Texts":
+        return self
 
 
 def patch_reference_kernels(monkeypatch) -> None:
-    """Swap the four shipped kernels for the references above."""
-    monkeypatch.setattr(ClusterVetter, "_score_sample", reference_score_sample)
+    """Swap the shipped kernels for the references above.
+
+    The stage's token stream hands out texts instead of ids, and each
+    reference tokenizes them as the stage's consumers did: the embedder
+    with handles, the keywords and the vetter without.
+    """
+    monkeypatch.setattr(TokenStream, "documents",
+                        lambda self, texts: _Texts(texts))
+    monkeypatch.setattr(ClusterVetter, "vet", reference_vet)
+    monkeypatch.setattr(scam_posts, "class_tfidf_keywords",
+                        reference_class_tfidf_keywords)
     monkeypatch.setattr(cluster_module, "kmeans", reference_kmeans)
     monkeypatch.setattr(LanguageDetector, "scores", reference_scores)
     monkeypatch.setattr(LanguageDetector, "detect_all", reference_detect_all)
@@ -319,7 +444,6 @@ _embedder = st.builds(
     HashedTfidfEmbedder,
     dims=st.sampled_from([8, 13, 32, 192]),
     use_bigrams=st.booleans(),
-    keep_handles=st.booleans(),
     min_df=st.integers(1, 3),
 )
 
@@ -348,7 +472,7 @@ class TestVettingKernel:
     @settings(max_examples=200, deadline=None)
     def test_score_sample_matches_reference(self, sample):
         vetter = ClusterVetter()
-        assert repr(vetter._score_sample(sample)) == repr(
+        assert repr(vetter._score_sample(_masks(vetter, sample))) == repr(
             reference_score_sample(vetter, sample))
 
     @given(_vetting_text)
@@ -357,10 +481,11 @@ class TestVettingKernel:
         # Stronger than the verdict: every subtype's hit count agrees,
         # not only which side of the two-indicator threshold it falls.
         vetter = ClusterVetter()
-        mask = vetter._post_mask(text)
+        [mask] = _masks(vetter, [text])
+        assert mask == reference_post_mask(ClusterVetter(), text)
         tokens = set(tokenize(text, keep_handles=False))
         for subtype, indicators in VETTING_CODEBOOK.items():
-            hits = bin(mask & vetter._subtype_masks[subtype]).count("1")
+            hits = bin(mask & SUBTYPE_MASKS[subtype]).count("1")
             assert hits == reference_indicator_hits(tokens, indicators), subtype
 
     @pytest.mark.parametrize("sample", [
@@ -371,8 +496,21 @@ class TestVettingKernel:
     ])
     def test_edge_samples(self, sample):
         vetter = ClusterVetter()
-        assert repr(vetter._score_sample(sample)) == repr(
+        assert repr(vetter._score_sample(_masks(vetter, sample))) == repr(
             reference_score_sample(vetter, sample))
+
+    @given(st.lists(_vetting_text, max_size=60), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vet_matches_reference(self, texts, data):
+        # Whole verdicts, sampling included, over words read from one
+        # stream.
+        labels = np.array(data.draw(st.lists(
+            st.integers(-1, 4), min_size=len(texts), max_size=len(texts))))
+        keywords = {0: [("profit", 0.5)]}
+        shipped = ClusterVetter().vet(_docs(texts, handles=False), labels,
+                                      keywords)
+        reference = reference_vet(ClusterVetter(), texts, labels, keywords)
+        assert repr(shipped) == repr(reference)
 
 
 # -- k-means ---------------------------------------------------------------------------
@@ -543,27 +681,32 @@ class TestLanguageKernel:
 def _reference_twin(embedder: HashedTfidfEmbedder) -> HashedTfidfEmbedder:
     return HashedTfidfEmbedder(dims=embedder.dims,
                                use_bigrams=embedder.use_bigrams,
-                               keep_handles=embedder.keep_handles,
                                min_df=embedder.min_df)
 
 
 class TestEmbeddingKernel:
-    @given(_embedder, _corpus)
+    """The embedder over a stream's tokens (with handles) or words
+    (without) against the loop over ``tokenize(text, keep_handles)``."""
+
+    @given(_embedder, _corpus, st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_fit_transform_matches_reference(self, embedder, texts):
+    def test_fit_transform_matches_reference(self, embedder, texts, handles):
         reference = _reference_twin(embedder)
-        matrix = embedder.fit_transform(texts)
+        matrix = embedder.fit_transform(_docs(texts, handles))
         assert matrix.dtype == np.float32
-        assert np.array_equal(matrix, reference_fit_transform(reference, texts))
+        assert np.array_equal(matrix, reference_fit_transform(
+            reference, texts, keep_handles=handles))
         assert embedder._idf == reference._idf
 
-    @given(_embedder, _corpus)
+    @given(_embedder, _corpus, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_transform_without_fit_matches_reference(self, embedder, texts):
+    def test_transform_without_fit_matches_reference(self, embedder, texts,
+                                                     handles):
         reference = _reference_twin(embedder)
-        matrix = embedder.transform(texts)
+        matrix = embedder.transform(_docs(texts, handles))
         assert matrix.dtype == np.float32
-        assert np.array_equal(matrix, reference_transform(reference, texts))
+        assert np.array_equal(matrix, reference_transform(
+            reference, texts, keep_handles=handles))
 
     @pytest.mark.parametrize("dims", [8, 13])
     def test_colliding_features_add_in_document_order(self, dims):
@@ -577,26 +720,28 @@ class TestEmbeddingKernel:
                  for _ in range(300)]
         embedder = HashedTfidfEmbedder(dims=dims)
         reference = _reference_twin(embedder)
-        matrix = embedder.fit_transform(texts)
+        matrix = embedder.fit_transform(_docs(texts))
         assert matrix.dtype == np.float32
         assert np.array_equal(matrix, reference_fit_transform(reference, texts))
         # The float32 cast hides most last-bit differences of the float64
         # sums, so the rows are compared before it too.
-        corpus = embedder._encode(texts)
+        corpus = embedder._encode(_docs(texts))
         rows = np.vstack([rows for _, rows in embedder._weighed_slices(
             corpus, embedder._fit(corpus))])
         assert np.array_equal(rows, reference_rows(reference, texts))
 
-    @given(_embedder, _corpus, _corpus)
+    @given(_embedder, _corpus, _corpus, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_fit_then_transform_other_corpus(self, embedder, fit_on, texts):
+    def test_fit_then_transform_other_corpus(self, embedder, fit_on, texts,
+                                             handles):
         reference = _reference_twin(embedder)
-        embedder.fit(fit_on)
-        reference_fit(reference, fit_on)
+        embedder.fit(_docs(fit_on, handles))
+        reference_fit(reference, fit_on, keep_handles=handles)
         assert embedder._idf == reference._idf
-        matrix = embedder.transform(texts)
+        matrix = embedder.transform(_docs(texts, handles))
         assert matrix.dtype == np.float32
-        assert np.array_equal(matrix, reference_transform(reference, texts))
+        assert np.array_equal(matrix, reference_transform(
+            reference, texts, keep_handles=handles))
 
     def test_min_df_zeroes_rare_features(self):
         # With min_df=2 every feature seen in one document gets idf 0.0
@@ -611,11 +756,12 @@ class TestEmbeddingKernel:
         texts = fit_on[::3] + [f"{text} unseen {text}" for text in fit_on[1::3]]
         embedder = HashedTfidfEmbedder(min_df=2)
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.fit_transform(fit_on),
+        assert np.array_equal(embedder.fit_transform(_docs(fit_on)),
                               reference_fit_transform(reference, fit_on))
         assert embedder._idf == reference._idf
-        assert 0 < len(embedder._idf) < len(embedder._encode(fit_on).vocab)
-        assert np.array_equal(embedder.transform(texts),
+        assert 0 < len(embedder._idf) < len(
+            embedder._encode(_docs(fit_on)).vocab)
+        assert np.array_equal(embedder.transform(_docs(texts)),
                               reference_transform(reference, texts))
 
     def test_features_repeated_within_a_document(self):
@@ -627,13 +773,13 @@ class TestEmbeddingKernel:
                  for n in rng.integers(0, 120, size=300)]
         embedder = HashedTfidfEmbedder(dims=32)
         reference = _reference_twin(embedder)
-        assert np.array_equal(embedder.fit_transform(texts),
+        assert np.array_equal(embedder.fit_transform(_docs(texts)),
                               reference_fit_transform(reference, texts))
 
     def test_matrix_past_one_slice(self):
-        # Rows are normalized in 1024-row slices; 2,600 documents end on
-        # a partial slice.  The words are letters only, since ``tokenize``
-        # drops a word with a digit in it.
+        # Rows are encoded and normalized in 1024-row slices; 2,600
+        # documents end on a partial slice.  The words are letters only,
+        # since ``tokenize`` drops a word with a digit in it.
         rng = np.random.default_rng(23)
         words = ["".join(letters) for letters in itertools.product(
             string.ascii_lowercase, repeat=3)][:400] + ["the", "and", "crypto"]
@@ -641,10 +787,44 @@ class TestEmbeddingKernel:
                  for _ in range(2_600)]
         embedder = HashedTfidfEmbedder()
         reference = _reference_twin(embedder)
-        matrix = embedder.fit_transform(texts)
+        matrix = embedder.fit_transform(_docs(texts))
         assert matrix.dtype == np.float32
         assert np.count_nonzero(matrix.any(axis=1)) == 2_466
         assert np.array_equal(matrix, reference_fit_transform(reference, texts))
+
+
+# -- keywords -------------------------------------------------------------------------------
+
+
+class TestKeywordKernel:
+    """Class TF-IDF over a stream's words against the loop over
+    ``remove_stopwords(tokenize(text))``."""
+
+    @given(st.lists(st.one_of(_embed_text, _vetting_text), max_size=40),
+           st.data(), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_keywords_match_reference(self, texts, data, top_n):
+        labels = data.draw(st.lists(st.integers(-1, 5), min_size=len(texts),
+                                    max_size=len(texts)))
+        shipped = class_tfidf_keywords(_docs(texts, handles=False), labels,
+                                       top_n=top_n)
+        reference = reference_class_tfidf_keywords(texts, labels, top_n=top_n)
+        assert repr(shipped) == repr(reference)
+
+    def test_many_classes_past_one_token_width(self):
+        # Class and term share one key (class * vocabulary + term): more
+        # classes than terms, and a numpy label array, as the stage has.
+        rng = np.random.default_rng(37)
+        words = ["crypto", "profit", "the", "bitcoin", "wallet", "#crypto",
+                 "aged", "accounts", "and", "follow"]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 9))))
+                 for _ in range(600)]
+        labels = rng.integers(-1, 80, size=len(texts))
+        reference = reference_class_tfidf_keywords(texts, labels)
+        # The reference keys its result by the labels it was given
+        # (``np.int64`` here); the kernel by ``int``.
+        assert repr(class_tfidf_keywords(_docs(texts, handles=False), labels)) \
+            == repr({int(label): terms for label, terms in reference.items()})
 
 
 # -- transient memory -----------------------------------------------------------------------
@@ -652,8 +832,9 @@ class TestEmbeddingKernel:
 
 def _clusterer_input(texts: Sequence[str]) -> np.ndarray:
     """The float32 matrix the scam-post stage clusters (the cast is a
-    no-op on a float32 embedding and a whole copy on a float64 one)."""
-    return HashedTfidfEmbedder(dims=192).fit_transform(texts).astype(
+    no-op on a float32 embedding and a whole copy on a float64 one),
+    with the stage's token stream built inside the measurement."""
+    return HashedTfidfEmbedder(dims=192).fit_transform(_docs(texts)).astype(
         np.float32, copy=False)
 
 
