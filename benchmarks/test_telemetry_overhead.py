@@ -9,9 +9,9 @@ sub-second runs aren't judged on scheduler jitter).
 
 The crawl-health watchdogs stay ENABLED in the telemetry-on run — they
 are counter arithmetic and must fit inside the same budget.  The
-fidelity scorecard is excluded: it deliberately re-runs the analysis
-stages (full NLP pipeline), which is real work, not instrumentation
-overhead.
+fidelity scorecard is excluded: turning it on runs the study's one
+analysis suite (the full NLP pipeline), whose reports it scores, which
+is real work, not instrumentation overhead.
 
 Not part of tier-1 (pytest's testpaths only collects ``tests/``); run it
 with ``python -m pytest benchmarks/test_telemetry_overhead.py -q``.

@@ -29,7 +29,7 @@ from repro.marketplaces.registry import MARKETPLACES
 from repro.platforms.deploy import deploy_platforms, enable_moderation
 from repro.store import load_dataset, save_dataset
 from repro.synthetic import WorldBuilder
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet
 
 
@@ -39,7 +39,7 @@ def run_checkpointed_crawl(config: StudyConfig, workdir: str) -> MeasurementData
     internet = Internet()
     platform_sites = deploy_platforms(internet, world, enforce_moderation=False)
     market_sites = deploy_public_marketplaces(internet, world)
-    client = HttpClient(internet, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(internet)
     seed_urls = {n: f"http://{s.host}/listings" for n, s in market_sites.items()}
     checkpoint = os.path.join(workdir, "crawl_checkpoint.json")
 

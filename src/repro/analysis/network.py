@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.dataset import MeasurementDataset, ProfileRecord
 from repro.util.stats import median
+from repro.util.unionfind import UnionFind
 
 #: platform -> attributes used for clustering (Table 7's first column).
 CLUSTER_ATTRIBUTES: Dict[str, Tuple[str, ...]] = {
@@ -146,14 +147,7 @@ class NetworkAnalysis:
         attributes: Tuple[str, ...],
     ) -> List[ProfileCluster]:
         """Union profiles sharing any clustering attribute's exact value."""
-        parent: Dict[int, int] = {i: i for i in range(len(profiles))}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = UnionFind(len(profiles))
         buckets: Dict[Tuple[str, str], List[int]] = {}
         for index, profile in enumerate(profiles):
             for attribute in attributes:
@@ -162,14 +156,9 @@ class NetworkAnalysis:
                     buckets.setdefault((attribute, value), []).append(index)
         for (_attribute, _value), indices in buckets.items():
             for other in indices[1:]:
-                ra, rb = find(indices[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: Dict[int, List[int]] = {}
-        for index in range(len(profiles)):
-            groups.setdefault(find(index), []).append(index)
+                sets.union(indices[0], other)
         clusters: List[ProfileCluster] = []
-        for root, indices in sorted(groups.items()):
+        for root, indices in sorted(sets.groups().items()):
             if len(indices) < 2:  # a singleton, not a cluster
                 continue
             attribute, value = self._shared_attribute(profiles, indices, attributes)

@@ -15,8 +15,7 @@ followed by contracts, the supervised nine-stage analysis suite, and
 the fidelity scorecard, with no second copy of the sequence to drift.
 
 Nothing else from the live run happens: no synthetic Internet is built,
-no sites deploy, no faults inject, no politeness waits or retries burn
-simulated time.  The :class:`ReplayClock` instead jumps straight to each
+no sites deploy, no faults inject, no retries burn simulated time.  The :class:`ReplayClock` instead jumps straight to each
 outcome's archived ``sim_at``, so every timestamp-derived artifact
 (including ``simulated_seconds``) is byte-identical to the live run's.
 
@@ -70,7 +69,7 @@ class ReplayClock(SimClock):
     Replayed code still *advances* it (the underground solver charges
     its human solving pace), but each delivered outcome then pins the
     clock to the exact ``sim_at`` the live run recorded — absorbing all
-    the politeness, backoff, and latency time replay skips.
+    the backoff and latency time replay skips.
     """
 
     def set_at_least(self, value: float) -> None:

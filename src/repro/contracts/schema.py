@@ -25,7 +25,6 @@ in, same repairs/degrades/quarantines out, byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as _dt
 import math
 import re
@@ -40,6 +39,7 @@ from repro.core.dataset import (
     SellerRecord,
     UndergroundRecord,
     add_provenance,
+    record_to_dict,
 )
 from repro.contracts.quarantine import QuarantineStore
 
@@ -531,20 +531,13 @@ def validate_dataset(
                     record_type,
                     outcome.quarantine_rule,
                     outcome.quarantine_reason,
-                    record=_record_dict(record),
+                    record=record_to_dict(record),
                 )
             else:
                 kept.append(record)
         report.kept[record_type] = len(kept)
         setattr(dataset, record_type, kept)
     return report
-
-
-def _record_dict(record) -> Optional[dict]:
-    try:
-        return dataclasses.asdict(record)
-    except (TypeError, ValueError):  # pragma: no cover - defensive
-        return None
 
 
 __all__ = [

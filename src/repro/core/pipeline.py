@@ -52,7 +52,7 @@ from repro.synthetic.model import World
 from repro.synthetic.world import WorldBuilder, WorldConfig
 from repro.util.rng import RngTree
 from repro.web.captcha import HumanSolver
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet
 
 
@@ -79,9 +79,10 @@ class StudyConfig:
     #: doubles allocation cost, so profiling must never leak into
     #: benchmark timings or the <5% telemetry-overhead budget.
     profile_enabled: bool = False
-    #: Compute the fidelity scorecard at the end of the run.  This
-    #: re-runs the analysis stages (including the NLP pipeline), so
-    #: benchmarks that time the crawl alone should turn it off.
+    #: Run the analysis suite at the end of the run and score its
+    #: reports in the fidelity scorecard.  The suite runs once per study
+    #: (``collect_and_analyze``) and is real work, the NLP pipeline
+    #: included, so benchmarks that time the crawl alone turn it off.
     scorecard_enabled: bool = True
     #: Chaos profile name (``off``/``light``/``moderate``/``heavy``):
     #: wraps the synthetic Internet in a seeded fault-injection layer.
@@ -241,20 +242,15 @@ class Study:
                 resume=self.config.resume,
             )
 
-        client = HttpClient(
-            network,
-            ClientConfig(per_host_delay_seconds=0.0),
-            telemetry=telemetry,
-            capture=archive,
-        )
+        client = HttpClient(network, telemetry=telemetry, capture=archive)
         tor_client: Optional[HttpClient] = None
         if underground_sites:
             tor_client = HttpClient(
                 network,
-                ClientConfig(via_tor=True, per_host_delay_seconds=0.0),
                 client_id="manual-analyst",
                 telemetry=telemetry,
                 capture=archive,
+                via_tor=True,
             )
         checkpoint_path: Optional[str] = None
         if self.config.checkpoint_dir:
@@ -271,7 +267,7 @@ class Study:
                 injector.begin_iteration(epoch)
             if injector is not None or checkpoint_path:
                 # Reset per-host transport state (breakers, retry budget,
-                # politeness) at the iteration boundary: iterations are
+                # robots cache) at the iteration boundary: iterations are
                 # days apart in simulated time, and a resumed run must
                 # enter iteration k with the same client state an
                 # uninterrupted run would have.

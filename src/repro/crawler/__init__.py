@@ -2,8 +2,6 @@
 
 * :mod:`repro.crawler.extractor` — HTML extraction for all marketplace
   page themes plus the underground forum pages;
-* :mod:`repro.crawler.frontier` — URL frontier with normalization-based
-  deduplication;
 * :mod:`repro.crawler.crawler` — the depth-first marketplace crawler and
   the multi-iteration scheduler behind Figure 2;
 * :mod:`repro.crawler.profile_collector` — platform-API collection of
@@ -22,7 +20,6 @@ from repro.crawler.extractor import (
     extract_payment_methods,
     extract_seller,
 )
-from repro.crawler.frontier import Frontier
 from repro.crawler.profile_collector import ProfileCollector
 from repro.crawler.underground_collector import UndergroundCollector
 
@@ -30,7 +27,6 @@ __all__ = [
     "CrawlCheckpoint",
     "CrawlReport",
     "ExtractionError",
-    "Frontier",
     "IterationCrawl",
     "MarketplaceCrawler",
     "ProfileCollector",

@@ -16,13 +16,12 @@ quarantines the broken file to ``<path>.corrupt``, emits a
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.dataset import ListingRecord, SellerRecord
+from repro.core.dataset import ListingRecord, SellerRecord, record_to_dict
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util.fileio import atomic_write_json
 
@@ -52,11 +51,11 @@ class CrawlCheckpoint:
             "cumulative_per_iteration": self.cumulative_per_iteration,
             "sim_seconds": self.sim_seconds,
             "tracker": {
-                key: dataclasses.asdict(record)
+                key: record_to_dict(record)
                 for key, record in self.tracker.items()
             },
             "sellers": {
-                key: dataclasses.asdict(record)
+                key: record_to_dict(record)
                 for key, record in self.sellers.items()
             },
         }

@@ -41,7 +41,6 @@ from repro.crawler.extractor import (
     extract_payment_methods,
     extract_seller,
 )
-from repro.crawler.frontier import Frontier
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.web.client import HttpClient
 from repro.web.http import HttpError
@@ -200,13 +199,20 @@ class MarketplaceCrawler:
     def _crawl_pages(self, report: CrawlReport,
                      listings: List[ListingRecord]) -> None:
         page_url: Optional[str] = self.seed_url
-        seen_offers = Frontier()
+        # Two spellings of one offer URL (case, trailing slash) are one
+        # offer: dedup on the normalized key, fetch the first spelling.
+        seen_offers = set()
         while page_url is not None:
             with self.telemetry.tracer.span("crawl.page", url=page_url):
                 index = self._collect_index(page_url, report)
                 if index is None:
                     break
-                fresh = [u for u in index.offer_urls if seen_offers.add(u)]
+                fresh = []
+                for offer_url in index.offer_urls:
+                    key = normalize_url(offer_url)
+                    if key not in seen_offers:
+                        seen_offers.add(key)
+                        fresh.append(offer_url)
                 report.offers_found += len(fresh)
                 for offer_url in fresh:
                     record = self._collect_offer(offer_url, report)
@@ -394,8 +400,8 @@ class IterationCrawl:
                 clock = self.client.clock
                 if checkpoint.sim_seconds > clock.now():
                     # Fast-forward the fresh clock to where the killed
-                    # run left off, so timestamps, politeness windows,
-                    # and breaker cooldowns match an uninterrupted run.
+                    # run left off, so timestamps and breaker cooldowns
+                    # match an uninterrupted run.
                     clock.advance(checkpoint.sim_seconds - clock.now())
                 telemetry.events.emit(
                     "checkpoint.resume",

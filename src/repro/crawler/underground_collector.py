@@ -55,7 +55,7 @@ class UndergroundCollector:
     25-postings-per-platform budget.
     """
 
-    client: HttpClient  # must be Tor-enabled (ClientConfig.via_tor)
+    client: HttpClient  # must be Tor-enabled (HttpClient(via_tor=True))
     solver: HumanSolver
     telemetry: Optional[Telemetry] = None
 

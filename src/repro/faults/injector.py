@@ -1,10 +1,10 @@
 """Seeded fault injection over the synthetic Internet.
 
 :class:`FaultInjector` wraps an :class:`~repro.web.server.Internet` and
-presents the same surface (``clock``, ``fetch``, ``site``, ``register``,
-``hosts``), so the :class:`~repro.web.client.HttpClient` cannot tell the
-difference — exactly as a real crawler cannot tell a dying reverse proxy
-from the site behind it.  On each ``fetch`` it may, per the active
+presents the client's surface of it (``clock`` and ``fetch``), so the
+:class:`~repro.web.client.HttpClient` cannot tell the difference —
+exactly as a real crawler cannot tell a dying reverse proxy from the
+site behind it.  On each ``fetch`` it may, per the active
 :class:`~repro.faults.profiles.FaultProfile`:
 
 * raise a connect error (outage bursts),
@@ -28,7 +28,7 @@ and URL context, plus a ``faults_injected_total{host,kind}`` counter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.faults.profiles import FaultProfile, FaultRates
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -91,28 +91,6 @@ class FaultInjector:
     @property
     def clock(self):
         return self._inner.clock
-
-    @property
-    def hosts(self) -> List[str]:
-        return self._inner.hosts
-
-    @property
-    def requests_by_host(self) -> Dict[str, int]:
-        return self._inner.requests_by_host
-
-    def register(self, site):
-        return self._inner.register(site)
-
-    def site(self, host: str):
-        return self._inner.site(host)
-
-    def set_telemetry(self, telemetry: Telemetry) -> None:
-        self._inner.set_telemetry(telemetry)
-        self.telemetry = telemetry
-        self._m_faults = telemetry.metrics.counter(
-            "faults_injected_total", "injected faults, by host and kind",
-            labels=("host", "kind"),
-        )
 
     # -- epochs ------------------------------------------------------------
 

@@ -52,8 +52,6 @@ class PublicMarketplaceSite(Site):
             clock=clock,
             latency_seconds=0.2,
             robots_text="User-agent: *\nDisallow: /checkout\nDisallow: /account\n",
-            rate_limit_per_second=20.0,
-            rate_limit_burst=40.0,
         )
         self.spec = spec
         self.current_iteration = 0

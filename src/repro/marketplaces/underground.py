@@ -58,7 +58,7 @@ class UndergroundForumSite(Site):
         self.market = market
         self._postings = sorted(postings, key=lambda p: p.posting_id)
         self._by_id = {p.posting_id: p for p in self._postings}
-        self._captcha = CaptchaGate(rng.child("captcha"), style="arithmetic")
+        self._captcha = CaptchaGate(rng.child("captcha"))
         self._sessions: Set[str] = set()
         self._session_counter = 0
         #: session -> set of paths linked from the last page served.

@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.util.unionfind import UnionFind
 
 
 #: Rows per slice for the elementwise passes over point-sized arrays.
@@ -333,14 +334,7 @@ class ScalableDensityClusterer:
         NaNs).
         """
         k = len(centers)
-        parent = list(range(k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = UnionFind(k)
         finite_indices = np.nonzero(np.isfinite(centers).all(axis=1))[0]
         if len(finite_indices) > 1:
             finite_centers = centers[finite_indices]
@@ -349,16 +343,11 @@ class ScalableDensityClusterer:
             for a in range(len(finite_indices)):
                 for b in range(a + 1, len(finite_indices)):
                     if d2[a, b] <= eps2:
-                        ra, rb = find(int(finite_indices[a])), find(int(finite_indices[b]))
-                        if ra != rb:
-                            parent[rb] = ra
+                        sets.union(int(finite_indices[a]), int(finite_indices[b]))
         roots = {}
         mapping = np.empty(k, dtype=np.int64)
         for i in range(k):
-            root = find(i)
-            if root not in roots:
-                roots[root] = len(roots)
-            mapping[i] = roots[root]
+            mapping[i] = roots.setdefault(sets.find(i), len(roots))
         return mapping
 
     def _prune_small(self, labels: np.ndarray) -> np.ndarray:

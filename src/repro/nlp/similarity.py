@@ -14,6 +14,7 @@ from difflib import SequenceMatcher
 from typing import Dict, List, Sequence, Tuple
 
 from repro.util.textutil import strip_numbers, words
+from repro.util.unionfind import UnionFind
 
 
 def normalize_for_similarity(text: str) -> List[str]:
@@ -56,15 +57,7 @@ def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGro
     pair's ratio could not reach the threshold either.
     """
     normalized = [normalize_for_similarity(text) for text in texts]
-    n = len(normalized)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(len(normalized))
     # (i, similarity) of every linked pair (i, j), i < j.
     linked: List[Tuple[int, float]] = []
     # The matcher caches facts about its second sequence, so each text
@@ -84,17 +77,13 @@ def reuse_groups(texts: Sequence[str], threshold: float = 0.88) -> List[ReuseGro
                 sim = matcher.ratio()
             if sim >= threshold:
                 linked.append((i, sim))
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    members: Dict[int, List[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
+                sets.union(i, j)
+    members = sets.groups()
     # Every union recorded the pair that caused it, so every group of
     # two or more holds a linked pair.
     bounds: Dict[int, Tuple[float, float]] = {}
     for i, sim in linked:
-        root = find(i)
+        root = sets.find(i)
         low, high = bounds.get(root, (sim, sim))
         bounds[root] = (min(low, sim), max(high, sim))
     groups = [

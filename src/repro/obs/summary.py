@@ -97,33 +97,28 @@ def _series_name(name: str, labels: _Labels) -> str:
 
 def _http_table(run: RunDir,
                 scalars: Dict[Tuple[str, _Labels], float]) -> Dict[str, dict]:
-    """Per-host request counts, latency quantiles, and the retry /
-    politeness wait totals the :class:`~repro.web.client.ClientStats`
-    accumulate."""
+    """Per-host request counts, latency quantiles, and the retry wait
+    totals of the client's ``http_retry_wait_seconds_total``."""
     latency = run.histogram_series("http_request_sim_seconds")
-    waits: Dict[str, List[float]] = {}
+    waits: Dict[str, float] = {}
     for (name, labels), value in scalars.items():
-        if name not in ("http_retry_wait_seconds_total",
-                        "http_politeness_wait_seconds_total"):
+        if name != "http_retry_wait_seconds_total":
             continue
         host = dict(labels).get("host", "")
-        slot = waits.setdefault(host, [0.0, 0.0])
-        slot[0 if name.startswith("http_retry") else 1] += value
+        waits[host] = waits.get(host, 0.0) + value
     series_by_host = {
         (s.get("labels") or {}).get("host", ""): s for s in latency
     }
     table: Dict[str, dict] = {}
     for host in sorted(set(series_by_host) | set(waits)):
         series = series_by_host.get(host)
-        retry, polite = waits.get(host, [0.0, 0.0])
         table[host] = {
             "requests": int(series.get("count", 0)) if series else 0,
             "p50_sim_seconds": round(
                 exported_histogram_quantile(series, 0.5), 6) if series else 0.0,
             "p95_sim_seconds": round(
                 exported_histogram_quantile(series, 0.95), 6) if series else 0.0,
-            "retry_wait_seconds": round(retry, 6),
-            "politeness_wait_seconds": round(polite, 6),
+            "retry_wait_seconds": round(waits.get(host, 0.0), 6),
         }
     return table
 
@@ -480,25 +475,23 @@ def _watchdog_section(watchdog: Optional[dict]) -> Optional[Section]:
 
 
 def _http_section(http: Dict[str, dict]) -> Optional[Section]:
-    """Per-host request counts, p50/p95 sim latency, and the retry /
-    politeness wait totals."""
+    """Per-host request counts, p50/p95 sim latency, and the retry wait
+    totals."""
     if not http:
         return None
     return Section(
         "http client, per host (sim seconds)",
-        headers=["host", "requests", "p50", "p95", "retry wait",
-                 "polite wait"],
+        headers=["host", "requests", "p50", "p95", "retry wait"],
         rows=[
             [
                 host, str(row["requests"]),
                 f"{row['p50_sim_seconds']:.3f}",
                 f"{row['p95_sim_seconds']:.3f}",
                 f"{row['retry_wait_seconds']:,.1f}",
-                f"{row['politeness_wait_seconds']:,.1f}",
             ]
             for host, row in http.items()
         ],
-        numeric=(1, 2, 3, 4, 5),
+        numeric=(1, 2, 3, 4),
     )
 
 

@@ -64,7 +64,6 @@ class PlatformSite(Site):
         platform: Platform,
         accounts: List[SocialAccount],
         clock: Optional[SimClock] = None,
-        rate_limit_per_second: Optional[float] = 50.0,
         enforce_moderation: bool = True,
     ) -> None:
         super().__init__(
@@ -72,8 +71,6 @@ class PlatformSite(Site):
             clock=clock,
             latency_seconds=0.08,
             robots_text="User-agent: *\nDisallow: /settings\n",
-            rate_limit_per_second=rate_limit_per_second,
-            rate_limit_burst=100.0,
         )
         self.platform = platform
         #: When False the site serves every existing account as active —

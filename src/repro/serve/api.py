@@ -432,7 +432,6 @@ def build_catalog_site(catalog: Catalog,
                        host: str = CATALOG_HOST,
                        clock: Optional[SimClock] = None,
                        latency_seconds: float = 0.0,
-                       rate_limit_per_second: Optional[float] = None,
                        telemetry: Optional[Telemetry] = None
                        ) -> Tuple[Site, CatalogApi]:
     """A ready-to-register :class:`Site` serving ``catalog``.
@@ -441,8 +440,7 @@ def build_catalog_site(catalog: Catalog,
     holds the hit/miss counters callers report on).
     """
     api = CatalogApi(catalog, cache=cache, telemetry=telemetry)
-    site = Site(host, clock=clock, latency_seconds=latency_seconds,
-                rate_limit_per_second=rate_limit_per_second)
+    site = Site(host, clock=clock, latency_seconds=latency_seconds)
     api.register(site)
     return site, api
 

@@ -3,8 +3,8 @@
 The paper's crawl ran from February to June 2024 in repeated iterations
 (Figure 2 plots cumulative vs. active listings per iteration).  We model
 that window's bounds as :class:`SimDate` constants, and give the crawler
-a :class:`SimClock` so politeness delays and rate limits are
-deterministic and free of wall-clock sleeps.
+a :class:`SimClock` so site latency, retry backoff and breaker cooldowns
+are deterministic and free of wall-clock sleeps.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ STUDY_END = SimDate.of(2024, 6, 30)
 class SimClock:
     """A monotonic simulated clock measured in seconds.
 
-    The web client charges politeness delays and the rate limiters meter
-    request budgets against this clock, so crawls are deterministic and
-    run at CPU speed rather than wall-clock speed.
+    Each request advances it by its site's latency and each retry by
+    its backoff, so crawls are deterministic and run at CPU speed rather
+    than wall-clock speed.
     """
 
     def __init__(self, start: float = 0.0) -> None:

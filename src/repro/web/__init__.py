@@ -13,11 +13,10 @@ reproduction crawls instead:
 * :mod:`repro.web.server` — virtual hosts, routing, and the
   :class:`~repro.web.server.Internet` that maps hostnames to sites;
 * :mod:`repro.web.client` — an HTTP client with cookies, redirects,
-  politeness delays, timeouts, and retry/backoff, metered on a simulated
-  clock;
+  robots.txt compliance, timeouts, and retry/backoff, metered on a
+  simulated clock;
 * :mod:`repro.web.breaker` — the per-host circuit breaker the client
   uses to fast-fail hosts that keep erroring;
-* :mod:`repro.web.ratelimit` — token-bucket limiting used by sites;
 * :mod:`repro.web.robots` — robots.txt parsing and checking;
 * :mod:`repro.web.captcha` — the CAPTCHA gate underground forums put in
   front of their content.
@@ -26,8 +25,8 @@ The crawler in :mod:`repro.crawler` sees exactly the same surface it would
 against the real web: URLs, status codes, HTML.
 """
 
-from repro.web.breaker import BreakerConfig, CircuitBreaker
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.breaker import CircuitBreaker
+from repro.web.client import HttpClient
 from repro.web.html import Element, E, escape_html, text_of
 from repro.web.html_parser import parse_html
 from repro.web.http import (
@@ -44,10 +43,8 @@ from repro.web.server import Internet, Route, Site
 from repro.web.url import join_url, normalize_url, parse_query, url_host, url_path
 
 __all__ = [
-    "BreakerConfig",
     "CircuitBreaker",
     "CircuitOpen",
-    "ClientConfig",
     "ConnectionFailed",
     "E",
     "Element",

@@ -1,16 +1,16 @@
 """Per-host circuit breakers for the crawling client.
 
 The paper's crawl ran against marketplaces that went down for hours at a
-time; hammering a dead host burns the retry budget and (worse) politeness
-time that could go to healthy hosts.  A :class:`CircuitBreaker` follows
-the classic three-state machine:
+time; hammering a dead host burns the retry budget and backoff time that
+could go to healthy hosts.  A :class:`CircuitBreaker` follows the classic
+three-state machine:
 
 * **closed** — requests flow; consecutive transport-level failures are
-  counted, and reaching ``failure_threshold`` trips the breaker;
+  counted, and reaching ``FAILURE_THRESHOLD`` trips the breaker;
 * **open** — requests fast-fail (the client raises
-  :class:`~repro.web.http.CircuitOpen`) until ``cooldown_seconds`` of
+  :class:`~repro.web.http.CircuitOpen`) until ``COOLDOWN_SECONDS`` of
   simulated time pass;
-* **half-open** — after the cooldown, a limited number of probe requests
+* **half-open** — after the cooldown, ``HALF_OPEN_PROBES`` probe requests
   are let through: one success closes the breaker, one failure re-opens
   it for another full cooldown.
 
@@ -22,7 +22,6 @@ owning client exports a ``circuit_breaker_state`` gauge and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 CLOSED = "closed"
@@ -33,16 +32,12 @@ HALF_OPEN = "half_open"
 STATE_CODES = {CLOSED: 0.0, OPEN: 1.0, HALF_OPEN: 2.0}
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tunables for one :class:`CircuitBreaker`."""
-
-    #: Consecutive failures that trip a closed breaker.
-    failure_threshold: int = 8
-    #: Simulated seconds an open breaker blocks requests.
-    cooldown_seconds: float = 180.0
-    #: Probe requests allowed while half-open before a verdict.
-    half_open_probes: int = 1
+#: Consecutive failures that trip a closed breaker.
+FAILURE_THRESHOLD = 8
+#: Simulated seconds an open breaker blocks requests.
+COOLDOWN_SECONDS = 180.0
+#: Probe requests allowed while half-open before a verdict.
+HALF_OPEN_PROBES = 1
 
 
 class CircuitBreaker:
@@ -51,11 +46,9 @@ class CircuitBreaker:
     def __init__(
         self,
         clock,
-        config: Optional[BreakerConfig] = None,
         on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self._clock = clock
-        self.config = config or BreakerConfig()
         self.state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -73,12 +66,12 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if self._clock.now() - self._opened_at >= self.config.cooldown_seconds:
+            if self._clock.now() - self._opened_at >= COOLDOWN_SECONDS:
                 self._transition(HALF_OPEN)
             else:
                 return False
-        # half-open: admit up to half_open_probes outstanding probes.
-        if self._probes_in_flight < self.config.half_open_probes:
+        # half-open: admit up to HALF_OPEN_PROBES outstanding probes.
+        if self._probes_in_flight < HALF_OPEN_PROBES:
             self._probes_in_flight += 1
             return True
         return False
@@ -95,7 +88,7 @@ class CircuitBreaker:
             return
         self._consecutive_failures += 1
         if self.state == CLOSED and (
-            self._consecutive_failures >= self.config.failure_threshold
+            self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._open()
 
@@ -125,9 +118,11 @@ class CircuitBreaker:
 
 __all__ = [
     "CLOSED",
+    "COOLDOWN_SECONDS",
+    "FAILURE_THRESHOLD",
     "HALF_OPEN",
+    "HALF_OPEN_PROBES",
     "OPEN",
     "STATE_CODES",
-    "BreakerConfig",
     "CircuitBreaker",
 ]

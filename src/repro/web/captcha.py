@@ -31,32 +31,20 @@ class Challenge:
 
 
 class CaptchaGate:
-    """Issues site-specific challenges and verifies answers."""
+    """Issues arithmetic challenges and verifies answers."""
 
-    def __init__(self, rng: RngTree, style: str = "arithmetic") -> None:
-        if style not in ("arithmetic", "word-pick"):
-            raise ValueError(f"unknown captcha style: {style}")
+    def __init__(self, rng: RngTree) -> None:
         self._rng = rng
-        self.style = style
         self._issued: Dict[str, str] = {}
         self._counter = 0
 
     def issue(self) -> Challenge:
         self._counter += 1
         challenge_id = f"c{self._counter:06d}"
-        if self.style == "arithmetic":
-            a = self._rng.randint(2, 19)
-            b = self._rng.randint(2, 19)
-            prompt = f"What is {a} plus {b}?"
-            answer = str(a + b)
-        else:
-            options = ["onion", "market", "vendor", "escrow", "listing"]
-            index = self._rng.randint(0, len(options) - 1)
-            prompt = (
-                "Type the word number "
-                f"{index + 1} from: {', '.join(options)}"
-            )
-            answer = options[index]
+        a = self._rng.randint(2, 19)
+        b = self._rng.randint(2, 19)
+        prompt = f"What is {a} plus {b}?"
+        answer = str(a + b)
         self._issued[challenge_id] = answer
         return Challenge(challenge_id=challenge_id, prompt=prompt, answer=answer)
 
@@ -79,7 +67,6 @@ class HumanSolver:
     """
 
     _ARITHMETIC = re.compile(r"What is (\d+) plus (\d+)\?")
-    _WORD_PICK = re.compile(r"Type the word number (\d+) from: (.+)$")
 
     def __init__(self, rng: RngTree, accuracy: float = 0.96) -> None:
         if not 0 < accuracy <= 1:
@@ -98,12 +85,6 @@ class HumanSolver:
         match = self._ARITHMETIC.search(prompt)
         if match:
             return str(int(match.group(1)) + int(match.group(2)))
-        match = self._WORD_PICK.search(prompt)
-        if match:
-            options = [w.strip() for w in match.group(2).split(",")]
-            index = int(match.group(1)) - 1
-            if 0 <= index < len(options):
-                return options[index]
         return "unknown"
 
 

@@ -2,8 +2,9 @@
 
 Implements what the paper's Selenium/CDP stack provided at the transport
 level: sessions (cookies), redirects, retry with exponential backoff on
-retryable statuses, per-host politeness delays, and robots.txt compliance.
-All timing is charged to the simulated clock, so crawls are deterministic.
+retryable statuses (honouring ``Retry-After`` on 429s), and robots.txt
+compliance.  Each request costs its site's latency on the simulated
+clock, and each retry its backoff, so crawls are deterministic.
 
 The client is hardened against a hostile substrate (see
 :mod:`repro.faults`): requests time out after ``TIMEOUT_SECONDS`` of
@@ -13,8 +14,8 @@ finite *retry budget* per crawl epoch, and a per-host circuit breaker
 (:class:`~repro.web.breaker.CircuitBreaker`) fast-fails requests to
 hosts that keep failing, probing them again after a cooldown.
 
-Every request is observable: the client keeps per-host counters and
-retry/politeness overhead in :class:`ClientStats`, and — when handed a
+Every request is observable: the client keeps per-host request and
+byte counts in :class:`ClientStats`, and — when handed a
 :class:`~repro.obs.telemetry.Telemetry` — records
 ``http_requests_total{host,status}``, retry/robots/timeout counters,
 breaker state gauges, a sim-time latency histogram, and a span per
@@ -28,7 +29,7 @@ from typing import Dict, Optional
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.web import http
-from repro.web.breaker import STATE_CODES, BreakerConfig, CircuitBreaker
+from repro.web.breaker import STATE_CODES, CircuitBreaker
 from repro.web.http import (
     CircuitOpen,
     ConnectionFailed,
@@ -54,6 +55,10 @@ _BREAKER_FAILURE_CODES = frozenset({
 
 USER_AGENT = "repro-measurement-crawler/1.0"
 MAX_REDIRECTS = 5
+#: Retries after the first attempt of one request.
+MAX_RETRIES = 3
+#: Simulated seconds the first retry backs off.
+BACKOFF_BASE_SECONDS = 1.0
 #: Each retry backs off this many times longer than the one before.
 BACKOFF_MULTIPLIER = 2.0
 #: Give up on a response after this much simulated time: hung servers
@@ -65,76 +70,40 @@ RETRY_BUDGET_PER_HOST = 64
 
 
 @dataclass
-class ClientConfig:
-    """Tunables for :class:`HttpClient`."""
-
-    max_retries: int = 3
-    backoff_base_seconds: float = 1.0
-    #: Minimum spacing between requests to the same host (politeness).
-    per_host_delay_seconds: float = 0.5
-    #: Honour robots.txt on public (non-onion) hosts.
-    respect_robots: bool = True
-    via_tor: bool = False
-    #: Per-host circuit breaker (None disables breaking entirely).
-    breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-
-
-@dataclass
 class ClientStats:
-    """Counters for reporting and tests.
-
-    ``requests_sent``/``retries``/``robots_blocked``/``by_status`` are
-    the original fields; ``by_host`` and the two overhead accumulators
-    make politeness cost measurable per run.
-    """
+    """Request and byte counts, the profiler's per-host throughput
+    material (the metrics registry counts everything else per host)."""
 
     requests_sent: int = 0
-    retries: int = 0
-    robots_blocked: int = 0
-    by_status: Dict[int, int] = field(default_factory=dict)
     #: Requests per hostname (includes robots.txt fetches).
     by_host: Dict[str, int] = field(default_factory=dict)
-    #: Response body bytes received, total and per hostname — the raw
-    #: material for the profiler's per-host throughput rates.
+    #: Response body bytes received, total and per hostname.
     bytes_received: int = 0
     bytes_by_host: Dict[str, int] = field(default_factory=dict)
-    #: Simulated seconds spent waiting in retry backoff.
-    retry_wait_seconds: float = 0.0
-    #: Simulated seconds spent waiting for per-host politeness spacing.
-    politeness_wait_seconds: float = 0.0
-    #: Requests abandoned because the server exceeded the client timeout.
-    timeouts: int = 0
-    #: Requests fast-failed by an open circuit breaker.
-    breaker_fast_fails: int = 0
 
-    def record(self, status: int, host: Optional[str] = None,
-               nbytes: int = 0) -> None:
+    def record(self, host: str, nbytes: int) -> None:
         self.requests_sent += 1
-        self.by_status[status] = self.by_status.get(status, 0) + 1
-        if host is not None:
-            self.by_host[host] = self.by_host.get(host, 0) + 1
+        self.by_host[host] = self.by_host.get(host, 0) + 1
         if nbytes:
             self.bytes_received += nbytes
-            if host is not None:
-                self.bytes_by_host[host] = (
-                    self.bytes_by_host.get(host, 0) + nbytes
-                )
+            self.bytes_by_host[host] = self.bytes_by_host.get(host, 0) + nbytes
 
 
 class HttpClient:
-    """A polite, retrying HTTP client bound to one :class:`Internet`."""
+    """A retrying, robots-honouring HTTP client bound to one
+    :class:`Internet`.  ``via_tor`` lets it reach ``.onion`` hosts."""
 
     def __init__(
         self,
         internet: Internet,
-        config: Optional[ClientConfig] = None,
         client_id: str = "crawler",
         telemetry: Optional[Telemetry] = None,
         capture=None,
+        via_tor: bool = False,
     ) -> None:
         self._internet = internet
-        self.config = config or ClientConfig()
         self.client_id = client_id
+        self.via_tor = via_tor
         #: Optional :class:`~repro.archive.writer.ArchiveWriter` (duck-
         #: typed).  When set, every wire exchange and every top-level
         #: request outcome is archived.  Exchanges are recorded in
@@ -146,7 +115,6 @@ class HttpClient:
         self.cookies: Dict[str, Dict[str, str]] = {}
         self.stats = ClientStats()
         self._robots_cache: Dict[str, Optional[RobotsPolicy]] = {}
-        self._last_request_at: Dict[str, float] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._retry_budget: Dict[str, int] = {}
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -161,11 +129,6 @@ class HttpClient:
         self._m_retry_wait = metrics.counter(
             "http_retry_wait_seconds_total",
             "simulated seconds spent in retry backoff", labels=("host",),
-        )
-        self._m_politeness_wait = metrics.counter(
-            "http_politeness_wait_seconds_total",
-            "simulated seconds spent in per-host politeness spacing",
-            labels=("host",),
         )
         self._m_robots_blocked = metrics.counter(
             "robots_blocked_total", "requests rejected by robots.txt",
@@ -210,17 +173,16 @@ class HttpClient:
         """Start a new crawl epoch (a collection iteration).
 
         Iterations are days apart in simulated time: breakers would have
-        cooled down, retry budgets replenished, and politeness spacing
-        elapsed long ago.  The robots cache is dropped too — a week-old
-        robots.txt must be re-checked, and re-fetching it at every epoch
-        keeps the per-host request sequence (and therefore the seeded
-        fault stream) identical between a resumed crawl and an
-        uninterrupted one (see ``tests/integration/test_kill_resume.py``).
+        cooled down and retry budgets replenished.  The robots cache is
+        dropped too — a week-old robots.txt must be re-checked, and
+        re-fetching it at every epoch keeps the per-host request
+        sequence (and therefore the seeded fault stream) identical
+        between a resumed crawl and an uninterrupted one (see
+        ``tests/integration/test_kill_resume.py``).
         """
         for breaker in self._breakers.values():
             breaker.reset()
         self._retry_budget.clear()
-        self._last_request_at.clear()
         self._robots_cache.clear()
 
     def breaker_state(self, host: str) -> str:
@@ -295,12 +257,11 @@ class HttpClient:
         form: Optional[Dict[str, str]],
     ) -> Response:
         attempt = 0
-        backoff = self.config.backoff_base_seconds
+        backoff = BACKOFF_BASE_SECONDS
         host = url_host(url)
         breaker = self._breaker_for(host)
         while True:
-            if breaker is not None and not breaker.allow():
-                self.stats.breaker_fast_fails += 1
+            if not breaker.allow():
                 self._m_breaker_fast_fail.inc(host=host)
                 raise CircuitOpen(f"circuit breaker open for {host}")
             failure: Optional[http.HttpError] = None
@@ -309,20 +270,18 @@ class HttpClient:
                 response = self._send_once(method, url, params, form)
             except (ConnectionFailed, RequestTimeout) as exc:
                 failure = exc
-            if breaker is not None:
-                if failure is not None or response.status in _BREAKER_FAILURE_CODES:
-                    breaker.record_failure()
-                elif response.status != http.TOO_MANY_REQUESTS:
-                    # 429 is neutral: alive but throttling.
-                    breaker.record_success()
+            if failure is not None or response.status in _BREAKER_FAILURE_CODES:
+                breaker.record_failure()
+            elif response.status != http.TOO_MANY_REQUESTS:
+                # 429 is neutral: alive but throttling.
+                breaker.record_success()
             if failure is None and response.status not in http.RETRYABLE_CODES:
                 return response
-            if attempt >= self.config.max_retries or not self._take_retry_token(host):
+            if attempt >= MAX_RETRIES or not self._take_retry_token(host):
                 if failure is not None:
                     raise failure
                 return response
             attempt += 1
-            self.stats.retries += 1
             self._m_retries.inc(host=host)
             retry_after = (
                 http.parse_retry_after(
@@ -331,14 +290,11 @@ class HttpClient:
                 if response is not None else None
             )
             wait = max(retry_after if retry_after is not None else 0.0, backoff)
-            self.stats.retry_wait_seconds += wait
             self._m_retry_wait.inc(wait, host=host)
             self._internet.clock.advance(wait)
             backoff *= BACKOFF_MULTIPLIER
 
-    def _breaker_for(self, host: str) -> Optional[CircuitBreaker]:
-        if self.config.breaker is None:
-            return None
+    def _breaker_for(self, host: str) -> CircuitBreaker:
         breaker = self._breakers.get(host)
         if breaker is None:
             def on_transition(old: str, new: str, host: str = host) -> None:
@@ -348,9 +304,7 @@ class HttpClient:
                     f"breaker.{new}", host=host, previous=old,
                     level="warning" if new == "open" else "info",
                 )
-            breaker = CircuitBreaker(
-                self._internet.clock, self.config.breaker, on_transition
-            )
+            breaker = CircuitBreaker(self._internet.clock, on_transition)
             self._m_breaker_state.set(STATE_CODES[breaker.state], host=host)
             self._breakers[host] = breaker
         return breaker
@@ -371,7 +325,6 @@ class HttpClient:
     ) -> Response:
         host = url_host(url)
         self._check_robots(url, host)
-        self._be_polite(host)
         request = Request(
             method=method,
             url=url,
@@ -383,7 +336,7 @@ class HttpClient:
         fetch_started = self._internet.clock.now()
         try:
             response = self._internet.fetch(
-                request, client_id=self.client_id, via_tor=self.config.via_tor
+                request, client_id=self.client_id, via_tor=self.via_tor
             )
         except ConnectionFailed as exc:
             if self.capture is not None:
@@ -392,11 +345,9 @@ class HttpClient:
                     params=params, form=form, error=exc,
                 )
             raise
-        self._last_request_at[host] = self._internet.clock.now()
         elapsed = self._internet.clock.now() - fetch_started
         if elapsed > TIMEOUT_SECONDS:
             # The answer arrived after the client hung up: discard it.
-            self.stats.timeouts += 1
             self._m_timeouts.inc(host=host)
             error = RequestTimeout(
                 f"no response from {host} within {TIMEOUT_SECONDS:.0f}s "
@@ -417,7 +368,7 @@ class HttpClient:
                 params=params, form=form, response=response,
             )
         nbytes = len(response.body or "")
-        self.stats.record(response.status, host=host, nbytes=nbytes)
+        self.stats.record(host, nbytes)
         self._m_requests.inc(host=host, status=str(response.status))
         if nbytes:
             self._m_response_bytes.inc(nbytes, host=host)
@@ -426,33 +377,15 @@ class HttpClient:
             jar.update(response.set_cookies)
         return response
 
-    def _be_polite(self, host: str) -> None:
-        last = self._last_request_at.get(host)
-        if last is None:
-            return
-        delay = self.config.per_host_delay_seconds
-        # robots.txt Crawl-delay overrides the default spacing upward.
-        policy = self._robots_cache.get(host)
-        if self.config.respect_robots and policy is not None:
-            crawl_delay = policy.crawl_delay(USER_AGENT)
-            if crawl_delay is not None:
-                delay = max(delay, crawl_delay)
-        elapsed = self._internet.clock.now() - last
-        remaining = delay - elapsed
-        if remaining > 0:
-            self.stats.politeness_wait_seconds += remaining
-            self._m_politeness_wait.inc(remaining, host=host)
-            self._internet.clock.advance(remaining)
-
     def _check_robots(self, url: str, host: str) -> None:
-        if not self.config.respect_robots or host.endswith(".onion"):
+        """Honour robots.txt on every public (non-onion) host."""
+        if host.endswith(".onion"):
             return
         path = url_path(url)
         if path == "/robots.txt":
             return
         policy = self._robots_policy(host, url)
         if policy is not None and not policy.allows(USER_AGENT, path):
-            self.stats.robots_blocked += 1
             self._m_robots_blocked.inc(host=host)
             self.telemetry.events.emit(
                 "robots_blocked", url=url, host=host, path=path
@@ -470,10 +403,10 @@ class HttpClient:
                 headers={"User-Agent": USER_AGENT},
             )
             response = self._internet.fetch(
-                request, client_id=self.client_id, via_tor=self.config.via_tor
+                request, client_id=self.client_id, via_tor=self.via_tor
             )
             nbytes = len(response.body or "")
-            self.stats.record(response.status, host=host, nbytes=nbytes)
+            self.stats.record(host, nbytes)
             self._m_requests.inc(host=host, status=str(response.status))
             if nbytes:
                 self._m_response_bytes.inc(nbytes, host=host)
@@ -495,4 +428,4 @@ class HttpClient:
         return policy
 
 
-__all__ = ["ClientConfig", "ClientStats", "HttpClient"]
+__all__ = ["ClientStats", "HttpClient"]

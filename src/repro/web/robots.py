@@ -3,14 +3,13 @@
 The study's ethics statement commits to passive collection of public data;
 the crawler honours robots.txt on every public marketplace.  This module
 implements the subset of the robots exclusion protocol the sites use:
-``User-agent`` groups with ``Allow``/``Disallow`` prefix rules and optional
-``Crawl-delay``.
+``User-agent`` groups with ``Allow``/``Disallow`` prefix rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -18,7 +17,6 @@ class RobotsGroup:
     agents: List[str] = field(default_factory=list)
     # (allow?, path-prefix) rules in file order.
     rules: List[Tuple[bool, str]] = field(default_factory=list)
-    crawl_delay: Optional[float] = None
 
     def applies_to(self, user_agent: str) -> bool:
         ua = user_agent.lower()
@@ -57,11 +55,6 @@ class RobotsPolicy:
                 elif keyword == "allow":
                     if value:
                         current.rules.append((True, value))
-                elif keyword == "crawl-delay":
-                    try:
-                        current.crawl_delay = float(value)
-                    except ValueError:
-                        pass
         return cls(groups)
 
     def _group_for(self, user_agent: str) -> Optional[RobotsGroup]:
@@ -88,21 +81,8 @@ class RobotsPolicy:
                 best_allow = True
         return best_allow
 
-    def crawl_delay(self, user_agent: str) -> Optional[float]:
-        group = self._group_for(user_agent)
-        return group.crawl_delay if group else None
-
 
 ALLOW_ALL = RobotsPolicy.parse("User-agent: *\nDisallow:\n")
 
 
-def robots_txt(disallowed: List[str], crawl_delay: Optional[float] = None) -> str:
-    """Render a robots.txt string disallowing the given path prefixes."""
-    lines = ["User-agent: *"]
-    lines.extend(f"Disallow: {path}" for path in disallowed)
-    if crawl_delay is not None:
-        lines.append(f"Crawl-delay: {crawl_delay}")
-    return "\n".join(lines) + "\n"
-
-
-__all__ = ["ALLOW_ALL", "RobotsGroup", "RobotsPolicy", "robots_txt"]
+__all__ = ["ALLOW_ALL", "RobotsGroup", "RobotsPolicy"]

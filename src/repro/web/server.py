@@ -1,23 +1,20 @@
 """In-process virtual hosts and the Internet that connects them.
 
-A :class:`Site` owns a hostname, a routing table, optional robots.txt, an
-optional per-client rate limit, and simulated latency.  The
-:class:`Internet` resolves hostnames to sites and dispatches requests; the
-client in :mod:`repro.web.client` talks only to the Internet, exactly as a
-real crawler talks only to sockets.
+A :class:`Site` owns a hostname, a routing table, an optional robots.txt,
+and simulated latency.  The :class:`Internet` resolves hostnames to sites
+and dispatches requests; the client in :mod:`repro.web.client` talks only
+to the Internet, exactly as a real crawler talks only to sockets.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.util.simtime import SimClock
 from repro.web import http
 from repro.web.http import ConnectionFailed, Request, Response
-from repro.web.ratelimit import TokenBucket
-from repro.web.robots import RobotsPolicy
 from repro.web.url import parse_query, url_host, url_path
 
 Handler = Callable[[Request], Response]
@@ -62,29 +59,20 @@ class Route:
 
 
 class Site:
-    """A virtual host: routes, robots policy, rate limiting, latency."""
+    """A virtual host: routes, robots.txt, latency."""
 
     def __init__(
         self,
         host: str,
         clock: Optional[SimClock] = None,
         latency_seconds: float = 0.15,
-        robots: Optional[RobotsPolicy] = None,
         robots_text: Optional[str] = None,
-        rate_limit_per_second: Optional[float] = None,
-        rate_limit_burst: float = 10.0,
     ) -> None:
         self.host = host.lower()
         self.clock = clock or SimClock()
         self.latency_seconds = latency_seconds
         self.robots_text = robots_text
-        self.robots = robots if robots is not None else (
-            RobotsPolicy.parse(robots_text) if robots_text else None
-        )
         self._routes: List[Route] = []
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._rate = rate_limit_per_second
-        self._burst = rate_limit_burst
         self.request_count = 0
         if robots_text is not None:
             self.route("GET", "/robots.txt", self._serve_robots)
@@ -93,22 +81,6 @@ class Site:
 
     def route(self, method: str, pattern: str, handler: Handler) -> None:
         self._routes.append(Route(method.upper(), pattern, handler))
-
-    def get(self, pattern: str):
-        """Decorator form: ``@site.get('/offer/<offer_id>')``."""
-
-        def register(handler: Handler) -> Handler:
-            self.route("GET", pattern, handler)
-            return handler
-
-        return register
-
-    def post(self, pattern: str):
-        def register(handler: Handler) -> Handler:
-            self.route("POST", pattern, handler)
-            return handler
-
-        return register
 
     def _serve_robots(self, request: Request) -> Response:
         return Response(
@@ -119,28 +91,11 @@ class Site:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _bucket_for(self, client_id: str) -> Optional[TokenBucket]:
-        if self._rate is None:
-            return None
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            bucket = TokenBucket(self.clock, self._rate, self._burst)
-            self._buckets[client_id] = bucket
-        return bucket
-
     def handle(self, request: Request, client_id: str = "anon") -> Response:
-        """Dispatch one request to this site."""
+        """Dispatch one request to this site.  ``client_id`` names the
+        caller; every client is served alike."""
         self.request_count += 1
         path = url_path(request.url)
-        # robots.txt is exempt from rate limiting: a crawler must always
-        # be able to learn the rules, even when its budget is exhausted —
-        # throttling the policy file would teach clients to skip it.
-        if path != "/robots.txt":
-            bucket = self._bucket_for(client_id)
-            if bucket is not None and not bucket.try_take():
-                response = http.error_response(http.TOO_MANY_REQUESTS)
-                response.headers["Retry-After"] = f"{bucket.delay_until_ready():.1f}"
-                return self._finish(request, response)
         request.params = {**parse_query(request.url), **request.params}
         allowed_methods: List[str] = []
         for route in self._routes:
@@ -186,8 +141,6 @@ class Internet:
                  telemetry=None) -> None:
         self.clock = clock or SimClock()
         self._sites: Dict[str, Site] = {}
-        #: Server-side accounting: requests served per hostname.
-        self.requests_by_host: Dict[str, int] = {}
         self._telemetry = telemetry
         self._m_served = (
             telemetry.metrics.counter(
@@ -232,7 +185,6 @@ class Internet:
             raise ConnectionFailed(f"{host} is a Tor hidden service; connect via Tor")
         site = self.site(host)
         self.clock.advance(site.latency_seconds)
-        self.requests_by_host[host] = self.requests_by_host.get(host, 0) + 1
         response = site.handle(request, client_id=client_id)
         if self._m_served is not None:
             self._m_served.inc(host=host, status=str(response.status))

@@ -2,7 +2,8 @@
 
 Thin, explicit wrappers over :mod:`urllib.parse` so the rest of the code
 never manipulates URL strings by hand.  Normalization matters for the
-crawler's frontier: two spellings of the same page must dedup to one key.
+crawler's offer and seller dedup: two spellings of the same page must
+dedup to one key.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from urllib.parse import parse_qsl, urlencode, urljoin, urlsplit, urlunsplit
 
 
 def normalize_url(url: str) -> str:
-    """Return a canonical form of ``url`` for frontier deduplication.
+    """Return a canonical form of ``url`` for crawl deduplication.
 
     Lowercases scheme and host, drops fragments and default ports, removes
     trailing slashes on non-root paths, and sorts query parameters.

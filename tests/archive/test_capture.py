@@ -19,24 +19,25 @@ from repro.archive.records import (
 )
 from repro.archive.writer import ArchiveWriter, phase_sort_key
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.http import ConnectionFailed, TooManyRedirects
 from repro.web.server import Internet, Site
 
 
-def build_capture(tmp_path, **config):
+def build_capture(tmp_path):
     net = Internet()
     site = Site("s.example", clock=net.clock)
     net.register(site)
     writer = ArchiveWriter(str(tmp_path / "archive"), clock=net.clock)
     writer.begin_iteration(0)
-    client = HttpClient(
-        net, ClientConfig(respect_robots=False, **config), capture=writer
-    )
+    client = HttpClient(net, capture=writer)
     return net, site, writer, client
 
 
-def records_by_role(writer):
+def records_by_role(writer, robots=False):
+    """Archived exchanges and outcomes; the robots.txt exchange the
+    client makes before its first request to a host only with
+    ``robots=True``."""
     writer._close_phase()
     index_dir = os.path.join(writer.root, "index")
     exchanges, outcomes = [], []
@@ -45,6 +46,8 @@ def records_by_role(writer):
             for line in handle:
                 if line.strip():
                     record = ExchangeRecord.from_dict(json.loads(line))
+                    if record.note == "robots" and not robots:
+                        continue
                     (exchanges if record.role == ROLE_EXCHANGE
                      else outcomes).append(record)
     return exchanges, outcomes
@@ -96,9 +99,7 @@ class TestPreRetryCapture:
         assert outcomes[0].error["type"] == "TooManyRedirects"
 
     def test_connection_failure_archived_as_error_exchange(self, tmp_path):
-        net, site, writer, client = build_capture(
-            tmp_path, max_retries=0, breaker=None
-        )
+        net, site, writer, client = build_capture(tmp_path)
         with pytest.raises(ConnectionFailed):
             client.get("http://unregistered.example/x")
         exchanges, outcomes = records_by_role(writer)
@@ -112,9 +113,9 @@ class TestPreRetryCapture:
         site.route("GET", "/x", lambda r: http.html_response("ok"))
         writer = ArchiveWriter(str(tmp_path / "archive"), clock=net.clock)
         writer.begin_iteration(0)
-        client = HttpClient(net, ClientConfig(), capture=writer)  # robots on
+        client = HttpClient(net, capture=writer)
         client.get("http://s.example/x")
-        exchanges, _ = records_by_role(writer)
+        exchanges, _ = records_by_role(writer, robots=True)
         notes = [e.note for e in exchanges]
         assert "robots" in notes
         robots = next(e for e in exchanges if e.note == "robots")
@@ -145,7 +146,7 @@ class TestWriterLifecycle:
         net, site, writer, client = build_capture(tmp_path)
         site.route("GET", "/x", lambda r: http.html_response("ok"))
         client.get("http://s.example/x")
-        assert writer.blobs.count() == 1
+        assert writer.blobs.count() == 2  # the page and the robots.txt 404
         # A second non-resume writer on the same dir must not inherit
         # the first run's blobs or indexes.
         fresh = ArchiveWriter(str(tmp_path / "archive"), clock=net.clock)
@@ -160,7 +161,8 @@ class TestWriterLifecycle:
                 writer.begin_iteration(iteration)
             client.get("http://s.example/static")
             writer.end_iteration(iteration)
-        assert writer.blobs.count() == 1  # one blob, six index references
+        # One page blob for six index references, plus the robots.txt 404.
+        assert writer.blobs.count() == 2
 
     def test_writer_lines_are_canonical_record_json(self, tmp_path):
         """The writer serializes payload dicts directly on the hot path;

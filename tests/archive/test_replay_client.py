@@ -13,7 +13,7 @@ from repro.archive.reader import ArchiveReader
 from repro.archive.replay import ReplayClient, ReplayClock, ReplayMismatch
 from repro.archive.writer import ArchiveWriter
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.http import RequestTimeout, TooManyRedirects
 from repro.web.server import Internet, Site
 
@@ -37,7 +37,7 @@ def build_archive(tmp_path, drive):
     site.route("GET", "/loop", lambda r: http.redirect_response("/loop"))
     writer = ArchiveWriter(str(tmp_path / "archive"), clock=net.clock)
     writer.begin_iteration(0)
-    client = HttpClient(net, ClientConfig(respect_robots=False), capture=writer)
+    client = HttpClient(net, capture=writer)
     drive(client)
     writer.seal(CONFIG)
     return ArchiveReader.open(str(tmp_path / "archive"))
@@ -66,7 +66,7 @@ class TestPlayback:
     def test_clock_pinned_to_archived_instants(self, tmp_path):
         def drive(client):
             client.get("http://s.example/a")
-            client.get("http://s.example/a")  # politeness delay in between
+            client.get("http://s.example/a")  # site latency in between
 
         reader = build_archive(tmp_path, drive)
         replay = replay_client(reader)
@@ -75,7 +75,7 @@ class TestPlayback:
         assert replay.clock.now() == outcomes[0].sim_at
         replay.get("http://s.example/a")
         assert replay.clock.now() == outcomes[1].sim_at
-        # Live politeness spacing means the instants differ — the replay
+        # Live site latency means the instants differ — the replay
         # jumped rather than waited, but lands on identical timestamps.
         assert outcomes[1].sim_at > outcomes[0].sim_at
 

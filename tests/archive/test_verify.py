@@ -15,7 +15,7 @@ from repro.archive.reader import ArchiveReader
 from repro.archive.records import ArchiveError
 from repro.archive.writer import ARCHIVE_MANIFEST, ArchiveWriter
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet, Site
 
 CONFIG = SimpleNamespace(
@@ -38,7 +38,7 @@ def sealed(tmp_path):
     for path, body in pages.items():
         site.route("GET", path, lambda r, body=body: http.html_response(body))
     writer = ArchiveWriter(str(tmp_path / "archive"), clock=net.clock)
-    client = HttpClient(net, ClientConfig(respect_robots=False), capture=writer)
+    client = HttpClient(net, capture=writer)
     for iteration in range(2):
         writer.begin_iteration(iteration)
         for path in pages:
@@ -52,9 +52,11 @@ class TestOpen:
     def test_sealed_archive_opens_clean(self, sealed):
         reader = ArchiveReader.open(sealed)
         assert reader.verify() == []
-        assert reader.manifest["exchanges_total"] == 12  # 6 GETs x 2 roles
+        # 6 GETs x 2 roles, plus the one robots.txt fetch.
+        assert reader.manifest["exchanges_total"] == 13
         assert reader.manifest["outcomes_total"] == 6
-        assert reader.manifest["blobs_total"] == 3  # bodies repeat across iters
+        # Bodies repeat across iterations; the fourth is robots.txt's 404.
+        assert reader.manifest["blobs_total"] == 4
         assert reader.config["seed"] == 11
 
     def test_missing_directory_raises(self, tmp_path):

@@ -13,7 +13,7 @@ from repro.marketplaces.public import PublicMarketplaceSite
 from repro.marketplaces.registry import MARKETPLACES
 from repro.obs.telemetry import Telemetry
 from repro.synthetic import WorldBuilder, WorldConfig
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet
 
 
@@ -58,7 +58,7 @@ class TestResume:
             site = PublicMarketplaceSite(MARKETPLACES[name], world, clock=net.clock)
             net.register(site)
             sites[name] = site
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        client = HttpClient(net)
         seed_urls = {n: f"http://{s.host}/listings" for n, s in sites.items()}
 
         def set_iteration(i):

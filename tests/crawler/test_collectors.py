@@ -22,7 +22,7 @@ from repro.synthetic.names import NameForge
 from repro.synthetic.underground import UndergroundGenerator
 from repro.util.rng import RngTree
 from repro.web.captcha import HumanSolver
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet
 
 
@@ -31,7 +31,7 @@ def platform_net():
     world = WorldBuilder(WorldConfig(seed=61, scale=0.02)).build()
     net = Internet()
     sites = deploy_platforms(net, world, enforce_moderation=False)
-    client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(net)
     return world, net, sites, client
 
 
@@ -120,7 +120,7 @@ class TestUndergroundCollector:
         site = UndergroundForumSite("Nexus", nexus, rng.child("site"), clock=net.clock)
         net.register(site)
         client = HttpClient(
-            net, ClientConfig(via_tor=True, per_host_delay_seconds=0.0), client_id="m"
+            net, client_id="m", via_tor=True
         )
         return site, client, nexus
 
@@ -191,7 +191,7 @@ class TestUndergroundSearchProtocol:
         site = UndergroundForumSite("Nexus", nexus, rng.child("site"), clock=net.clock)
         net.register(site)
         client = HttpClient(
-            net, ClientConfig(via_tor=True, per_host_delay_seconds=0.0), client_id="m"
+            net, client_id="m", via_tor=True
         )
         return site, client, nexus
 

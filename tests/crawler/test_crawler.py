@@ -13,8 +13,36 @@ from repro.faults.injector import _mangle
 from repro.marketplaces.public import PublicMarketplaceSite
 from repro.marketplaces.registry import MARKETPLACES
 from repro.synthetic import WorldBuilder, WorldConfig
-from repro.web.client import ClientConfig, HttpClient
-from repro.web.server import Internet
+from repro.web import http
+from repro.web.client import HttpClient
+from repro.web.server import Internet, Site
+from repro.web.url import url_path
+
+
+class DuplicateLinkSite(Site):
+    """A marketplace whose one index page links a single offer under
+    three spellings of its URL: as-is, with a trailing slash, and with
+    an upper-case host.  Every spelling serves the offer page."""
+
+    def __init__(self, market: PublicMarketplaceSite, listing_id: str) -> None:
+        super().__init__("dup.example", clock=market.clock)
+        self._market = market
+        self.offer_fetches = 0
+        offer = f"/offer/{listing_id}"
+        links = "".join(
+            f'<li><a class="offer-link" href="{href}">offer</a></li>'
+            for href in (offer, offer + "/", f"http://DUP.EXAMPLE{offer}")
+        )
+        self._index = f"<html><body><ul>{links}</ul></body></html>"
+
+    def handle(self, request, client_id="anon"):
+        path = url_path(request.url)
+        if path == "/listings":
+            return http.html_response(self._index)
+        if path.startswith("/offer/"):
+            self.offer_fetches += 1
+            request.url = request.url.rstrip("/")
+        return self._market.handle(request, client_id)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +54,7 @@ def deployment():
         site = PublicMarketplaceSite(MARKETPLACES[name], world, clock=net.clock)
         net.register(site)
         sites[name] = site
-    client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(net)
     return world, net, sites, client
 
 
@@ -92,6 +120,21 @@ class TestMarketplaceCrawler:
         listings, _sellers, report = crawler.crawl()
         assert listings == []
         assert report.errors == 1
+
+    def test_offer_url_spellings_fetched_once(self, deployment):
+        world, _net, sites, _client = deployment
+        market = sites["Accsmarket"]
+        market.current_iteration = world.iterations - 1
+        listing_id = market.active_listings()[0].listing_id
+        net = Internet(clock=market.clock)
+        site = net.register(DuplicateLinkSite(market, listing_id))
+        crawler = MarketplaceCrawler(
+            HttpClient(net), "Accsmarket", "http://dup.example/listings"
+        )
+        listings, _sellers, report = crawler.crawl()
+        assert site.offer_fetches == 1
+        assert report.offers_found == 1
+        assert [l.offer_url.rsplit("/", 1)[-1] for l in listings] == [listing_id]
 
 
 class TestIterationCrawl:
@@ -173,7 +216,7 @@ class TestExtractionMemo:
         ``Site.request_count`` growth by marketplace, and the extractor
         calls."""
         _world, net, sites, _client = deployment
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        client = HttpClient(net)
         for site in sites.values():
             client.get(f"http://{site.host}/")  # robots.txt, before the crawl
         fetched = []

@@ -9,6 +9,7 @@ check the crawler degrades the way the paper's five-month crawl had to.
 import pytest
 
 from repro.crawler.crawler import MarketplaceCrawler
+from repro.obs import Telemetry
 from repro.crawler.profile_collector import ProfileCollector
 from repro.marketplaces.public import PublicMarketplaceSite
 from repro.marketplaces.registry import MARKETPLACES
@@ -17,7 +18,7 @@ from repro.platforms.deploy import deploy_platforms
 from repro.synthetic import WorldBuilder, WorldConfig
 from repro.util.rng import RngTree
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet, Site
 
 
@@ -27,19 +28,28 @@ def world():
 
 
 class FlakySite(Site):
-    """Wraps another site, failing every nth request with a 503."""
+    """Wraps another site, answering every nth request with ``status``
+    (a 503 by default); a 429 asks the client to come back after
+    ``RETRY_AFTER`` seconds."""
 
-    def __init__(self, inner: Site, fail_every: int) -> None:
+    RETRY_AFTER = 2.0
+
+    def __init__(self, inner: Site, fail_every: int,
+                 status: int = http.SERVICE_UNAVAILABLE) -> None:
         super().__init__(inner.host, clock=inner.clock,
                          latency_seconds=inner.latency_seconds)
         self._inner = inner
         self._fail_every = fail_every
+        self._status = status
         self._count = 0
 
     def handle(self, request, client_id="anon"):
         self._count += 1
         if self._count % self._fail_every == 0:
-            return http.error_response(http.SERVICE_UNAVAILABLE)
+            response = http.error_response(self._status)
+            if self._status == http.TOO_MANY_REQUESTS:
+                response.headers["Retry-After"] = f"{self.RETRY_AFTER:.1f}"
+            return response
         return self._inner.handle(request, client_id)
 
 
@@ -66,7 +76,7 @@ def crawl_market(net, name, world, site_cls=None, **wrap_kwargs):
     if site is not inner and isinstance(site, BrokenMarkupSite):
         site._inner.current_iteration = world.iterations - 1
     net.register(site)
-    client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(net)
     crawler = MarketplaceCrawler(client, name, f"http://{spec.host}/listings")
     return inner, crawler.crawl()
 
@@ -88,7 +98,7 @@ class TestFlakyMarketplace:
         down.route("GET", "/listings",
                    lambda r: http.error_response(http.SERVICE_UNAVAILABLE))
         net.register(down)
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0, max_retries=1))
+        client = HttpClient(net)
         crawler = MarketplaceCrawler(client, "Z2U", f"http://{spec.host}/listings")
         listings, _sellers, report = crawler.crawl()
         assert listings == []
@@ -100,15 +110,21 @@ class TestRateLimitedMarketplace:
         net = Internet()
         spec = MARKETPLACES["MidMan"]
         site = PublicMarketplaceSite(spec, world, clock=net.clock)
-        site._rate = 2.0  # tight: 2 requests/second
-        site._burst = 3.0
         site.current_iteration = world.iterations - 1
-        net.register(site)
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        net.register(FlakySite(site, fail_every=4,
+                               status=http.TOO_MANY_REQUESTS))
+        telemetry = Telemetry()
+        client = HttpClient(net, telemetry=telemetry)
         crawler = MarketplaceCrawler(client, "MidMan", f"http://{spec.host}/listings")
         _listings, _sellers, report = crawler.crawl()
         assert report.offers_parsed == len(site.active_listings())
-        assert client.stats.retries > 0  # 429s were absorbed by backoff
+        # The 429s were absorbed by backoff, each retry waiting at least
+        # as long as Retry-After asked.
+        retries = telemetry.metrics.get("http_retries_total").value(host=spec.host)
+        waited = telemetry.metrics.get("http_retry_wait_seconds_total").value(
+            host=spec.host)
+        assert retries > 0
+        assert waited >= retries * FlakySite.RETRY_AFTER
 
 
 class TestMalformedPages:
@@ -136,7 +152,7 @@ class TestPlatformOutage:
         site._routes = []
         site.route("GET", "/api/users/<handle>",
                    lambda r: http.error_response(http.INTERNAL_SERVER_ERROR))
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0, max_retries=1))
+        client = HttpClient(net)
         collector = ProfileCollector(client)
         result = collector.collect_profile(profile_url(account.platform, account.handle))
         profile, posts = result

@@ -44,7 +44,7 @@ def test_replay_touches_no_synthetic_internet(archived_run, monkeypatch):
     """The whole point of the archive: analysis without the crawl stack.
 
     Any attempt to build an ``Internet`` (and therefore deploy sites,
-    inject faults, or wait out politeness) blows up the replay."""
+    inject faults, or back off retries) blows up the replay."""
     _live, archive_dir = archived_run
 
     import repro.web.server as server_module

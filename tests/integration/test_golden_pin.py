@@ -53,8 +53,8 @@ PROFILE_SHA256 = {
     "moderate": "30ce3ef0c328b039c3a30fc31756422fb75e561b14125270edc76230c6fc4e71",
 }
 TRACE_SHA256 = {
-    "off": "db0e630c144634e1a1c733f8ba3cda77af29be12500d4bc18fe8009059a65095",
-    "moderate": "e482f1148e7356b760c10cbaf0acce2b4efabf0fcdbd098a7e74ef0ad98094cc",
+    "off": "179ba7713f7f6475f91749da15d937b06c484bf7b73092c45f4bc98c2a6738e4",
+    "moderate": "0e29acc3da055da18c071717d7a8eab3cac920c0492b5d03c7a33b4a701d7f3d",
 }
 
 #: ``trace --json`` keys that differ between machines or checkouts: the

@@ -7,7 +7,7 @@ import pytest
 from repro.marketplaces.registry import MARKETPLACES, market_host, seed_urls
 from repro.marketplaces.public import PublicMarketplaceSite
 from repro.synthetic import WorldBuilder, WorldConfig, calibration as cal
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.html_parser import parse_html
 from repro.web.server import Internet
 
@@ -21,7 +21,7 @@ def deployed():
         site = PublicMarketplaceSite(spec, world, clock=net.clock)
         net.register(site)
         sites[name] = site
-    client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(net)
     return world, sites, client
 
 
@@ -193,7 +193,7 @@ class TestRenderMemo:
                 fresh_site.current_iteration = iteration
                 fresh_net.register(fresh_site)
                 sites[name].current_iteration = iteration
-            fresh_client = HttpClient(fresh_net, ClientConfig(per_host_delay_seconds=0.0))
+            fresh_client = HttpClient(fresh_net)
             for name, spec in MARKETPLACES.items():
                 for listing in world.listings_for_market(name):
                     url = f"http://{spec.host}/offer/{listing.listing_id}"
@@ -226,7 +226,7 @@ class TestRenderMemo:
                                    sellers_public=False)
         net = Internet()
         net.register(PublicMarketplaceSite(spec, world, clock=net.clock))
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        client = HttpClient(net)
         sellers = [s for s in world.sellers.values()
                    if s.marketplace == spec.name]
         assert sellers

@@ -7,7 +7,7 @@ from repro.synthetic.names import NameForge
 from repro.synthetic.underground import UndergroundGenerator
 from repro.util.rng import RngTree
 from repro.web.captcha import HumanSolver
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.html_parser import parse_html
 from repro.web.server import Internet
 
@@ -21,7 +21,7 @@ def forum():
     site = UndergroundForumSite("Nexus", nexus, rng.child("site"), clock=net.clock)
     net.register(site)
     client = HttpClient(
-        net, ClientConfig(via_tor=True, per_host_delay_seconds=0.0), client_id="t"
+        net, client_id="t", via_tor=True
     )
     return site, client, nexus
 

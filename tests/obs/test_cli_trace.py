@@ -70,7 +70,7 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "http client, per host" in out
         assert "p50" in out and "p95" in out
-        assert "polite wait" in out
+        assert "retry wait" in out
 
     def test_json_document(self, telemetry_dir, capsys):
         assert main(["trace", telemetry_dir, "--json"]) == 0

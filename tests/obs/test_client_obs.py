@@ -1,10 +1,15 @@
-"""Client-level observability: extended ClientStats, metrics, events."""
+"""Client-level observability: ClientStats, metrics, events."""
 
 import pytest
 
 from repro.obs import Telemetry
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_MULTIPLIER,
+    MAX_RETRIES,
+    HttpClient,
+)
 from repro.web.http import RequestRejected
 from repro.web.server import Internet, Site
 
@@ -23,73 +28,65 @@ class TestClientStatsExtensions:
         other = Site("t.example", clock=net.clock)
         other.route("GET", "/y", lambda r: http.html_response("ok"))
         net.register(other)
-        client = HttpClient(net, ClientConfig(respect_robots=False))
+        client = HttpClient(net)
         client.get("http://s.example/x")
         client.get("http://s.example/x")
         client.get("http://t.example/y")
-        assert client.stats.by_host == {"s.example": 2, "t.example": 1}
-        # Legacy fields still work.
-        assert client.stats.requests_sent == 3
-        assert client.stats.by_status[200] == 3
+        # Each host's count includes its one robots.txt fetch.
+        assert client.stats.by_host == {"s.example": 3, "t.example": 2}
+        assert client.stats.requests_sent == 5
 
     def test_retry_wait_seconds_accumulates(self):
         net, site = build_net()
         site.route("GET", "/down",
                    lambda r: http.error_response(http.SERVICE_UNAVAILABLE))
-        client = HttpClient(net, ClientConfig(
-            respect_robots=False, max_retries=2, backoff_base_seconds=10.0,
-        ))
+        telemetry = Telemetry()
+        client = HttpClient(net, telemetry=telemetry)
         client.get("http://s.example/down")
-        # Two backoffs: 10s + 20s.
-        assert client.stats.retry_wait_seconds == pytest.approx(30.0)
-        assert client.stats.retries == 2
-
-    def test_politeness_wait_seconds_accumulates(self):
-        net, _site = build_net()
-        client = HttpClient(net, ClientConfig(
-            respect_robots=False, per_host_delay_seconds=5.0,
-        ))
-        client.get("http://s.example/x")
-        client.get("http://s.example/x")
-        # One full inter-request wait (no sim time passed since the
-        # previous response was recorded).
-        assert client.stats.politeness_wait_seconds == pytest.approx(5.0)
+        # One backoff per retry: 1 s + 2 s + 4 s.
+        waits = sum(BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** i
+                    for i in range(MAX_RETRIES))
+        metrics = telemetry.metrics
+        assert metrics.get("http_retry_wait_seconds_total").value(
+            host="s.example") == pytest.approx(waits)
+        assert metrics.get("http_retries_total").value(
+            host="s.example") == MAX_RETRIES
 
 
 class TestClientMetrics:
     def test_requests_counted_by_host_and_status(self):
         net, _site = build_net()
         telemetry = Telemetry()
-        client = HttpClient(net, ClientConfig(respect_robots=False),
-                            telemetry=telemetry)
+        client = HttpClient(net, telemetry=telemetry)
         client.get("http://s.example/x")
         client.get("http://s.example/missing")
         counter = telemetry.metrics.get("http_requests_total")
         assert counter.value(host="s.example", status="200") == 1
-        assert counter.value(host="s.example", status="404") == 1
+        # The missing page, and the robots.txt this site does not have.
+        assert counter.value(host="s.example", status="404") == 2
 
     def test_server_side_accounting(self):
         net, _site = build_net()
         telemetry = Telemetry()
         net.set_telemetry(telemetry)
-        client = HttpClient(net, ClientConfig(respect_robots=False),
-                            telemetry=telemetry)
+        client = HttpClient(net, telemetry=telemetry)
         client.get("http://s.example/x")
-        assert net.requests_by_host == {"s.example": 1}
         served = telemetry.metrics.get("server_requests_total")
         assert served.value(host="s.example", status="200") == 1
+        assert served.value(host="s.example", status="404") == 1  # robots
+        assert served.total() == 2
 
     def test_latency_histogram_observes_sim_time(self):
         net, _site = build_net()
         telemetry = Telemetry()
         telemetry.set_clock(net.clock)
-        client = HttpClient(net, ClientConfig(respect_robots=False),
-                            telemetry=telemetry)
+        client = HttpClient(net, telemetry=telemetry)
         client.get("http://s.example/x")
         histogram = telemetry.metrics.get("http_request_sim_seconds")
         assert histogram.count(host="s.example") == 1
-        # The site's 0.15s latency is charged to the simulated clock.
-        assert histogram.sum(host="s.example") == pytest.approx(0.15)
+        # The site's 0.15 s latency is charged to the simulated clock,
+        # once for the robots.txt fetch and once for the page.
+        assert histogram.sum(host="s.example") == pytest.approx(0.30)
 
 
 class TestRobotsEvents:

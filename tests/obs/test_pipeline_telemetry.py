@@ -11,7 +11,7 @@ from repro.marketplaces.public import PublicMarketplaceSite
 from repro.marketplaces.registry import MARKETPLACES
 from repro.obs import Telemetry, build_manifest, write_manifest
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet, Site
 
 CONFIG = StudyConfig(seed=424, scale=0.01, iterations=2)
@@ -130,8 +130,7 @@ class TestCrawlErrorsFeedEvents:
         net.register(BrokenMarkupSite(inner, broken_id))
         telemetry = Telemetry()
         telemetry.set_clock(net.clock)
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0),
-                            telemetry=telemetry)
+        client = HttpClient(net, telemetry=telemetry)
         crawler = MarketplaceCrawler(
             client, "Accsmarket", f"http://{spec.host}/listings",
             telemetry=telemetry, iteration=0,

@@ -9,7 +9,7 @@ from repro.obs import CrawlWatchdog, Telemetry, WatchdogConfig
 from repro.synthetic import WorldBuilder, WorldConfig
 from repro.util.simtime import SimClock
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet, Site
 
 
@@ -216,7 +216,7 @@ class TestInjectedFailures:
         watchdog._expected_counts = lambda: {
             "FameSwap": len(inner.active_listings())
         }
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+        client = HttpClient(net)
         crawler = MarketplaceCrawler(
             client, "FameSwap", f"http://{spec.host}/listings"
         )

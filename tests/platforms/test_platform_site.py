@@ -13,7 +13,7 @@ from repro.platforms.base import PLATFORM_HOSTS, PlatformSite, profile_url
 from repro.platforms.deploy import deploy_platforms, enable_moderation
 from repro.synthetic import WorldBuilder, WorldConfig
 from repro.synthetic.model import AccountFate, Platform
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.server import Internet
 
 
@@ -22,7 +22,7 @@ def net_and_world():
     world = WorldBuilder(WorldConfig(seed=81, scale=0.02)).build()
     net = Internet()
     sites = deploy_platforms(net, world, enforce_moderation=True)
-    client = HttpClient(net, ClientConfig(per_host_delay_seconds=0.0))
+    client = HttpClient(net)
     return world, net, sites, client
 
 

@@ -7,30 +7,33 @@ from repro.util.simtime import SimClock
 from repro.web import http
 from repro.web.breaker import (
     CLOSED,
+    COOLDOWN_SECONDS,
+    FAILURE_THRESHOLD,
     HALF_OPEN,
+    HALF_OPEN_PROBES,
     OPEN,
     STATE_CODES,
-    BreakerConfig,
     CircuitBreaker,
 )
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import HttpClient
 from repro.web.http import CircuitOpen
 from repro.web.server import Internet, Site
 
 
-def build_breaker(threshold=3, cooldown=60.0, probes=1):
+def build_breaker():
     clock = SimClock()
     transitions = []
     breaker = CircuitBreaker(
         clock,
-        BreakerConfig(
-            failure_threshold=threshold,
-            cooldown_seconds=cooldown,
-            half_open_probes=probes,
-        ),
         on_transition=lambda old, new: transitions.append((old, new)),
     )
     return clock, breaker, transitions
+
+
+def open_breaker(breaker):
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    assert breaker.state == OPEN
 
 
 class TestStateMachine:
@@ -40,34 +43,33 @@ class TestStateMachine:
         assert breaker.allow()
 
     def test_closed_to_open_at_threshold(self):
-        _clock, breaker, transitions = build_breaker(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        _clock, breaker, transitions = build_breaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state == CLOSED
         breaker.record_failure()
         assert breaker.state == OPEN
         assert transitions == [(CLOSED, OPEN)]
 
     def test_success_resets_failure_count(self):
-        _clock, breaker, _t = build_breaker(threshold=3)
+        _clock, breaker, _t = build_breaker()
         for _ in range(10):
-            breaker.record_failure()
-            breaker.record_failure()
-            breaker.record_success()  # never three in a row
+            for _ in range(FAILURE_THRESHOLD - 1):
+                breaker.record_failure()
+            breaker.record_success()  # never FAILURE_THRESHOLD in a row
         assert breaker.state == CLOSED
 
     def test_open_blocks_until_cooldown(self):
-        clock, breaker, _t = build_breaker(threshold=1, cooldown=60.0)
-        breaker.record_failure()
-        assert breaker.state == OPEN
+        clock, breaker, _t = build_breaker()
+        open_breaker(breaker)
         assert not breaker.allow()
-        clock.advance(59.9)
+        clock.advance(COOLDOWN_SECONDS - 0.1)
         assert not breaker.allow()
 
     def test_open_to_half_open_after_cooldown(self):
-        clock, breaker, transitions = build_breaker(threshold=1, cooldown=60.0)
-        breaker.record_failure()
-        clock.advance(60.0)
+        clock, breaker, transitions = build_breaker()
+        open_breaker(breaker)
+        clock.advance(COOLDOWN_SECONDS)
         # The transition happens inside allow(): the first post-cooldown
         # caller gets the probe slot.
         assert breaker.allow()
@@ -75,40 +77,40 @@ class TestStateMachine:
         assert transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN)]
 
     def test_half_open_admits_limited_probes(self):
-        clock, breaker, _t = build_breaker(threshold=1, cooldown=60.0, probes=1)
-        breaker.record_failure()
-        clock.advance(60.0)
-        assert breaker.allow()       # the probe
-        assert not breaker.allow()   # a second concurrent probe is denied
+        clock, breaker, _t = build_breaker()
+        open_breaker(breaker)
+        clock.advance(COOLDOWN_SECONDS)
+        for _ in range(HALF_OPEN_PROBES):
+            assert breaker.allow()   # the probes
+        assert not breaker.allow()   # one more concurrent probe is denied
 
     def test_half_open_to_closed_on_probe_success(self):
-        clock, breaker, transitions = build_breaker(threshold=1, cooldown=60.0)
-        breaker.record_failure()
-        clock.advance(60.0)
+        clock, breaker, transitions = build_breaker()
+        open_breaker(breaker)
+        clock.advance(COOLDOWN_SECONDS)
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == CLOSED
         assert transitions[-1] == (HALF_OPEN, CLOSED)
 
     def test_half_open_to_open_on_probe_failure(self):
-        clock, breaker, transitions = build_breaker(threshold=1, cooldown=60.0)
-        breaker.record_failure()
-        clock.advance(60.0)
+        clock, breaker, transitions = build_breaker()
+        open_breaker(breaker)
+        clock.advance(COOLDOWN_SECONDS)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert transitions[-1] == (HALF_OPEN, OPEN)
         # The re-open starts a FULL new cooldown.
-        clock.advance(30.0)
+        clock.advance(COOLDOWN_SECONDS / 2)
         assert not breaker.allow()
-        clock.advance(30.0)
+        clock.advance(COOLDOWN_SECONDS / 2)
         assert breaker.allow()
         assert breaker.state == HALF_OPEN
 
     def test_reset_force_closes(self):
-        _clock, breaker, transitions = build_breaker(threshold=1)
-        breaker.record_failure()
-        assert breaker.state == OPEN
+        _clock, breaker, transitions = build_breaker()
+        open_breaker(breaker)
         breaker.reset()
         assert breaker.state == CLOSED
         assert breaker.allow()
@@ -118,45 +120,43 @@ class TestStateMachine:
         assert set(STATE_CODES) == {CLOSED, OPEN, HALF_OPEN}
 
 
-def build_client(threshold=4, cooldown=300.0, max_retries=3):
+def build_client():
     net = Internet()
     site = Site("b.example", clock=net.clock)
     net.register(site)
     telemetry = Telemetry(clock=net.clock)
-    client = HttpClient(
-        net,
-        ClientConfig(
-            respect_robots=False,
-            per_host_delay_seconds=0.0,
-            max_retries=max_retries,
-            breaker=BreakerConfig(
-                failure_threshold=threshold, cooldown_seconds=cooldown
-            ),
-        ),
-        telemetry=telemetry,
-    )
+    client = HttpClient(net, telemetry=telemetry)
     return net, site, client, telemetry
+
+
+def trip(client):
+    """GET the failing ``/x`` until the breaker opens: each GET makes
+    ``MAX_RETRIES + 1`` attempts, and each attempt is a failure."""
+    for _ in range(FAILURE_THRESHOLD):
+        client.get("http://b.example/x")
+        if client.breaker_state("b.example") == OPEN:
+            return
+    raise AssertionError("the breaker never opened")
 
 
 class TestClientIntegration:
     def test_consecutive_5xx_trip_breaker_and_fast_fail(self):
-        net, site, client, telemetry = build_client(threshold=4)
+        net, site, client, telemetry = build_client()
         site.route(
             "GET", "/x", lambda r: http.error_response(http.SERVICE_UNAVAILABLE)
         )
-        # max_retries=3 -> one GET is 4 attempts = 4 breaker failures.
-        client.get("http://b.example/x")
-        assert client.breaker_state("b.example") == OPEN
+        trip(client)
         with pytest.raises(CircuitOpen):
             client.get("http://b.example/x")
-        assert client.stats.breaker_fast_fails == 1
+        fast_fails = telemetry.metrics.get("circuit_breaker_fast_fails_total")
+        assert fast_fails.value(host="b.example") == 1
 
     def test_breaker_state_observable_via_metrics(self):
-        net, site, client, telemetry = build_client(threshold=4)
+        net, site, client, telemetry = build_client()
         site.route(
             "GET", "/x", lambda r: http.error_response(http.SERVICE_UNAVAILABLE)
         )
-        client.get("http://b.example/x")
+        trip(client)
         gauge = telemetry.metrics.get("circuit_breaker_state")
         assert gauge.value(host="b.example") == STATE_CODES[OPEN]
         transitions = telemetry.metrics.get("circuit_breaker_transitions_total")
@@ -170,7 +170,7 @@ class TestClientIntegration:
         )
 
     def test_half_open_probe_recovers_via_client(self):
-        net, site, client, telemetry = build_client(threshold=4, cooldown=300.0)
+        net, site, client, telemetry = build_client()
         state = {"healthy": False}
 
         def handler(request):
@@ -179,10 +179,9 @@ class TestClientIntegration:
             return http.error_response(http.SERVICE_UNAVAILABLE)
 
         site.route("GET", "/x", handler)
-        client.get("http://b.example/x")
-        assert client.breaker_state("b.example") == OPEN
+        trip(client)
         state["healthy"] = True
-        net.clock.advance(300.0)
+        net.clock.advance(COOLDOWN_SECONDS)
         response = client.get("http://b.example/x")  # the half-open probe
         assert response.ok
         assert client.breaker_state("b.example") == CLOSED
@@ -190,32 +189,42 @@ class TestClientIntegration:
         assert gauge.value(host="b.example") == STATE_CODES[CLOSED]
 
     def test_failed_probe_reopens_via_client(self):
-        net, site, client, _telemetry = build_client(
-            threshold=1, cooldown=300.0, max_retries=0
-        )
-        site.route(
-            "GET", "/x", lambda r: http.error_response(http.SERVICE_UNAVAILABLE)
-        )
-        client.get("http://b.example/x")
+        net, site, client, telemetry = build_client()
+        attempts = {"n": 0}
+
+        def down(request):
+            attempts["n"] += 1
+            return http.error_response(http.SERVICE_UNAVAILABLE)
+
+        site.route("GET", "/x", down)
+        trip(client)
+        net.clock.advance(COOLDOWN_SECONDS)
+        before = attempts["n"]
+        # The probe is admitted, fails, and re-opens the breaker for a
+        # full cooldown, so the probe's own retry fast-fails.
+        with pytest.raises(CircuitOpen):
+            client.get("http://b.example/x")
+        assert attempts["n"] == before + 1
         assert client.breaker_state("b.example") == OPEN
-        net.clock.advance(300.0)
-        # The probe is admitted, fails, and re-opens for a full cooldown.
-        probe = client.get("http://b.example/x")
-        assert probe.status == http.SERVICE_UNAVAILABLE
-        assert client.breaker_state("b.example") == OPEN
+        transitions = telemetry.metrics.get("circuit_breaker_transitions_total")
+        assert transitions.value(host="b.example", to=HALF_OPEN) == 1
+        assert transitions.value(host="b.example", to=OPEN) == 2
         with pytest.raises(CircuitOpen):
             client.get("http://b.example/x")
 
     def test_429_is_neutral(self):
-        net, site, client, _telemetry = build_client(threshold=2)
+        net, site, client, _telemetry = build_client()
         site.route(
             "GET", "/x", lambda r: http.error_response(http.TOO_MANY_REQUESTS)
         )
-        client.get("http://b.example/x")  # 4 attempts, all 429
+        # MAX_RETRIES + 1 attempts per GET, all 429: far past the
+        # threshold, had they counted as failures.
+        for _ in range(FAILURE_THRESHOLD):
+            client.get("http://b.example/x")
         assert client.breaker_state("b.example") == CLOSED
 
     def test_begin_epoch_resets_breaker(self):
-        net, site, client, _telemetry = build_client(threshold=4)
+        net, site, client, _telemetry = build_client()
         state = {"healthy": False}
 
         def handler(request):
@@ -224,8 +233,7 @@ class TestClientIntegration:
             return http.error_response(http.SERVICE_UNAVAILABLE)
 
         site.route("GET", "/x", handler)
-        client.get("http://b.example/x")
-        assert client.breaker_state("b.example") == OPEN
+        trip(client)
         client.begin_epoch(1)
         assert client.breaker_state("b.example") == CLOSED
         state["healthy"] = True

@@ -1,9 +1,15 @@
-"""Tests for the polite retrying HTTP client."""
+"""Tests for the retrying, robots-honouring HTTP client."""
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.web import http
-from repro.web.client import ClientConfig, HttpClient
+from repro.web.client import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_MULTIPLIER,
+    MAX_RETRIES,
+    HttpClient,
+)
 from repro.web.http import RequestRejected, TooManyRedirects
 from repro.web.server import Internet, Site
 
@@ -13,6 +19,15 @@ def build_net():
     site = Site("s.example", clock=net.clock)
     net.register(site)
     return net, site
+
+
+def observed_client(net):
+    telemetry = Telemetry()
+    return HttpClient(net, telemetry=telemetry), telemetry.metrics
+
+
+def retries(metrics, host="s.example"):
+    return metrics.get("http_retries_total").value(host=host)
 
 
 class TestBasics:
@@ -49,12 +64,14 @@ class TestBasics:
     def test_stats_recorded(self):
         net, site = build_net()
         site.route("GET", "/x", lambda r: http.html_response("ok"))
-        client = HttpClient(net, ClientConfig(respect_robots=False))
+        client, metrics = observed_client(net)
         client.get("http://s.example/x")
         client.get("http://s.example/missing")
-        assert client.stats.requests_sent == 2
-        assert client.stats.by_status[200] == 1
-        assert client.stats.by_status[404] == 1
+        # Plus the robots.txt fetch, a 404 on a site without one.
+        assert client.stats.requests_sent == 3
+        requests = metrics.get("http_requests_total")
+        assert requests.value(host="s.example", status="200") == 1
+        assert requests.value(host="s.example", status="404") == 2
 
 
 class TestRedirects:
@@ -84,44 +101,36 @@ class TestRetries:
             return http.html_response("finally")
 
         site.route("GET", "/flaky", flaky)
-        client = HttpClient(net)
+        client, metrics = observed_client(net)
         response = client.get("http://s.example/flaky")
         assert response.body == "finally"
-        assert client.stats.retries == 2
+        assert retries(metrics) == 2
 
     def test_gives_up_after_max_retries(self):
         net, site = build_net()
         site.route("GET", "/down", lambda r: http.error_response(http.SERVICE_UNAVAILABLE))
-        client = HttpClient(net, ClientConfig(max_retries=2))
+        client, metrics = observed_client(net)
         response = client.get("http://s.example/down")
         assert response.status == http.SERVICE_UNAVAILABLE
-        assert client.stats.retries == 2
+        assert retries(metrics) == MAX_RETRIES
 
     def test_backoff_charges_simulated_time(self):
         net, site = build_net()
         site.route("GET", "/down", lambda r: http.error_response(http.SERVICE_UNAVAILABLE))
-        client = HttpClient(net, ClientConfig(max_retries=2, backoff_base_seconds=10.0))
+        client = HttpClient(net)
         before = net.clock.now()
         client.get("http://s.example/down")
-        # Two waits: 10s then 20s, plus latency.
-        assert net.clock.now() - before >= 30.0
+        # One wait per retry, each BACKOFF_MULTIPLIER times the last
+        # (1 s, 2 s, 4 s), plus latency.
+        waits = sum(BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** i
+                    for i in range(MAX_RETRIES))
+        assert net.clock.now() - before >= waits
 
     def test_404_is_not_retried(self):
         net, site = build_net()
-        client = HttpClient(net)
+        client, metrics = observed_client(net)
         client.get("http://s.example/gone")
-        assert client.stats.retries == 0
-
-
-class TestPoliteness:
-    def test_per_host_delay_enforced(self):
-        net, site = build_net()
-        site.route("GET", "/x", lambda r: http.html_response("ok"))
-        client = HttpClient(net, ClientConfig(per_host_delay_seconds=5.0))
-        client.get("http://s.example/x")
-        t1 = net.clock.now()
-        client.get("http://s.example/x")
-        assert net.clock.now() - t1 >= 5.0
+        assert retries(metrics) == 0
 
 
 class TestRobots:
@@ -132,20 +141,12 @@ class TestRobots:
         site.route("GET", "/private/x", lambda r: http.html_response("secret"))
         site.route("GET", "/public", lambda r: http.html_response("ok"))
         net.register(site)
-        client = HttpClient(net)
+        client, metrics = observed_client(net)
         assert client.get("http://r.example/public").ok
         with pytest.raises(RequestRejected):
             client.get("http://r.example/private/x")
-        assert client.stats.robots_blocked == 1
-
-    def test_robots_can_be_disabled(self):
-        net = Internet()
-        site = Site("r.example", clock=net.clock,
-                    robots_text="User-agent: *\nDisallow: /private\n")
-        site.route("GET", "/private/x", lambda r: http.html_response("secret"))
-        net.register(site)
-        client = HttpClient(net, ClientConfig(respect_robots=False))
-        assert client.get("http://r.example/private/x").ok
+        blocked = metrics.get("robots_blocked_total")
+        assert blocked.value(host="r.example") == 1
 
     def test_no_robots_file_allows_everything(self):
         net, site = build_net()

@@ -1,6 +1,6 @@
 """Tests for robots.txt parsing and decisions."""
 
-from repro.web.robots import ALLOW_ALL, RobotsPolicy, robots_txt
+from repro.web.robots import ALLOW_ALL, RobotsPolicy
 
 
 class TestParsing:
@@ -18,10 +18,6 @@ class TestParsing:
             "# header comment\nUser-agent: *  # agents\nDisallow: /x # path\n"
         )
         assert not policy.allows("bot", "/x/1")
-
-    def test_crawl_delay(self):
-        policy = RobotsPolicy.parse("User-agent: *\nCrawl-delay: 2.5\nDisallow: /a\n")
-        assert policy.crawl_delay("bot") == 2.5
 
     def test_specific_agent_group_preferred(self):
         policy = RobotsPolicy.parse(
@@ -48,14 +44,6 @@ class TestLongestMatch:
 class TestHelpers:
     def test_allow_all_constant(self):
         assert ALLOW_ALL.allows("bot", "/anything")
-
-    def test_robots_txt_renderer_roundtrips(self):
-        text = robots_txt(["/checkout", "/account"], crawl_delay=1.0)
-        policy = RobotsPolicy.parse(text)
-        assert not policy.allows("bot", "/checkout/x")
-        assert not policy.allows("bot", "/account")
-        assert policy.allows("bot", "/listings")
-        assert policy.crawl_delay("bot") == 1.0
 
     def test_no_groups_allows(self):
         policy = RobotsPolicy.parse("")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.util.simtime import SimClock
 from repro.web import http
 from repro.web.http import ConnectionFailed, Request
 from repro.web.server import Internet, Route, Site
@@ -89,63 +88,10 @@ class TestSite:
         response = self.site.handle(make_request("http://test.example/broken"))
         assert response.status == http.INTERNAL_SERVER_ERROR
 
-    def test_decorator_registration(self):
-        site = Site("d.example")
-
-        @site.get("/x")
-        def handler(request):
-            return http.html_response("deco")
-
-        assert site.handle(make_request("http://d.example/x")).body == "deco"
-
     def test_robots_served(self):
         site = Site("r.example", robots_text="User-agent: *\nDisallow: /secret\n")
         response = site.handle(make_request("http://r.example/robots.txt"))
         assert "Disallow: /secret" in response.body
-
-    def test_rate_limit_returns_429_with_retry_after(self):
-        clock = SimClock()
-        site = Site("rl.example", clock=clock, rate_limit_per_second=1.0,
-                    rate_limit_burst=2.0)
-        site.route("GET", "/", lambda r: http.html_response("ok"))
-        statuses = [
-            site.handle(make_request("http://rl.example/"), client_id="c").status
-            for _ in range(4)
-        ]
-        assert statuses[:2] == [200, 200]
-        assert http.TOO_MANY_REQUESTS in statuses[2:]
-        response = site.handle(make_request("http://rl.example/"), client_id="c")
-        assert response.header("Retry-After") != ""
-
-    def test_rate_limit_is_per_client(self):
-        site = Site("rl2.example", rate_limit_per_second=0.5, rate_limit_burst=1.0)
-        site.route("GET", "/", lambda r: http.html_response("ok"))
-        assert site.handle(make_request("http://rl2.example/"), "a").status == 200
-        assert site.handle(make_request("http://rl2.example/"), "b").status == 200
-
-    def test_robots_bypasses_rate_limit(self):
-        site = Site("rb.example", rate_limit_per_second=0.5,
-                    rate_limit_burst=1.0,
-                    robots_text="User-agent: *\nDisallow:\n")
-        site.route("GET", "/", lambda r: http.html_response("ok"))
-        assert site.handle(make_request("http://rb.example/"), "c").status == 200
-        # The bucket is exhausted for pages...
-        assert site.handle(make_request("http://rb.example/"), "c").status \
-            == http.TOO_MANY_REQUESTS
-        # ...but robots.txt stays reachable, repeatedly.
-        for _ in range(3):
-            response = site.handle(
-                make_request("http://rb.example/robots.txt"), "c")
-            assert response.status == 200
-
-    def test_robots_fetch_does_not_charge_the_bucket(self):
-        site = Site("rb2.example", rate_limit_per_second=0.5,
-                    rate_limit_burst=1.0)
-        site.route("GET", "/", lambda r: http.html_response("ok"))
-        for _ in range(5):
-            site.handle(make_request("http://rb2.example/robots.txt"), "c")
-        assert site.handle(make_request("http://rb2.example/"), "c").status \
-            == 200
 
     def test_wrong_method_is_405_with_allow(self):
         response = self.site.handle(
