@@ -25,6 +25,9 @@ from repro.util.unionfind import UnionFind
 
 #: Rows per slice for the elementwise passes over point-sized arrays.
 _SLICE_ROWS = 1024
+#: Rows per product block of a k-means assignment: each block's
+#: distances come from one ``block @ centers.T``.
+_BLOCK_ROWS = 8192
 
 
 def _pairwise_sq_dists(block: np.ndarray, points: np.ndarray,
@@ -154,38 +157,179 @@ def _kmeans_pp_init(points: np.ndarray, point_norms: np.ndarray, k: int,
     return centers
 
 
+def _product_rows(products: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """The first ``rows x columns`` entries of a flat product buffer, as a
+    C-contiguous matrix ``np.matmul`` can write into."""
+    return products[: rows * columns].reshape(rows, columns)
+
+
 def _assign_blockwise(points: np.ndarray, point_norms: np.ndarray,
-                      centers: np.ndarray, block_size: int = 8192) -> np.ndarray:
+                      centers: np.ndarray, products: Optional[np.ndarray] = None,
+                      best: Optional[np.ndarray] = None) -> np.ndarray:
     """argmin-distance assignment computed in row blocks (memory-bounded);
     ``point_norms`` is ``_row_sq_norms(points)``.
 
     Each block's products come from one ``block @ centers.T``, so BLAS
     sees the same shapes whatever the slicing below; the distances and
     their argmin then run one row slice at a time, so only the block's
-    products are block-sized.
+    products are block-sized.  The products land in ``products``, a flat
+    buffer of at least ``min(n, 8192) * k`` entries (allocated here when
+    not given).  ``best``, when given, receives each point's squared
+    distance to its centre.
     """
-    assignments = np.empty(len(points), dtype=np.int64)
+    n, k = len(points), len(centers)
+    if products is None:
+        products = np.empty(min(n, _BLOCK_ROWS) * k, dtype=points.dtype)
+    assignments = np.empty(n, dtype=np.int64)
     center_norms = (centers * centers).sum(axis=1)[None, :]
-    for start in range(0, len(points), block_size):
-        block = points[start : start + block_size]
-        cross = block @ centers.T
+    for start in range(0, n, _BLOCK_ROWS):
+        block = points[start : start + _BLOCK_ROWS]
+        cross = np.matmul(block, centers.T,
+                          out=_product_rows(products, len(block), k))
         for offset in range(0, len(block), _SLICE_ROWS):
             first = start + offset
             last = min(first + _SLICE_ROWS, start + len(block))
             d2 = _sq_dists_from_cross(cross[offset : offset + _SLICE_ROWS],
                                       point_norms[first:last], center_norms)
-            assignments[first:last] = d2.argmin(axis=1)
-        # Freed before the next block's products are computed.
-        del cross
+            nearest = d2.argmin(axis=1)
+            assignments[first:last] = nearest
+            if best is not None:
+                best[first:last] = d2[np.arange(len(d2)), nearest]
     return assignments
+
+
+def _offsets(rows: np.ndarray, centers: np.ndarray, center_norms: np.ndarray,
+             products: np.ndarray) -> np.ndarray:
+    """``|c|^2 - 2 x.c`` for every row ``x`` and centre ``c``, in ``products``.
+
+    A row's squared distances are its squared norm plus these; computed
+    that way they carry the same error bound as ``_sq_dists_from_cross``
+    (see ``_assign_certified``), though not its bits.
+    """
+    offsets = np.matmul(rows, centers.T,
+                        out=_product_rows(products, len(rows), len(centers)))
+    offsets *= -2.0
+    offsets += center_norms
+    return offsets
+
+
+def _screen(points: np.ndarray, norms: np.ndarray, limits: np.ndarray,
+            centers: np.ndarray, center_norms: np.ndarray,
+            products: np.ndarray) -> np.ndarray:
+    """Mask of the points some of ``centers`` may be as near as ``limits``.
+
+    A point is cleared when its squared distance to each of ``centers``
+    exceeds its ``limits`` entry.  Blocks of points are taken in row
+    order, not gathered, so the points already marked for a full row are
+    measured here too.
+    """
+    nearest = np.empty(len(points), dtype=points.dtype)
+    for start in range(0, len(points), _BLOCK_ROWS):
+        block = points[start : start + _BLOCK_ROWS]
+        _offsets(block, centers, center_norms, products).min(
+            axis=1, out=nearest[start : start + len(block)])
+    nearest += norms
+    return nearest <= limits
+
+
+def _assign_rows(points: np.ndarray, norms: np.ndarray, rows: np.ndarray,
+                 margins: np.ndarray, centers: np.ndarray,
+                 center_norms: np.ndarray, assignments: np.ndarray,
+                 best: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Give each of ``rows`` its nearest centre unless a runner-up lies
+    within its ``margins`` entry; returns the rows left undecided."""
+    ties = []
+    for start in range(0, len(rows), _SLICE_ROWS):
+        chunk = rows[start : start + _SLICE_ROWS]
+        offsets = _offsets(points[chunk], centers, center_norms, products)
+        nearest = offsets.argmin(axis=1)
+        picked = np.arange(len(chunk)), nearest
+        closest = offsets[picked] + norms[chunk]
+        offsets[picked] = np.inf
+        runner_up = offsets.min(axis=1)
+        runner_up += norms[chunk]
+        sure = runner_up > closest + margins[chunk]
+        assignments[chunk[sure]] = nearest[sure]
+        best[chunk[sure]] = closest[sure]
+        ties.append(chunk[~sure])
+    return np.concatenate(ties) if ties else rows
+
+
+def _assign_exactly(points: np.ndarray, point_norms: np.ndarray,
+                    rows: np.ndarray, centers: np.ndarray,
+                    center_norms: np.ndarray, assignments: np.ndarray,
+                    best: np.ndarray, products: np.ndarray) -> None:
+    """Assign ``rows`` (ascending) with ``_assign_blockwise``'s own
+    arithmetic: each row's products come from its whole 8,192-row block,
+    so its distances carry the same bits."""
+    k = len(centers)
+    blocks = rows // _BLOCK_ROWS
+    for block_index in np.unique(blocks):
+        start = int(block_index) * _BLOCK_ROWS
+        block = points[start : start + _BLOCK_ROWS]
+        cross = np.matmul(block, centers.T,
+                          out=_product_rows(products, len(block), k))
+        members = rows[blocks == block_index]
+        for first in range(0, len(members), _SLICE_ROWS):
+            chunk = members[first : first + _SLICE_ROWS]
+            d2 = _sq_dists_from_cross(cross[chunk - start], point_norms[chunk],
+                                      center_norms[None, :])
+            nearest = d2.argmin(axis=1)
+            assignments[chunk] = nearest
+            best[chunk] = d2[np.arange(len(chunk)), nearest]
+
+
+def _assign_certified(points: np.ndarray, point_norms: np.ndarray,
+                      centers: np.ndarray, assignments: np.ndarray,
+                      best: np.ndarray, moved: np.ndarray,
+                      products: np.ndarray) -> np.ndarray:
+    """What ``_assign_blockwise`` returns for ``centers``, measuring mostly
+    the centres that ``moved`` (bitwise) since ``assignments`` were made.
+
+    ``best`` holds each point's squared distance to its centre, within
+    ``2E`` of ``_assign_blockwise``'s value, and is updated in place.
+    ``E = (d + 3) u (|x| + max |c|)^2``, with ``u`` half the dtype's
+    machine epsilon, bounds the rounding error of any ``|x|^2 + |c|^2 -
+    2 x.c`` against the exact distance (the analysis gives ``d + 2``; the
+    spare ``u`` covers rounding the bounds themselves), so two computed
+    distances of one pair differ by at most ``2E``.
+
+    * A centre that did not move gives every point the same bits as last
+      time, so a point whose own centre held still keeps it when each
+      moved centre is more than ``4E`` farther than ``best``.
+    * Every other point takes a full row of distances; its nearest centre
+      stands when the runner-up is more than ``4E`` farther.
+    * The rest are near ties, which ``_assign_exactly`` settles with the
+      reference arithmetic.
+    """
+    norms = point_norms[:, 0]
+    center_norms = (centers * centers).sum(axis=1)
+    unit = np.finfo(points.dtype).eps / 2
+    margins = np.sqrt(norms)
+    margins += np.sqrt(center_norms.max())
+    margins *= margins
+    margins *= 4 * (points.shape[1] + 3) * unit
+    new = assignments.copy()
+    recheck = _screen(points, norms, best + margins, centers[moved],
+                      center_norms[moved], products)
+    recheck |= moved[assignments]
+    ties = _assign_rows(points, norms, np.nonzero(recheck)[0], margins,
+                        centers, center_norms, new, best, products)
+    if len(ties):
+        _assign_exactly(points, point_norms, ties, centers, center_norms, new,
+                        best, products)
+    return new
 
 
 def kmeans(points: np.ndarray, k: int, iterations: int = 25,
            seed: int = 0) -> np.ndarray:
     """Full-batch Lloyd's k-means; returns per-point center assignments.
 
-    Assignment steps run blockwise, so a 200K x 64 corpus never
-    materializes a full distance matrix.
+    Assignment steps run blockwise, so a 200K x 192 corpus never
+    materializes a full distance matrix.  Once at most half the centres
+    moved in the last update, an assignment measures the points against
+    the moved centres only and certifies the rest (``_assign_certified``);
+    the labels are the same either way.
     """
     n = len(points)
     k = min(k, n)
@@ -201,23 +345,60 @@ def kmeans(points: np.ndarray, k: int, iterations: int = 25,
         centers = _kmeans_pp_init(points[sample], point_norms[sample], k, rng)
     else:
         centers = _kmeans_pp_init(points, point_norms, k, rng)
+    products = np.empty(min(n, _BLOCK_ROWS) * k, dtype=points.dtype)
+    # On one slice of points the certified path's bookkeeping costs more
+    # than the products it saves, so no distances are kept for it.
+    best = np.empty(n, dtype=points.dtype) if n > _SLICE_ROWS else None
     assignments = np.zeros(n, dtype=np.int64)
+    # The seeds are no centre's mean, so the first update touches all.
+    touched = np.ones(k, dtype=bool)
+    moved = touched
     for _ in range(iterations):
-        new_assignments = _assign_blockwise(points, point_norms, centers)
-        if np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
+        if best is None or 2 * np.count_nonzero(moved) > k:
+            new_assignments = _assign_blockwise(points, point_norms, centers,
+                                                products, best)
+        else:
+            new_assignments = _assign_certified(points, point_norms, centers,
+                                                assignments, best, moved,
+                                                products)
+        switched = np.nonzero(new_assignments != assignments)[0]
+        if not len(switched):
             break
+        touched[assignments[switched]] = True
+        touched[new_assignments[switched]] = True
         assignments = new_assignments
-        sums, counts = _sum_by_center(points, assignments, k)
-        counts = counts.astype(points.dtype)
-        occupied = counts > 0
-        centers[occupied] = sums[occupied] / counts[occupied, None]
+        moved = _update_centers(points, assignments, centers, touched)
+        if not moved.any():
+            break  # the next assignment would repeat this one
+        touched = np.zeros(k, dtype=bool)
     return assignments
 
 
-def _sum_by_center(points: np.ndarray, assignments: np.ndarray,
-                   k: int) -> tuple:
-    """Per-centre row sums and member counts.
+def _update_centers(points: np.ndarray, assignments: np.ndarray,
+                    centers: np.ndarray, touched: np.ndarray) -> np.ndarray:
+    """Move each ``touched`` centre with members to their mean; returns
+    the mask of centres whose vector changed bitwise.
+
+    An untouched centre kept its member set, so its mean would repeat the
+    bits it already holds.
+    """
+    rows = None if touched.all() else np.nonzero(touched[assignments])[0]
+    sums, counts = _sum_by_center(points, assignments, len(centers), rows)
+    counts = counts.astype(points.dtype)
+    occupied = counts > 0
+    means = sums[occupied] / counts[occupied, None]
+    unsigned = np.dtype(f"u{points.itemsize}")
+    moved = np.zeros(len(centers), dtype=bool)
+    moved[occupied] = (means.view(unsigned)
+                       != centers[occupied].view(unsigned)).any(axis=1)
+    centers[occupied] = means
+    return moved
+
+
+def _sum_by_center(points: np.ndarray, assignments: np.ndarray, k: int,
+                   rows: Optional[np.ndarray] = None) -> tuple:
+    """Per-centre row sums and member counts, over ``rows`` (ascending
+    row indices) when given and over every row otherwise.
 
     Each centre's sum starts at zero and adds its rows in row order, the
     order ``np.add.at`` uses, so the floating-point result is the same;
@@ -225,11 +406,14 @@ def _sum_by_center(points: np.ndarray, assignments: np.ndarray,
     every centre's ``r``-th member at once: one fancy-indexed ``+=`` per
     rank instead of one per row.
     """
+    members = assignments if rows is None else assignments[rows]
     sums = np.zeros((k, points.shape[1]), dtype=points.dtype)
-    counts = np.bincount(assignments, minlength=k)
-    order = np.argsort(assignments, kind="stable")
+    counts = np.bincount(members, minlength=k)
+    order = np.argsort(members, kind="stable")
+    if rows is not None:
+        order = rows[order]
     starts = np.cumsum(counts) - counts
-    for rank in range(int(counts.max())):
+    for rank in range(int(counts.max(initial=0))):
         groups = np.nonzero(counts > rank)[0]
         sums[groups] += points[order[starts[groups] + rank]]
     return sums, counts

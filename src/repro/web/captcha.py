@@ -53,10 +53,6 @@ class CaptchaGate:
         expected = self._issued.pop(challenge_id, None)
         return expected is not None and answer.strip().lower() == expected.lower()
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._issued)
-
 
 class HumanSolver:
     """A researcher solving CAPTCHAs by hand, *from the prompt text only*.

@@ -82,7 +82,4 @@ class RobotsPolicy:
         return best_allow
 
 
-ALLOW_ALL = RobotsPolicy.parse("User-agent: *\nDisallow:\n")
-
-
-__all__ = ["ALLOW_ALL", "RobotsGroup", "RobotsPolicy"]
+__all__ = ["RobotsGroup", "RobotsPolicy"]

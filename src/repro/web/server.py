@@ -173,10 +173,6 @@ class Internet:
         except KeyError:
             raise ConnectionFailed(f"unknown host: {host}") from None
 
-    @property
-    def hosts(self) -> List[str]:
-        return sorted(self._sites)
-
     def fetch(self, request: Request, client_id: str = "anon", via_tor: bool = False) -> Response:
         host = url_host(request.url)
         if not host:

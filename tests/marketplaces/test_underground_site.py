@@ -47,12 +47,13 @@ class TestHost:
     def test_requires_tor(self, forum):
         site, _client, _postings = forum
         net = Internet()
-        net.register(UndergroundForumSite("Other", [], RngTree(1), clock=net.clock))
+        other = net.register(
+            UndergroundForumSite("Other", [], RngTree(1), clock=net.clock))
         plain = HttpClient(net)
         from repro.web.http import ConnectionFailed
 
         with pytest.raises(ConnectionFailed):
-            plain.get(f"http://{net.hosts[0]}/forum")
+            plain.get(f"http://{other.host}/forum")
 
 
 class TestRegistration:

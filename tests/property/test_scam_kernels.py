@@ -44,7 +44,9 @@ from repro.analysis.scam_posts import (
 )
 from repro.nlp import cluster as cluster_module
 from repro.nlp.cluster import (
+    _BLOCK_ROWS,
     _assign_blockwise,
+    _assign_certified,
     _kmeans_pp_init,
     _row_sq_norms,
     _sum_by_center,
@@ -464,6 +466,32 @@ def _point_sets(draw, dtype):
 _both_dtypes = st.sampled_from([np.float32, np.float64])
 
 
+def _clustered(dtype, seed: int, n: int = 3_000, prototypes: int = 15,
+               dims: int = 16) -> np.ndarray:
+    """``n`` points scattered around ``prototypes`` random prototypes."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=3.0, size=(prototypes, dims))
+    picks = rng.integers(0, prototypes, size=n)
+    return (centres[picks] + rng.normal(size=(n, dims))).astype(dtype)
+
+
+@pytest.fixture()
+def certified_calls(monkeypatch) -> Counter:
+    """Calls of the certified assignment's screening (``_screen``) and
+    reference fallback (``_assign_exactly``) while a test runs, so the
+    test can show it reached them."""
+    calls: Counter = Counter()
+    for name in ("_screen", "_assign_exactly"):
+        helper = getattr(cluster_module, name)
+
+        def counted(*args, _helper=helper, _name=name):
+            calls[_name] += 1
+            return _helper(*args)
+
+        monkeypatch.setattr(cluster_module, name, counted)
+    return calls
+
+
 # -- vetting -------------------------------------------------------------------------
 
 
@@ -608,6 +636,79 @@ class TestKmeansKernel:
                               _reference_assign_blockwise(points, centers))
         assert np.array_equal(kmeans(points, 40, iterations=4, seed=3),
                               reference_kmeans(points, 40, iterations=4, seed=3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clustered_inputs_match_reference(self, dtype, seed,
+                                              certified_calls):
+        # k from 60 to 200 over 15 blobs: after a few updates at most half
+        # the centres move, and the later assignments screen those alone
+        # (in float32 some rows also tie within the margin).
+        points = _clustered(dtype, seed)
+        for k in (60, 120, 200):
+            assert np.array_equal(kmeans(points, k, seed=seed),
+                                  reference_kmeans(points, k, seed=seed))
+        assert certified_calls["_screen"] > 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_iteration_cap_inside_the_certified_descent(self, dtype,
+                                                        certified_calls):
+        # Eight assignments stop a longer descent after certified ones.
+        points = _clustered(dtype, 2)
+        capped = kmeans(points, 200, iterations=8, seed=2)
+        assert certified_calls["_screen"] > 0
+        assert np.array_equal(
+            capped, reference_kmeans(points, 200, iterations=8, seed=2))
+        assert not np.array_equal(capped, reference_kmeans(points, 200, seed=2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_identical_centres_tie_by_reference(self, dtype, seed,
+                                                certified_calls):
+        # 2,000 rows drawn from 8 distinct ones and k = 40: seeding runs
+        # out of distinct rows and fills the other centres with copies, so
+        # rows tie exactly between identical centres, and a tied row whose
+        # own centre moved is settled by the reference arithmetic.
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(8, 5)).astype(dtype)
+        points = distinct[rng.integers(0, 8, size=2_000)]
+        assert np.array_equal(kmeans(points, 40, seed=seed),
+                              reference_kmeans(points, 40, seed=seed))
+        assert certified_calls["_assign_exactly"] > 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_halfway_between_two_centres(self, dtype, certified_calls):
+        # Integer centres, so every distance of the 40 duplicated rows
+        # halfway between centres 0 and 1 is computed exactly: those rows
+        # tie exactly, before and after both centres step away from them
+        # by the same amount, and the other centres lie farther out.
+        rng = np.random.default_rng(23)
+        dims = 8
+        centers = rng.integers(-20, 21, size=(12, dims)).astype(dtype)
+        middle = rng.integers(-3, 4, size=dims).astype(dtype)
+        step = rng.choice([-1.0, 1.0], size=dims).astype(dtype)
+        centers[0], centers[1] = middle + step, middle - step
+        points = np.vstack([
+            centers[rng.integers(0, 12, size=2_500)]
+            + rng.normal(scale=0.5, size=(2_500, dims)),
+            np.tile(middle, (40, 1)),
+        ])[rng.permutation(2_540)].astype(dtype)
+        norms = _row_sq_norms(points)
+        best = np.empty(len(points), dtype=dtype)
+        before = _assign_blockwise(points, norms, centers, best=best)
+        moved_centers = centers.copy()
+        moved_centers[0], moved_centers[1] = middle + 2 * step, middle - 2 * step
+        moved_centers[5:7] += dtype(0.25)
+        moved = (moved_centers != centers).any(axis=1)
+        products = np.empty(len(points) * len(centers), dtype=dtype)
+        after = _assign_certified(points, norms, moved_centers, before, best,
+                                  moved, products)
+        expected_best = np.empty_like(best)
+        assert np.array_equal(after, _assign_blockwise(
+            points, norms, moved_centers, best=expected_best))
+        halfway = (points == middle).all(axis=1)
+        assert np.array_equal(best[halfway], expected_best[halfway])
+        assert certified_calls == {"_screen": 1, "_assign_exactly": 1}
 
 
 # -- language filter ---------------------------------------------------------------------
@@ -885,6 +986,30 @@ class TestTransientMemory:
         _, peak = _traced_peak(
             lambda: _assign_blockwise(points, _row_sq_norms(points), centers))
         products = len(points) * len(centers) * points.itemsize
+        assert peak < 1.5 * products
+
+    def test_certified_assignment_peak(self, certified_calls):
+        # The certified path takes all its products from one
+        # 8,192-row buffer: screening, full rows and the fallback add
+        # row slices only.
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(_BLOCK_ROWS, 64)).astype(np.float32)
+        centers = points[:473].copy()
+        centers[1] = centers[0]
+        norms = _row_sq_norms(points)
+        best = np.empty(len(points), dtype=points.dtype)
+        assignments = _assign_blockwise(points, norms, centers, best=best)
+        # A quarter of the centres move, the identical pair alike, so the
+        # pair's rows tie and take the fallback.
+        moved = np.arange(len(centers)) < 118
+        centers[moved] += rng.normal(scale=0.05, size=(118, 64)).astype(
+            np.float32)
+        centers[1] = centers[0]
+        _, peak = _traced_peak(lambda: _assign_certified(
+            points, norms, centers, assignments, best, moved,
+            np.empty(len(points) * len(centers), dtype=points.dtype)))
+        products = len(points) * len(centers) * points.itemsize
+        assert certified_calls == {"_screen": 1, "_assign_exactly": 1}
         assert peak < 1.5 * products
 
     def test_seeding_peak(self):

@@ -32,12 +32,6 @@ class TestCaptchaGate:
         challenge = gate.issue()
         assert gate.verify(challenge.challenge_id, f"  {challenge.answer}  ")
 
-    def test_outstanding_counts(self):
-        gate = CaptchaGate(RngTree(7))
-        gate.issue()
-        gate.issue()
-        assert gate.outstanding == 2
-
 
 class TestHumanSolver:
     def test_solves_arithmetic_from_prompt_alone(self):

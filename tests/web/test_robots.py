@@ -1,6 +1,6 @@
 """Tests for robots.txt parsing and decisions."""
 
-from repro.web.robots import ALLOW_ALL, RobotsPolicy
+from repro.web.robots import RobotsPolicy
 
 
 class TestParsing:
@@ -42,9 +42,6 @@ class TestLongestMatch:
 
 
 class TestHelpers:
-    def test_allow_all_constant(self):
-        assert ALLOW_ALL.allows("bot", "/anything")
-
     def test_no_groups_allows(self):
         policy = RobotsPolicy.parse("")
         assert policy.allows("bot", "/x")
