@@ -17,10 +17,7 @@ Environment knobs:
 * ``REPRO_BENCH_SCALE`` — world scale (default 0.1; 1.0 regenerates the
   full 38K-listing / 205K-post ecosystem);
 * ``REPRO_BENCH_SEED`` — root seed (default 2024);
-* ``REPRO_BENCH_ITERATIONS`` — collection iterations (default 6);
-* ``REPRO_BENCH_ROUNDS`` — timing rounds for ``repro bench`` (the
-  BENCH_pipeline.json harness in :mod:`repro.obs.bench`; default 5).
-  It does not affect this pytest suite.
+* ``REPRO_BENCH_ITERATIONS`` — collection iterations (default 6).
 """
 
 from __future__ import annotations

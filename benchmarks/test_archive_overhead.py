@@ -21,8 +21,7 @@ import time
 from repro.core import Study, StudyConfig
 
 BENCH_CONFIG = dict(
-    seed=2024, scale=0.01, iterations=2,
-    watchdogs_enabled=False, scorecard_enabled=False,
+    seed=2024, scale=0.01, iterations=2, scorecard_enabled=False,
 )
 REPEATS = 5
 #: Relative overhead budget for archiving every exchange.

@@ -4,8 +4,9 @@ Commands
 --------
 ``run``
     Execute the full study (crawl, profile collection, underground) and
-    persist the dataset as a segmented store plus run metadata to a
-    directory that holds no store yet.
+    persist the dataset as a segmented store plus run metadata (and the
+    fidelity scorecard, when ``--telemetry-out`` made the run score one)
+    to a directory that holds no store yet.
 ``report``
     Load a saved run and render every paper table/figure.
 ``tables``
@@ -124,11 +125,10 @@ from repro.marketplaces.channels import CHANNELS
 from repro.obs import (
     BENCH_FILENAME,
     NULL_TELEMETRY,
-    AlertConfig,
     BenchError,
-    DiffConfig,
     RegistryError,
     RunRegistry,
+    StageProfiler,
     Telemetry,
     TelemetryDirError,
     compare_bench,
@@ -156,6 +156,7 @@ from repro.monitor import (
     MonitorError,
     render_status,
 )
+from repro.obs.bench import DEFAULT_ROUNDS
 from repro.obs.report_html import REPORT_FILENAME
 from repro.obs.summary import format_text
 from repro.obs.trends import runs_section
@@ -237,8 +238,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         scale=args.scale,
         iterations=args.iterations,
         include_underground=not args.no_underground,
-        telemetry_enabled=bool(getattr(args, "telemetry_out", None)),
-        profile_enabled=bool(getattr(args, "profile", False)),
         chaos_profile=getattr(args, "chaos", "off") or "off",
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         resume=bool(getattr(args, "resume", False)),
@@ -249,10 +248,13 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
 
 
 def _telemetry_for(args: argparse.Namespace) -> Telemetry:
-    """An enabled Telemetry when ``--telemetry-out`` was given, else no-op."""
-    if getattr(args, "telemetry_out", None):
-        return Telemetry()
-    return NULL_TELEMETRY
+    """An enabled Telemetry when ``--telemetry-out`` was given, else no-op;
+    ``--profile`` gives it a profiler."""
+    if not getattr(args, "telemetry_out", None):
+        return NULL_TELEMETRY
+    if getattr(args, "profile", False):
+        return Telemetry(profiler=StageProfiler(stages_expected=STAGE_NAMES))
+    return Telemetry()
 
 
 def _export_telemetry(args: argparse.Namespace, config: StudyConfig,
@@ -393,11 +395,10 @@ def _refuse_used_out(out_dir: str) -> bool:
     return True
 
 
-def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry,
-              scorecard=None) -> int:
+def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry) -> int:
     """Write a finished run into ``out_dir``: the segmented store, then
-    ``quarantine.jsonl`` (and ``scorecard`` when given), then
-    ``study_meta.json`` last.  Returns the exit code.
+    ``quarantine.jsonl`` (and ``scorecard.json`` when the run scored
+    one), then ``study_meta.json`` last.  Returns the exit code.
 
     The study's disk-fault injector (if chaos is on) carries over, so an
     ENOSPC byte budget spans checkpoints and this save — one disk, one
@@ -428,8 +429,8 @@ def _save_run(out_dir: str, result, meta: dict, telemetry: Telemetry,
         )
     if result.quarantine is not None:
         result.quarantine.write_jsonl(out_dir)
-    if scorecard is not None:
-        write_scorecard(out_dir, scorecard)
+    if result.scorecard is not None:
+        write_scorecard(out_dir, result.scorecard)
     atomic_write_json(os.path.join(out_dir, META_FILENAME), meta)
     return 0
 
@@ -581,12 +582,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     document_a = trace_document(args.run_a)
     document_b = trace_document(args.run_b)
-    config = DiffConfig(
-        scorecard_tolerance=args.scorecard_tolerance,
-        sim_duration_tolerance=args.sim_tolerance,
-        include_wall=args.wall,
-    )
-    diff = diff_runs(document_a, document_b, config)
+    diff = diff_runs(document_a, document_b, include_wall=args.wall)
     print(diff.render_text())
     return 1 if diff.has_regressions else 0
 
@@ -675,12 +671,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     archive_config = ArchiveReader.open(args.archive_dir).config
     meta = _run_meta(result, archive_config["seed"], archive_config["scale"],
                      archive_config["iterations"])
-    code = _save_run(args.out, result, meta, telemetry,
-                     scorecard=result.scorecard)
+    code = _save_run(args.out, result, meta, telemetry)
     if code:
         return code
     config = dataclasses.replace(study_config_from(archive_config),
-                                 telemetry_enabled=telemetry.enabled,
                                  archive_dir=args.archive_dir)
     _export_telemetry(args, config, result, telemetry)
     print(f"replayed {args.archive_dir} into {args.out}: "
@@ -742,7 +736,7 @@ def cmd_runs_ingest(args: argparse.Namespace) -> int:
 
 def cmd_runs_list(args: argparse.Namespace) -> int:
     with RunRegistry.open_existing(args.registry) as registry:
-        rows = registry.runs(last_n=args.last)
+        rows = registry.runs()
     print(format_text([runs_section(rows)]))
     return 0
 
@@ -764,11 +758,9 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
 
 def cmd_runs_trends(args: argparse.Namespace) -> int:
     with RunRegistry.open_existing(args.registry) as registry:
-        series_list = compute_trends(
-            registry, names=args.metric or None, last_n=args.last,
-        )
-        runs = registry.runs(last_n=args.last)
-        report = evaluate_alerts(registry, AlertConfig(last_n=args.last))
+        series_list = compute_trends(registry)
+        runs = registry.runs()
+        report = evaluate_alerts(registry)
     if args.html:
         with _writing(args.html), open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_fleet_html(
@@ -786,14 +778,8 @@ def cmd_runs_trends(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_alerts(args: argparse.Namespace) -> int:
-    config = AlertConfig(
-        k_mad=args.k_mad,
-        fidelity_tolerance=args.fidelity_tolerance,
-        include_wall=args.wall,
-        last_n=args.last,
-    )
     with RunRegistry.open_existing(args.registry) as registry:
-        report = evaluate_alerts(registry, config)
+        report = evaluate_alerts(registry, include_wall=args.wall)
     print(report.render_text())
     if args.out:
         with _writing(args.out):
@@ -921,7 +907,6 @@ def cmd_monitor_run(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         backoff_seconds=args.backoff,
         max_consecutive_failures=args.max_failures,
-        degraded_policy=args.degraded,
         fail_stages=tuple(
             args.fail_stage or (("anatomy",) if args.fail_cycle else ())
         ),
@@ -995,7 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output directory: the crash-safe "
                                  "segmented dataset store (verify with "
                                  "'repro data verify DIR') plus "
-                                 "study_meta.json and quarantine.jsonl; "
+                                 "study_meta.json, quarantine.jsonl and, "
+                                 "with --telemetry-out, scorecard.json; "
                                  "must not already hold a store")
     run_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                             help="persist crawl state here after every "
@@ -1061,8 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="registered runs in ingestion order"
     )
     _registry_arg(list_parser)
-    list_parser.add_argument("--last", type=int, default=None, metavar="N",
-                             help="only the last N runs")
     list_parser.set_defaults(handler=cmd_runs_list)
 
     show_parser = runs_commands.add_parser(
@@ -1078,10 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trends", help="per-metric trend series with median/MAD baselines"
     )
     _registry_arg(trends_parser)
-    trends_parser.add_argument("--metric", action="append", metavar="NAME",
-                               help="restrict to this metric (repeatable)")
-    trends_parser.add_argument("--last", type=int, default=None, metavar="N",
-                               help="trend over only the last N runs")
     trends_parser.add_argument("--json", action="store_true",
                                help="emit repro.trend-series/v1 JSON")
     trends_parser.add_argument("--html", default=None, metavar="PATH",
@@ -1095,18 +1075,9 @@ def build_parser() -> argparse.ArgumentParser:
              "when any deterministic anomaly rule fires",
     )
     _registry_arg(alerts_parser)
-    alerts_parser.add_argument("--k-mad", type=float, default=4.0,
-                               help="MAD multiplier for baseline-relative "
-                                    "rules")
-    alerts_parser.add_argument("--fidelity-tolerance", type=float,
-                               default=0.02,
-                               help="absolute fidelity drop tolerated "
-                                    "before alarming")
     alerts_parser.add_argument("--wall", action="store_true",
                                help="also apply the stage-time rule to "
                                     "(machine-noisy) wall clock")
-    alerts_parser.add_argument("--last", type=int, default=None, metavar="N",
-                               help="baseline over only the last N runs")
     alerts_parser.add_argument("--out", default=None, metavar="PATH",
                                help="also write machine-readable "
                                     "alerts.json here (file or directory)")
@@ -1237,10 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="N",
                              help="consecutive failed cycles before the "
                                   "daemon exits 4")
-    mrun_parser.add_argument("--degraded", default="fail",
-                             choices=["fail", "ingest"],
-                             help="a cycle with degraded analysis stages: "
-                                  "fail it (default) or ingest it anyway")
     mrun_parser.add_argument("--fail-cycle", action="append", type=int,
                              metavar="K",
                              help="drill: deliberately degrade cycle K "
@@ -1265,10 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_parser.add_argument("run_a", help="baseline telemetry directory")
     diff_parser.add_argument("run_b", help="new telemetry directory")
-    diff_parser.add_argument("--scorecard-tolerance", type=float, default=0.02,
-                             help="allowed drop in a scorecard value")
-    diff_parser.add_argument("--sim-tolerance", type=float, default=0.25,
-                             help="allowed relative growth in per-stage sim time")
     diff_parser.add_argument("--wall", action="store_true",
                              help="also print (machine-dependent) wall ratios")
     diff_parser.set_defaults(handler=cmd_diff)
@@ -1289,9 +1252,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the throughput study N times; write BENCH_pipeline.json "
              "or compare against a committed baseline",
     )
-    bench_parser.add_argument("--rounds", type=int, default=None,
+    bench_parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
                               help="timing rounds (default: "
-                                   "REPRO_BENCH_ROUNDS or 5)")
+                                   f"{DEFAULT_ROUNDS})")
     bench_parser.add_argument("--scale", type=float, default=0.02,
                               help="world scale for the bench study")
     bench_parser.add_argument("--iterations", type=int, default=3)

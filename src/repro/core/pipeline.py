@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.suite import AnalysisResults, STAGE_NAMES, run_analysis_suite
+from repro.analysis.suite import AnalysisResults, run_analysis_suite
 from repro.archive.writer import POST_COLLECTION_PHASE, ArchiveWriter
 from repro.contracts.quarantine import QuarantineStore
 from repro.contracts.schema import ValidationReport, validate_dataset
@@ -43,7 +43,6 @@ from repro.marketplaces.deploy import (
 )
 from repro.marketplaces.registry import MARKETPLACES
 from repro.marketplaces.underground import onion_host
-from repro.obs.prof import StageProfiler
 from repro.obs.quality import Scorecard, compute_scorecard
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.watchdog import CrawlWatchdog
@@ -64,21 +63,6 @@ class StudyConfig:
     scale: float = 0.05
     iterations: int = 4
     include_underground: bool = True
-    #: Record metrics/spans/events during the run.  Off by default so
-    #: benchmark timings are unaffected; the CLI's ``--telemetry-out``
-    #: switches it on.  An explicit ``Telemetry`` passed to
-    #: :class:`Study` overrides this flag.
-    telemetry_enabled: bool = False
-    #: Run the crawl-health watchdogs (coverage, error rates, stalls).
-    #: Cheap counter arithmetic; on by default, active only when
-    #: telemetry is recording.
-    watchdogs_enabled: bool = True
-    #: Record a performance profile (per-phase/per-stage wall, sim,
-    #: memory via tracemalloc, throughput) exported as ``profile.json``
-    #: next to the telemetry files.  Off by default: tracemalloc roughly
-    #: doubles allocation cost, so profiling must never leak into
-    #: benchmark timings or the <5% telemetry-overhead budget.
-    profile_enabled: bool = False
     #: Run the analysis suite at the end of the run and score its
     #: reports in the fidelity scorecard.  The suite runs once per study
     #: (``collect_and_analyze``) and is real work, the NLP pipeline
@@ -155,25 +139,19 @@ class StudyResult:
 
 
 class Study:
-    """Builds the world, deploys all sites, and runs modules 1 and 2."""
+    """Builds the world, deploys all sites, and runs modules 1 and 2.
+
+    ``telemetry`` is the one switch for metrics, spans, events, the
+    crawl-health watchdogs and (through its profiler) ``--profile``;
+    without one the run records nothing, so benchmark timings are
+    unaffected.
+    """
 
     def __init__(self, config: Optional[StudyConfig] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.config = config or StudyConfig()
         self._rng = RngTree(self.config.seed, name="study")
-        if telemetry is not None:
-            self.telemetry = telemetry
-        elif self.config.telemetry_enabled:
-            self.telemetry = Telemetry()
-        else:
-            self.telemetry = NULL_TELEMETRY
-        # ``profile_enabled`` installs a profiler on the (enabled)
-        # telemetry unless the caller already supplied one.
-        if (self.config.profile_enabled and self.telemetry.enabled
-                and not self.telemetry.profiler.enabled):
-            self.telemetry.use_profiler(
-                StageProfiler(stages_expected=STAGE_NAMES)
-            )
+        self.telemetry = telemetry or NULL_TELEMETRY
 
     # -- module 1: collect marketplaces ------------------------------------
 
@@ -193,9 +171,8 @@ class Study:
     def _run_instrumented(self, telemetry: Telemetry) -> StudyResult:
         tracer = telemetry.tracer
         profiler = telemetry.profiler
-        internet = Internet()
+        internet = Internet(telemetry=telemetry)
         telemetry.set_clock(internet.clock)
-        internet.set_telemetry(telemetry)
 
         # Chaos: interpose the fault injector between client and sites.
         # Sites still register against the real Internet (the injector
@@ -278,7 +255,7 @@ class Study:
             begin_epoch(iteration)
 
         watchdog: Optional[CrawlWatchdog] = None
-        if telemetry.enabled and self.config.watchdogs_enabled:
+        if telemetry.enabled:
             watchdog = CrawlWatchdog(
                 telemetry=telemetry,
                 clock=internet.clock,

@@ -52,7 +52,7 @@ from repro.monitor.supervisor import (
     CycleSupervisor,
     DegradedCycleFault,
 )
-from repro.obs.alerts import AlertConfig, evaluate_alerts, write_alerts
+from repro.obs.alerts import evaluate_alerts, write_alerts
 from repro.obs.manifest import write_telemetry_dir
 from repro.obs.registry import REGISTRY_FILENAME, RunRegistry
 from repro.obs.schemas import config_hash
@@ -109,9 +109,6 @@ class MonitorConfig:
     max_attempts: int = 2
     backoff_seconds: float = 300.0
     max_consecutive_failures: int = 3
-    #: A cycle whose analysis stages degraded: "fail" the cycle (default
-    #: — a degraded run is not a valid measurement) or "ingest" it.
-    degraded_policy: str = "fail"
     #: Drill: deliberately fail these analysis stages...
     fail_stages: Tuple[str, ...] = ()
     #: ...in these cycles only (empty = never).
@@ -144,7 +141,6 @@ class MonitorConfig:
             scale=self.scale,
             iterations=self.iterations,
             include_underground=self.include_underground,
-            telemetry_enabled=True,
             chaos_profile=self.chaos_profile,
             scorecard_enabled=True,
             fail_stages=fail_stages,
@@ -413,13 +409,13 @@ class MonitorDaemon:
             command=["monitor", run_id_for_cycle(cycle)],
         )
 
-        if result.stage_failures and self.config.degraded_policy == "fail":
+        if result.stage_failures:
             stages = ",".join(
                 sorted(failure.stage for failure in result.stage_failures)
             )
             raise DegradedCycleFault(
                 f"{len(result.stage_failures)} analysis stage(s) degraded "
-                f"({stages}); degraded_policy=fail rejects the measurement"
+                f"({stages}); a degraded run is not a valid measurement"
             )
 
         self._hook("before_ingest", cycle, attempt)
@@ -429,7 +425,7 @@ class MonitorDaemon:
             # idempotent no-op with the same registry seq.
             ingest = registry.ingest(run_dir,
                                      run_id=run_id_for_cycle(cycle))
-            report = evaluate_alerts(registry, AlertConfig())
+            report = evaluate_alerts(registry)
         write_alerts(run_dir, report)
         for alert in report.alerts:
             self._log(

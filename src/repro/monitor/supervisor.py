@@ -47,8 +47,8 @@ class InjectedCycleFault(CycleFault):
 
 
 class DegradedCycleFault(CycleFault):
-    """The study ran but analysis stages failed and the monitor's
-    degraded policy says a degraded run is not a valid measurement."""
+    """The study ran but analysis stages failed: a degraded run is not
+    a valid measurement, so the cycle fails."""
 
     kind = "degraded"
 

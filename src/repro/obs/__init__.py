@@ -40,7 +40,6 @@ package makes it inspectable end to end:
 from repro.obs.alerts import (
     ALERTS_FILENAME,
     Alert,
-    AlertConfig,
     AlertNote,
     AlertReport,
     evaluate_alerts,
@@ -58,7 +57,7 @@ from repro.obs.bench import (
     write_bench,
 )
 
-from repro.obs.diff import DiffConfig, DiffLine, RunDiff, diff_runs
+from repro.obs.diff import DiffLine, RunDiff, diff_runs
 from repro.obs.events import Event, EventLog, NullEventLog
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
@@ -140,14 +139,13 @@ from repro.obs.telemetry import (
     configure_logging,
 )
 from repro.obs.trace import NullTracer, SpanRecord, SpanTracer, stage_summary
-from repro.obs.watchdog import CrawlWatchdog, Finding, WatchdogConfig
+from repro.obs.watchdog import CrawlWatchdog, Finding
 
 __all__ = [
     "ALERTS_FILENAME",
     "ALERTS_SCHEMA",
     "ARTIFACT_SCHEMAS",
     "Alert",
-    "AlertConfig",
     "AlertNote",
     "AlertReport",
     "BENCH_FILENAME",
@@ -183,7 +181,6 @@ __all__ = [
     "BenchError",
     "Counter",
     "CrawlWatchdog",
-    "DiffConfig",
     "DiffLine",
     "Event",
     "EventLog",
@@ -214,7 +211,6 @@ __all__ = [
     "TRACE_FILENAME",
     "Telemetry",
     "TelemetryDirError",
-    "WatchdogConfig",
     "build_manifest",
     "compare_bench",
     "compute_scorecard",

@@ -2,14 +2,18 @@
 
 ``repro runs alerts`` judges the **latest** registered run against the
 robust baseline (median/MAD, :mod:`repro.obs.trends`) of every run
-before it, applying fixed rules:
+before it, applying fixed rules.  The baseline-relative rules need at
+least two earlier runs: against one, the MAD is 0 and seed-to-seed
+variation alone would cross the floors.
 
 ``fidelity_band``
     A scorecard metric of the latest run is outside its own calibration
     band (the band ships inside ``scorecard.json``) — critical.
 ``fidelity_drop``
-    A fidelity score fell below the baseline median by more than
-    ``max(k·MAD, fidelity_tolerance)`` — warning.
+    A ground-truth fidelity score fell below the baseline median by
+    more than ``max(k·MAD, fidelity_tolerance)`` — warning.  Calibration
+    and coverage entries are bands, which ``fidelity_band`` judges (the
+    rule ``repro diff`` applies too).
 ``stage_time``
     A stage's **simulated** duration exceeds baseline median +
     ``max(k·MAD, rel_floor·median, abs_floor)`` — warning.  Wall-clock
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.obs.schemas import ALERTS_SCHEMA
 from repro.obs.summary import Section, format_text
@@ -52,45 +56,22 @@ from repro.util.fileio import atomic_write_json
 
 ALERTS_FILENAME = "alerts.json"
 
-_LEVELS = {"warning": "warning", "critical": "error"}
-
-
-@dataclass(frozen=True)
-class AlertConfig:
-    """Thresholds for the deterministic rules; every field has a floor
-    so zero-variance histories (MAD = 0) need a real move to alarm."""
-
-    #: MAD multiplier for all baseline-relative rules.
-    k_mad: float = 4.0
-    #: Absolute drop a fidelity score may take before alarming.
-    fidelity_tolerance: float = 0.02
-    #: Relative growth a stage's sim time may take before alarming.
-    stage_time_rel_floor: float = 0.25
-    #: Absolute sim-seconds growth always tolerated.
-    stage_time_abs_floor: float = 60.0
-    #: Absolute error-rate rise always tolerated.
-    error_rate_tolerance: float = 0.01
-    #: Extra quarantined records always tolerated.
-    quarantine_floor: float = 5.0
-    #: Relative drop in crawl pages before coverage alarms.
-    coverage_tolerance: float = 0.05
-    #: Also apply the stage-time rule to wall clock (machine-noisy).
-    include_wall: bool = False
-    #: Judge against only the last N registered runs (None = all).
-    last_n: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "k_mad": self.k_mad,
-            "fidelity_tolerance": self.fidelity_tolerance,
-            "stage_time_rel_floor": self.stage_time_rel_floor,
-            "stage_time_abs_floor": self.stage_time_abs_floor,
-            "error_rate_tolerance": self.error_rate_tolerance,
-            "quarantine_floor": self.quarantine_floor,
-            "coverage_tolerance": self.coverage_tolerance,
-            "include_wall": self.include_wall,
-            "last_n": self.last_n,
-        }
+# The thresholds of the rules; every one has a floor so zero-variance
+# histories (MAD = 0) need a real move to alarm.
+#: MAD multiplier for all baseline-relative rules.
+K_MAD = 4.0
+#: Absolute drop a ground-truth fidelity score may take before alarming.
+FIDELITY_TOLERANCE = 0.02
+#: Relative growth a stage's sim time may take before alarming.
+STAGE_TIME_REL_FLOOR = 0.25
+#: Absolute sim-seconds growth always tolerated.
+STAGE_TIME_ABS_FLOOR = 60.0
+#: Absolute error-rate rise always tolerated.
+ERROR_RATE_TOLERANCE = 0.01
+#: Extra quarantined records always tolerated.
+QUARANTINE_FLOOR = 5.0
+#: Relative drop in crawl pages before coverage alarms.
+COVERAGE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -144,7 +125,8 @@ class AlertReport:
 
     run_id: str
     runs_considered: int
-    config: AlertConfig
+    #: The stage-time rule also judged wall clock (``--wall``).
+    include_wall: bool = False
     alerts: List[Alert] = field(default_factory=list)
     notes: List[AlertNote] = field(default_factory=list)
 
@@ -165,7 +147,16 @@ class AlertReport:
             "runs_considered": self.runs_considered,
             "fired": self.fired,
             "counts": self.counts(),
-            "config": self.config.to_dict(),
+            "config": {
+                "k_mad": K_MAD,
+                "fidelity_tolerance": FIDELITY_TOLERANCE,
+                "stage_time_rel_floor": STAGE_TIME_REL_FLOOR,
+                "stage_time_abs_floor": STAGE_TIME_ABS_FLOOR,
+                "error_rate_tolerance": ERROR_RATE_TOLERANCE,
+                "quarantine_floor": QUARANTINE_FLOOR,
+                "coverage_tolerance": COVERAGE_TOLERANCE,
+                "include_wall": self.include_wall,
+            },
             "alerts": [
                 alert.to_dict()
                 for alert in sorted(
@@ -218,29 +209,30 @@ def alerts_section(document: dict) -> Section:
     )
 
 
-def evaluate_alerts(registry, config: Optional[AlertConfig] = None,
-                    events=None) -> AlertReport:
+def evaluate_alerts(registry, *, include_wall: bool = False) -> AlertReport:
     """Apply every rule to the latest run in ``registry``.
 
-    ``events`` may be an :class:`~repro.obs.events.EventLog` (or the
-    telemetry facade's event sink); each fired alert is also emitted as
-    a structured ``alert.<rule>`` event.
-    """
-    config = config or AlertConfig()
-    runs = registry.runs(last_n=config.last_n)
+    ``include_wall`` also applies the stage-time rule to wall clock
+    (``repro runs alerts --wall``)."""
+    runs = registry.runs()
     if not runs:
-        return AlertReport(run_id="", runs_considered=0, config=config)
+        return AlertReport(run_id="", runs_considered=0,
+                           include_wall=include_wall)
     latest = runs[-1]
     report = AlertReport(
-        run_id=latest.run_id, runs_considered=len(runs), config=config,
+        run_id=latest.run_id, runs_considered=len(runs),
+        include_wall=include_wall,
     )
-    trends = {
-        series.name: series
-        for series in compute_trends(registry, last_n=config.last_n)
+    scorecard = (registry.document(latest.run_id) or {}).get("scorecard")
+    entries = (scorecard or {}).get("entries") or []
+    ground_truth = {
+        f"fidelity.{entry.get('name')}" for entry in entries
+        if entry.get("kind") == "ground_truth"
     }
 
-    _check_fidelity_band(registry, latest, report)
-    for name, series in sorted(trends.items()):
+    _check_fidelity_band(entries, latest, report)
+    for series in compute_trends(registry):
+        name = series.name
         if series.points[-1].seq != latest.seq:
             # The latest run did not report this metric.  A degraded
             # (failed-stage) run legitimately misses whole metric
@@ -249,7 +241,7 @@ def evaluate_alerts(registry, config: Optional[AlertConfig] = None,
             # the record.  Machine-dependent metrics (wall clock,
             # profile) are only noted when wall alerting is opted in:
             # an unprofiled run after profiled ones is not a finding.
-            if series.machine_dependent and not config.include_wall:
+            if series.machine_dependent and not include_wall:
                 continue
             report.notes.append(AlertNote(
                 kind="missing_metric", metric=name,
@@ -259,34 +251,22 @@ def evaluate_alerts(registry, config: Optional[AlertConfig] = None,
                 ),
             ))
             continue
-        if series.n < 2:
+        if series.n < 3:
+            # Fewer than two baseline runs: no spread to judge against.
             continue
-        if name.startswith("fidelity.") and not name.endswith(
-                (".passed", ".n_failed")):
-            _check_fidelity_drop(series, config, report)
+        if name in ground_truth:
+            _check_fidelity_drop(series, report)
         elif name.startswith("stage_sim_seconds."):
-            _check_stage_time(series, config, report, clock="sim")
-        elif name.startswith("stage_wall_seconds.") and config.include_wall:
-            _check_stage_time(series, config, report, clock="wall")
+            _check_stage_time(series, report, clock="sim")
+        elif name.startswith("stage_wall_seconds.") and include_wall:
+            _check_stage_time(series, report, clock="wall")
         elif name == "crawl.error_rate":
-            _check_error_rate(series, config, report)
+            _check_error_rate(series, report)
         elif name == "contracts.quarantine_total":
-            _check_quarantine(series, config, report)
+            _check_quarantine(series, report)
         elif name in ("crawl.pages_total", "contracts.coverage",
                       "trace.stages_total"):
-            _check_coverage(series, config, report)
-
-    if events is not None:
-        for alert in report.alerts:
-            events.emit(
-                f"alert.{alert.rule}",
-                level=_LEVELS.get(alert.severity, "warning"),
-                metric=alert.metric,
-                run_id=alert.run_id,
-                value=round(alert.value, 9),
-                threshold=round(alert.threshold, 9),
-                message=alert.message,
-            )
+            _check_coverage(series, report)
     return report
 
 
@@ -294,13 +274,9 @@ def evaluate_alerts(registry, config: Optional[AlertConfig] = None,
 # individual rules
 # ---------------------------------------------------------------------------
 
-def _check_fidelity_band(registry, latest, report: AlertReport) -> None:
+def _check_fidelity_band(entries, latest, report: AlertReport) -> None:
     """Scorecard entries of the latest run outside their own band."""
-    document = registry.document(latest.run_id) or {}
-    scorecard = document.get("scorecard")
-    if not scorecard:
-        return
-    for entry in scorecard.get("entries") or []:
+    for entry in entries:
         if entry.get("passed", True):
             continue
         raw = (entry.get("value"), entry.get("low"), entry.get("high"))
@@ -333,11 +309,9 @@ def _check_fidelity_band(registry, latest, report: AlertReport) -> None:
         ))
 
 
-def _check_fidelity_drop(series: TrendSeries, config: AlertConfig,
-                         report: AlertReport) -> None:
+def _check_fidelity_drop(series: TrendSeries, report: AlertReport) -> None:
     baseline = series.baseline_median()
-    slack = max(config.k_mad * series.baseline_mad(),
-                config.fidelity_tolerance)
+    slack = max(K_MAD * series.baseline_mad(), FIDELITY_TOLERANCE)
     threshold = baseline - slack
     if series.latest < threshold:
         report.alerts.append(Alert(
@@ -352,13 +326,13 @@ def _check_fidelity_drop(series: TrendSeries, config: AlertConfig,
         ))
 
 
-def _check_stage_time(series: TrendSeries, config: AlertConfig,
-                      report: AlertReport, clock: str) -> None:
+def _check_stage_time(series: TrendSeries, report: AlertReport,
+                      clock: str) -> None:
     baseline = series.baseline_median()
     slack = max(
-        config.k_mad * series.baseline_mad(),
-        config.stage_time_rel_floor * baseline,
-        config.stage_time_abs_floor if clock == "sim" else 0.05,
+        K_MAD * series.baseline_mad(),
+        STAGE_TIME_REL_FLOOR * baseline,
+        STAGE_TIME_ABS_FLOOR if clock == "sim" else 0.05,
     )
     threshold = baseline + slack
     if series.latest > threshold:
@@ -374,11 +348,9 @@ def _check_stage_time(series: TrendSeries, config: AlertConfig,
         ))
 
 
-def _check_error_rate(series: TrendSeries, config: AlertConfig,
-                      report: AlertReport) -> None:
+def _check_error_rate(series: TrendSeries, report: AlertReport) -> None:
     baseline = series.baseline_median()
-    slack = max(config.k_mad * series.baseline_mad(),
-                config.error_rate_tolerance)
+    slack = max(K_MAD * series.baseline_mad(), ERROR_RATE_TOLERANCE)
     threshold = baseline + slack
     if series.latest > threshold:
         report.alerts.append(Alert(
@@ -393,11 +365,9 @@ def _check_error_rate(series: TrendSeries, config: AlertConfig,
         ))
 
 
-def _check_quarantine(series: TrendSeries, config: AlertConfig,
-                      report: AlertReport) -> None:
+def _check_quarantine(series: TrendSeries, report: AlertReport) -> None:
     baseline = series.baseline_median()
-    slack = max(config.k_mad * series.baseline_mad(),
-                config.quarantine_floor)
+    slack = max(K_MAD * series.baseline_mad(), QUARANTINE_FLOOR)
     threshold = baseline + slack
     if series.latest > threshold:
         report.alerts.append(Alert(
@@ -412,10 +382,9 @@ def _check_quarantine(series: TrendSeries, config: AlertConfig,
         ))
 
 
-def _check_coverage(series: TrendSeries, config: AlertConfig,
-                    report: AlertReport) -> None:
+def _check_coverage(series: TrendSeries, report: AlertReport) -> None:
     baseline = series.baseline_median()
-    threshold = baseline * (1.0 - config.coverage_tolerance)
+    threshold = baseline * (1.0 - COVERAGE_TOLERANCE)
     if series.latest < threshold:
         report.alerts.append(Alert(
             rule="coverage_drop", metric=series.name,
@@ -424,7 +393,7 @@ def _check_coverage(series: TrendSeries, config: AlertConfig,
             severity="critical",
             message=(
                 f"coverage {series.latest:g} fell below "
-                f"{threshold:g} ({100 * config.coverage_tolerance:g}% under "
+                f"{threshold:g} ({100 * COVERAGE_TOLERANCE:g}% under "
                 f"baseline median {baseline:g})"
             ),
         ))
@@ -444,7 +413,6 @@ def write_alerts(path: str, report: AlertReport) -> str:
 __all__ = [
     "ALERTS_FILENAME",
     "Alert",
-    "AlertConfig",
     "AlertNote",
     "AlertReport",
     "alerts_section",

@@ -42,8 +42,7 @@ from repro.util.stats import percentile
 
 BENCH_FILENAME = "BENCH_pipeline.json"
 
-#: Default timing rounds; overridable via ``REPRO_BENCH_ROUNDS`` or
-#: ``repro bench --rounds``.
+#: Default timing rounds (``repro bench --rounds``).
 DEFAULT_ROUNDS = 5
 #: Default relative drift tolerated before a metric counts as improved
 #: or regressed.
@@ -58,15 +57,6 @@ class BenchError(RuntimeError):
 
     The message is a single printable line; the CLI maps it to exit 2.
     """
-
-
-def default_rounds() -> int:
-    """Rounds from ``REPRO_BENCH_ROUNDS`` (default :data:`DEFAULT_ROUNDS`)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_ROUNDS",
-                                         str(DEFAULT_ROUNDS))))
-    except ValueError:
-        return DEFAULT_ROUNDS
 
 
 def env_fingerprint() -> dict:
@@ -91,9 +81,8 @@ def _summary(values: Sequence[float]) -> dict:
     }
 
 
-def run_bench(rounds: Optional[int] = None, scale: float = 0.02,
+def run_bench(rounds: int = DEFAULT_ROUNDS, scale: float = 0.02,
               iterations: int = 3, seed: int = 99,
-              memory_round: bool = True,
               profile_out: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None) -> dict:
     """Run the throughput study ``rounds`` times and build a bench dict.
@@ -108,7 +97,7 @@ def run_bench(rounds: Optional[int] = None, scale: float = 0.02,
     from repro.core.pipeline import Study, StudyConfig
     from repro.obs.telemetry import Telemetry
 
-    rounds = default_rounds() if rounds is None else max(1, rounds)
+    rounds = max(1, rounds)
     config = StudyConfig(seed=seed, scale=scale, iterations=iterations)
     say = progress or (lambda line: None)
 
@@ -119,11 +108,7 @@ def run_bench(rounds: Optional[int] = None, scale: float = 0.02,
     sim_seconds = 0.0
 
     def one_round(memory: bool) -> StageProfiler:
-        profiler = StageProfiler(
-            memory=memory,
-            top_allocations=5 if memory else 0,
-            stages_expected=STAGE_NAMES,
-        )
+        profiler = StageProfiler(memory=memory, stages_expected=STAGE_NAMES)
         telemetry = Telemetry(profiler=profiler)
         Study(config, telemetry=telemetry).run()
         return profiler
@@ -143,17 +128,16 @@ def run_bench(rounds: Optional[int] = None, scale: float = 0.02,
             )
             stage_sims[phase["name"]] = phase["sim_seconds"]
 
-    memory: Optional[dict] = None
-    stage_memory: Dict[str, int] = {}
-    if memory_round:
-        say("memory round (tracemalloc on)")
-        profiler = one_round(memory=True)
-        snapshot = profiler.snapshot()
-        memory = snapshot["totals"]["memory"]
-        for phase in snapshot["phases"]:
-            stage_memory[phase["name"]] = phase["memory"]["peak_bytes"]
-        if profile_out:
-            profiler.export_json(profile_out)
+    say("memory round (tracemalloc on)")
+    profiler = one_round(memory=True)
+    snapshot = profiler.snapshot()
+    memory = snapshot["totals"]["memory"]
+    stage_memory = {
+        phase["name"]: phase["memory"]["peak_bytes"]
+        for phase in snapshot["phases"]
+    }
+    if profile_out:
+        profiler.export_json(profile_out)
 
     wall_median = percentile(total_walls, 50)
     pages = int(counts.get("pages", 0))
@@ -357,7 +341,6 @@ __all__ = [
     "REGRESSED",
     "WITHIN_NOISE",
     "compare_bench",
-    "default_rounds",
     "env_fingerprint",
     "load_baseline",
     "run_bench",

@@ -25,7 +25,7 @@ regressions found, 2 = a directory could not be loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Substrings marking a metric as "more of it is worse".
 _ERROR_METRIC_MARKERS = ("error", "robots_blocked", "watchdog_findings")
@@ -34,18 +34,11 @@ _ERROR_METRIC_MARKERS = ("error", "robots_blocked", "watchdog_findings")
 _ERROR_METRIC_TOLERANCE = 0.0
 #: Absolute drop in a coverage ratio tolerated.
 _COVERAGE_TOLERANCE = 0.02
-
-
-@dataclass(frozen=True)
-class DiffConfig:
-    """Tolerances for regression classification."""
-
-    #: Absolute drop in a scorecard value that counts as a regression.
-    scorecard_tolerance: float = 0.02
-    #: Relative growth in per-stage *simulated* duration tolerated.
-    sim_duration_tolerance: float = 0.25
-    #: Include (nondeterministic) wall-clock ratios in the rendering.
-    include_wall: bool = False
+#: Absolute drop in a ground-truth scorecard value that counts as a
+#: regression.
+_SCORECARD_TOLERANCE = 0.02
+#: Relative growth in per-stage *simulated* duration tolerated.
+_SIM_DURATION_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -111,15 +104,16 @@ class RunDiff:
         return "\n".join(out)
 
 
-def diff_runs(a: dict, b: dict,
-              config: Optional[DiffConfig] = None) -> RunDiff:
-    """Compare two run-dir documents (A = baseline, B = new)."""
-    config = config or DiffConfig()
+def diff_runs(a: dict, b: dict, *, include_wall: bool = False) -> RunDiff:
+    """Compare two run-dir documents (A = baseline, B = new).
+
+    ``include_wall`` adds the informational wall-ratio section
+    (``repro diff --wall``)."""
     diff = RunDiff(run_a=a["path"], run_b=b["path"])
-    _diff_scorecards(diff, a, b, config)
+    _diff_scorecards(diff, a, b)
     _diff_metrics(diff, a, b)
     _diff_events(diff, a, b)
-    _diff_stages(diff, a, b, config)
+    _diff_stages(diff, a, b, include_wall)
     return diff
 
 
@@ -127,8 +121,7 @@ def diff_runs(a: dict, b: dict,
 # sections
 # ---------------------------------------------------------------------------
 
-def _diff_scorecards(diff: RunDiff, a: dict, b: dict,
-                     config: DiffConfig) -> None:
+def _diff_scorecards(diff: RunDiff, a: dict, b: dict) -> None:
     entries_a = {e["name"]: e for e in (a["scorecard"] or {}).get("entries", [])}
     entries_b = {e["name"]: e for e in (b["scorecard"] or {}).get("entries", [])}
     for name in sorted(set(entries_a) | set(entries_b)):
@@ -152,7 +145,7 @@ def _diff_scorecards(diff: RunDiff, a: dict, b: dict,
         dropped = (
             ea.get("kind") == "ground_truth"
             and isinstance(va, (int, float)) and isinstance(vb, (int, float))
-            and va - vb > config.scorecard_tolerance
+            and va - vb > _SCORECARD_TOLERANCE
         )
         if va != vb or newly_failing:
             note = "now failing" if newly_failing else ""
@@ -215,7 +208,7 @@ def _diff_events(diff: RunDiff, a: dict, b: dict) -> None:
 
 
 def _diff_stages(diff: RunDiff, a: dict, b: dict,
-                 config: DiffConfig) -> None:
+                 include_wall: bool) -> None:
     stages_a = {stage["name"]: stage for stage in a["stages"]}
     stages_b = {stage["name"]: stage for stage in b["stages"]}
     for name in sorted(set(stages_a) | set(stages_b)):
@@ -234,7 +227,7 @@ def _diff_stages(diff: RunDiff, a: dict, b: dict,
         if sim_a != sim_b:
             slower = (
                 sim_a > 0
-                and sim_b > sim_a * (1.0 + config.sim_duration_tolerance)
+                and sim_b > sim_a * (1.0 + _SIM_DURATION_TOLERANCE)
             )
             ratio = sim_b / sim_a if sim_a else float("inf")
             diff.lines.append(DiffLine(
@@ -242,7 +235,7 @@ def _diff_stages(diff: RunDiff, a: dict, b: dict,
                 regression=slower,
                 note=f"x{ratio:.2f}" if sim_a else "new sim time",
             ))
-        if config.include_wall:
+        if include_wall:
             wall_a = float(sa.get("wall_seconds", 0.0))
             wall_b = float(sb.get("wall_seconds", 0.0))
             if wall_a > 0:
@@ -252,4 +245,4 @@ def _diff_stages(diff: RunDiff, a: dict, b: dict,
                 )
 
 
-__all__ = ["DiffConfig", "DiffLine", "RunDiff", "diff_runs"]
+__all__ = ["DiffLine", "RunDiff", "diff_runs"]

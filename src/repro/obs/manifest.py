@@ -27,12 +27,13 @@ from repro.util.fileio import atomic_write_json
 MANIFEST_FILENAME = "manifest.json"
 
 
-def git_describe(cwd: Optional[str] = None) -> Optional[str]:
-    """``git describe --always --dirty`` of the working tree, or None."""
+def git_describe() -> Optional[str]:
+    """``git describe --always --dirty`` of the tree this package runs
+    from, or None."""
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=cwd or os.path.dirname(os.path.abspath(__file__)),
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,

@@ -1,8 +1,8 @@
 """Continuous performance profiling: ``--profile`` / ``profile.json``.
 
 A :class:`StageProfiler` keeps no clock of its own: it observes the
-run's :class:`~repro.obs.trace.SpanTracer` (installed by
-:meth:`~repro.obs.telemetry.Telemetry.use_profiler`) and reads every
+run's :class:`~repro.obs.trace.SpanTracer` (installed by the
+:class:`~repro.obs.telemetry.Telemetry` it is passed to) and reads every
 time off the spans.  A *phase* is every child of the run's root span —
 the same spans the manifest lists as ``stages`` — plus every
 ``stage.<name>`` analysis-stage span at any depth.  Per phase it records:
@@ -63,6 +63,9 @@ MACHINE_KEYS = frozenset({"wall_seconds", "throughput", "memory", "env"})
 
 #: Prefix marking a profiled analysis stage (``stage.<name>``).
 STAGE_PREFIX = "stage."
+
+#: Allocation sites kept per phase in a memory profile.
+TOP_ALLOCATIONS = 5
 
 
 def _round6(value: float) -> float:
@@ -146,11 +149,10 @@ class StageProfiler:
     dedicated memory round records peaks separately.
     """
 
-    def __init__(self, memory: bool = True, top_allocations: int = 5,
+    def __init__(self, memory: bool = True,
                  stages_expected: Sequence[str] = ()) -> None:
         self.enabled = True
         self.memory = memory
-        self.top_allocations = top_allocations
         self.stages_expected: Tuple[str, ...] = tuple(stages_expected)
         self.phases: List[PhaseProfile] = []
         self.clients: List[dict] = []
@@ -183,8 +185,7 @@ class StageProfiler:
         if self.memory and tracemalloc.is_tracing():
             window.start_current = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            if self.top_allocations:
-                window.snapshot = tracemalloc.take_snapshot()
+            window.snapshot = tracemalloc.take_snapshot()
         self._windows.append(window)
 
     def span_closed(self, record: SpanRecord) -> None:
@@ -236,7 +237,7 @@ class StageProfiler:
                 "count": int(stat.count_diff),
             })
         sites.sort(key=lambda s: (-s["size_bytes"], s["site"]))
-        return sites[: self.top_allocations]
+        return sites[:TOP_ALLOCATIONS]
 
     # -- attribution -----------------------------------------------------
 

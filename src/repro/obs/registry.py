@@ -409,9 +409,9 @@ class RunRegistry:
 
     # -- queries -----------------------------------------------------------
 
-    def runs(self, last_n: Optional[int] = None) -> List[RunRow]:
-        """Registered runs in ingestion order (optionally the last N)."""
-        rows = [
+    def runs(self) -> List[RunRow]:
+        """Registered runs in ingestion order."""
+        return [
             RunRow(
                 seq=seq, run_id=run_id, seed=seed,
                 config_hash=config_hash_value, ingested_at=ingested_at,
@@ -429,9 +429,6 @@ class RunRegistry:
                 " scorecard_passed FROM runs ORDER BY seq"
             )
         ]
-        if last_n is not None and last_n > 0:
-            rows = rows[-last_n:]
-        return rows
 
     def run(self, run_id: str) -> Optional[RunRow]:
         """The most recently ingested row with this run id."""
@@ -454,11 +451,10 @@ class RunRegistry:
             )
         ]
 
-    def series(self, name: str,
-               last_n: Optional[int] = None) -> List[Tuple[int, str, float]]:
+    def series(self, name: str) -> List[Tuple[int, str, float]]:
         """One metric across runs as ``(seq, run_id, value)`` rows in
         ingestion order."""
-        rows = [
+        return [
             (seq, run_id, value)
             for (seq, run_id, value) in self._conn.execute(
                 "SELECT seq, run_id, value FROM metrics WHERE name = ?"
@@ -466,9 +462,6 @@ class RunRegistry:
                 (name,),
             )
         ]
-        if last_n is not None and last_n > 0:
-            rows = rows[-last_n:]
-        return rows
 
     def metrics_of(self, seq: int) -> Dict[str, Tuple[float, str]]:
         """Every metric row of one registered run."""

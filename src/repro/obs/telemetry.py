@@ -11,10 +11,10 @@ disabled path costs one attribute lookup and an empty method call.
 exists, so spans and events are stamped in simulated seconds and stay
 deterministic across same-seed runs.
 
-The span tracer is the only timer.  A ``--profile`` run installs a
-:class:`~repro.obs.prof.StageProfiler` as the tracer's observer
-(:meth:`Telemetry.use_profiler`); it adds memory, counts and per-client
-tallies to the phase spans, and needs enabled telemetry to see any.
+The span tracer is the only timer.  A ``--profile`` run passes a
+:class:`~repro.obs.prof.StageProfiler`, which becomes the tracer's
+observer; it adds memory, counts and per-client tallies to the phase
+spans, and needs enabled telemetry to see any.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class Telemetry:
                  profiler: Optional[StageProfiler] = None) -> None:
         self.enabled = enabled
         #: The performance profiler (``--profile``); the shared no-op
-        #: unless one is supplied or installed later by the pipeline.
-        self.profiler = NULL_PROFILER
+        #: unless one is supplied.
+        self.profiler = profiler or NULL_PROFILER
         if enabled:
             self.metrics: Union[MetricsRegistry, NullRegistry] = MetricsRegistry()
             self.tracer: Union[SpanTracer, NullTracer] = SpanTracer(clock)
@@ -53,12 +53,7 @@ class Telemetry:
             self.tracer = NullTracer()
             self.events = NullEventLog()
         if profiler is not None:
-            self.use_profiler(profiler)
-
-    def use_profiler(self, profiler: StageProfiler) -> None:
-        """Profile this telemetry's spans (see :mod:`repro.obs.prof`)."""
-        self.profiler = profiler
-        self.tracer.observer = profiler
+            self.tracer.observer = profiler
 
     @classmethod
     def disabled(cls) -> "Telemetry":

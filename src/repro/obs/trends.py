@@ -133,22 +133,17 @@ class TrendSeries:
         }
 
 
-def compute_trends(registry, names: Optional[Sequence[str]] = None,
-                   last_n: Optional[int] = None) -> List[TrendSeries]:
-    """Every requested metric (default: all) as a trend series over the
-    last ``last_n`` runs (default: all), sorted by name."""
-    wanted = list(names) if names else registry.metric_names()
-    series_list: List[TrendSeries] = []
-    for name in sorted(set(wanted)):
-        rows = registry.series(name, last_n=last_n)
-        if not rows:
-            continue
-        series_list.append(TrendSeries(
+def compute_trends(registry) -> List[TrendSeries]:
+    """Every registered metric as a trend series over all runs, sorted
+    by name."""
+    return [
+        TrendSeries(
             name=name,
             points=[TrendPoint(seq, run_id, value)
-                    for (seq, run_id, value) in rows],
-        ))
-    return series_list
+                    for (seq, run_id, value) in registry.series(name)],
+        )
+        for name in registry.metric_names()
+    ]
 
 
 def trends_document(series_list: Sequence[TrendSeries],

@@ -25,7 +25,7 @@ enough to stay enabled by default under the telemetry overhead budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -37,23 +37,19 @@ _SEVERITY_LEVELS = {"warning": "warning", "critical": "error"}
 _BAN_STATUSES = ("403", "429")
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Thresholds for the crawl-health checks."""
-
-    #: Minimum extracted/served offer ratio per marketplace+iteration.
-    coverage_floor: float = 0.85
-    #: Below this ratio coverage escalates from warning to critical.
-    coverage_critical: float = 0.5
-    #: Maximum errors / pages-fetched per marketplace+iteration.
-    error_rate_ceiling: float = 0.25
-    #: Maximum 403/429 share of fetched pages before flagging a ban.
-    ban_rate_ceiling: float = 0.10
-    #: Iterations slower than ``stall_factor`` x the median iteration's
-    #: simulated duration are flagged as stalls.
-    stall_factor: float = 5.0
-    #: Don't judge ratios on fewer pages than this (tiny marketplaces).
-    min_pages: int = 4
+#: Minimum extracted/served offer ratio per marketplace+iteration.
+COVERAGE_FLOOR = 0.85
+#: Below this ratio coverage escalates from warning to critical.
+COVERAGE_CRITICAL = 0.5
+#: Maximum errors / pages-fetched per marketplace+iteration.
+ERROR_RATE_CEILING = 0.25
+#: Maximum 403/429 share of fetched pages before flagging a ban.
+BAN_RATE_CEILING = 0.10
+#: Iterations slower than ``STALL_FACTOR`` x the median iteration's
+#: simulated duration are flagged as stalls.
+STALL_FACTOR = 5.0
+#: Don't judge ratios on fewer pages than this (tiny marketplaces).
+MIN_PAGES = 4
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,10 @@ class CrawlWatchdog:
     def __init__(
         self,
         telemetry: Optional[Telemetry] = None,
-        config: Optional[WatchdogConfig] = None,
         clock=None,
         expected_counts: Optional[Callable[[], Dict[str, int]]] = None,
     ) -> None:
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.config = config or WatchdogConfig()
         self._clock = clock
         self._expected_counts = expected_counts
         self.findings: List[Finding] = []
@@ -148,16 +142,13 @@ class CrawlWatchdog:
                 continue
             ratio = parsed.get(marketplace, 0) / served
             coverage_gauge.set(round(ratio, 6), marketplace=marketplace)
-            if ratio >= self.config.coverage_floor:
+            if ratio >= COVERAGE_FLOOR:
                 continue
-            severity = (
-                "critical" if ratio < self.config.coverage_critical
-                else "warning"
-            )
+            severity = "critical" if ratio < COVERAGE_CRITICAL else "warning"
             self._record(Finding(
                 check="coverage", severity=severity, subject=marketplace,
                 iteration=iteration, value=ratio,
-                threshold=self.config.coverage_floor,
+                threshold=COVERAGE_FLOOR,
                 message=(
                     f"{marketplace}: extracted "
                     f"{parsed.get(marketplace, 0)}/{served} served offers "
@@ -167,14 +158,14 @@ class CrawlWatchdog:
 
     def _check_error_rates(self, iteration: int, report) -> None:
         pages = report.pages_fetched
-        if pages < self.config.min_pages:
+        if pages < MIN_PAGES:
             return
         error_rate = report.errors / pages
-        if error_rate > self.config.error_rate_ceiling:
+        if error_rate > ERROR_RATE_CEILING:
             self._record(Finding(
                 check="error_rate", severity="warning",
                 subject=report.marketplace, iteration=iteration,
-                value=error_rate, threshold=self.config.error_rate_ceiling,
+                value=error_rate, threshold=ERROR_RATE_CEILING,
                 message=(
                     f"{report.marketplace}: {report.errors} errors over "
                     f"{pages} pages at iteration {iteration}"
@@ -186,11 +177,11 @@ class CrawlWatchdog:
             and any(status in error.detail for status in _BAN_STATUSES)
         )
         ban_rate = banned / pages
-        if ban_rate > self.config.ban_rate_ceiling:
+        if ban_rate > BAN_RATE_CEILING:
             self._record(Finding(
                 check="ban_rate", severity="critical",
                 subject=report.marketplace, iteration=iteration,
-                value=ban_rate, threshold=self.config.ban_rate_ceiling,
+                value=ban_rate, threshold=BAN_RATE_CEILING,
                 message=(
                     f"{report.marketplace}: {banned} 403/429 answers over "
                     f"{pages} pages at iteration {iteration} — crawler "
@@ -209,7 +200,7 @@ class CrawlWatchdog:
         history = self._iteration_durations
         if history:
             typical = sorted(history)[len(history) // 2]
-            limit = typical * self.config.stall_factor
+            limit = typical * STALL_FACTOR
             if typical > 0 and duration > limit:
                 self._record(Finding(
                     check="stall", severity="warning", subject="crawl",
@@ -233,10 +224,10 @@ class CrawlWatchdog:
         """The manifest block: counts plus every finding, in order."""
         return {
             "config": {
-                "coverage_floor": self.config.coverage_floor,
-                "error_rate_ceiling": self.config.error_rate_ceiling,
-                "ban_rate_ceiling": self.config.ban_rate_ceiling,
-                "stall_factor": self.config.stall_factor,
+                "coverage_floor": COVERAGE_FLOOR,
+                "error_rate_ceiling": ERROR_RATE_CEILING,
+                "ban_rate_ceiling": BAN_RATE_CEILING,
+                "stall_factor": STALL_FACTOR,
             },
             "counts": self.counts(),
             "findings": [finding.to_dict() for finding in self.findings],
@@ -259,4 +250,4 @@ class CrawlWatchdog:
         return self._clock.now() if self._clock is not None else 0.0
 
 
-__all__ = ["CrawlWatchdog", "Finding", "WatchdogConfig"]
+__all__ = ["CrawlWatchdog", "Finding"]

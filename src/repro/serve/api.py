@@ -431,7 +431,6 @@ def build_catalog_site(catalog: Catalog,
                        cache: Optional[ResponseCache] = None,
                        host: str = CATALOG_HOST,
                        clock: Optional[SimClock] = None,
-                       latency_seconds: float = 0.0,
                        telemetry: Optional[Telemetry] = None
                        ) -> Tuple[Site, CatalogApi]:
     """A ready-to-register :class:`Site` serving ``catalog``.
@@ -440,7 +439,8 @@ def build_catalog_site(catalog: Catalog,
     holds the hit/miss counters callers report on).
     """
     api = CatalogApi(catalog, cache=cache, telemetry=telemetry)
-    site = Site(host, clock=clock, latency_seconds=latency_seconds)
+    # The catalog answers in process: no simulated network latency.
+    site = Site(host, clock=clock, latency_seconds=0.0)
     api.register(site)
     return site, api
 

@@ -156,7 +156,6 @@ def run_serve_bench(catalog_dir: str,
                     requests_per_client: int = 5,
                     distinct_queries: int = 200,
                     seed: int = 7,
-                    cache_entries: int = 4096,
                     telemetry: Optional[Telemetry] = None,
                     progress: Optional[Callable[[str], None]] = None
                     ) -> dict:
@@ -167,7 +166,7 @@ def run_serve_bench(catalog_dir: str,
     try:
         clock = SimClock()
         internet = Internet(clock=clock, telemetry=telemetry)
-        cache = ResponseCache(max_entries=cache_entries, telemetry=telemetry)
+        cache = ResponseCache(telemetry=telemetry)
         site, api = build_catalog_site(
             catalog, cache=cache, clock=clock, telemetry=telemetry,
         )

@@ -141,7 +141,6 @@ class Internet:
                  telemetry=None) -> None:
         self.clock = clock or SimClock()
         self._sites: Dict[str, Site] = {}
-        self._telemetry = telemetry
         self._m_served = (
             telemetry.metrics.counter(
                 "server_requests_total",
@@ -149,16 +148,6 @@ class Internet:
                 labels=("host", "status"),
             )
             if telemetry is not None else None
-        )
-
-    def set_telemetry(self, telemetry) -> None:
-        """Bind a telemetry context after construction (the pipeline
-        creates the Internet before it knows the run's telemetry)."""
-        self._telemetry = telemetry
-        self._m_served = telemetry.metrics.counter(
-            "server_requests_total",
-            "requests served, by host and status",
-            labels=("host", "status"),
         )
 
     def register(self, site: Site) -> Site:

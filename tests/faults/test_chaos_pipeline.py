@@ -1,6 +1,7 @@
 """End-to-end chaos: the pipeline completes and stays deterministic."""
 
 from repro.core.pipeline import Study, StudyConfig
+from repro.obs import Telemetry
 
 CONFIG = dict(
     seed=53, scale=0.01, iterations=2, include_underground=False,
@@ -9,7 +10,7 @@ CONFIG = dict(
 
 
 def test_chaos_run_completes_with_nonempty_dataset():
-    result = Study(StudyConfig(telemetry_enabled=True, **CONFIG)).run()
+    result = Study(StudyConfig(**CONFIG), telemetry=Telemetry()).run()
     assert result.dataset.listings
     assert result.dataset.profiles
     # Chaos actually fired...

@@ -27,7 +27,7 @@ def archived_run(tmp_path_factory):
     # Telemetry on so the live run computes the scorecard to compare
     # against (replay always computes one).
     live = Study(
-        StudyConfig(archive_dir=archive_dir, telemetry_enabled=True, **CONFIG)
+        StudyConfig(archive_dir=archive_dir, **CONFIG), telemetry=Telemetry()
     ).run()
     return live, archive_dir
 
@@ -88,8 +88,7 @@ def test_chaos_replay_is_byte_identical_to_live(tmp_path):
     live = Study(StudyConfig(
         seed=7, scale=0.01, iterations=2, include_underground=True,
         chaos_profile="moderate", archive_dir=archive_dir,
-        telemetry_enabled=True,
-    )).run()
+    ), telemetry=Telemetry()).run()
     assert live.fault_injector is not None and live.fault_injector.counts
     assert_replay_matches(live, run_replay(archive_dir))
 

@@ -17,7 +17,7 @@ from repro.obs.telemetry import Telemetry
 
 CONFIG = dict(
     seed=97, scale=0.01, iterations=3, include_underground=False,
-    chaos_profile="moderate", telemetry_enabled=True,
+    chaos_profile="moderate",
     fail_stages=("network",),
 )
 

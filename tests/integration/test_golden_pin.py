@@ -45,16 +45,16 @@ REPORT_SHA256 = {
     "moderate": "cec3fc1516250349769d226c84ddf595c6363dc4788e018126ac1d31fbaa895b",
 }
 CATALOG_MANIFEST_SHA256 = {
-    "off": "36c9dd8462cf75794a521e93e83c874d55efb88300fd1c024e710c1e9d7256b7",
-    "moderate": "a45f50fcd5b5a866a50d34130821cb4b39e6667a4e4ae58b55f14aadb4a3dd0a",
+    "off": "25039d43f71f7b751ab120e89203ae2d3da1eff0da3e3c54e7cc2dee381692d5",
+    "moderate": "b9dacb9eeb637ff49599dee3213dcc18adc5d9fc82269baf13b1b0ee6fe5dfeb",
 }
 PROFILE_SHA256 = {
     "off": "5366a152addb3583522af52ceebd895a368ad6517167f5ed2ca794db8a764855",
     "moderate": "30ce3ef0c328b039c3a30fc31756422fb75e561b14125270edc76230c6fc4e71",
 }
 TRACE_SHA256 = {
-    "off": "179ba7713f7f6475f91749da15d937b06c484bf7b73092c45f4bc98c2a6738e4",
-    "moderate": "0e29acc3da055da18c071717d7a8eab3cac920c0492b5d03c7a33b4a701d7f3d",
+    "off": "efdde7cebc3075eaa6b056a8e79af48f60705b065b98d70c9f24450e364db99f",
+    "moderate": "367eea8e3b92b9a12c7ebd283413934092d5116df1603e390d134980fb9a8231",
 }
 
 #: ``trace --json`` keys that differ between machines or checkouts: the

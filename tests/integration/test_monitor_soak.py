@@ -188,19 +188,6 @@ class TestForcedFailureDrill:
         # is deterministic, so retrying it would fail identically.
         assert states[1].detail["attempts"] == 1
 
-    def test_degraded_ingest_policy_keeps_the_run(self, tmp_path):
-        daemon = make_daemon(
-            tmp_path / "state", cycles=1,
-            fail_cycles=(0,), fail_stages=("anatomy",),
-            degraded_policy="ingest",
-        )
-        assert daemon.run() == EXIT_OK
-        ledger = ScheduleLedger.read(daemon.ledger_path)
-        assert ledger.cycle_states()[0].status == "ingested"
-        with RunRegistry.open_existing(daemon.registry_path) as registry:
-            (row,) = registry.runs()
-        assert row.scorecard_passed is False
-
 
 class TestGracefulSignal:
     def test_sigterm_finishes_cycle_then_stops(self, tmp_path):

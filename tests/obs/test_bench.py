@@ -9,14 +9,12 @@ from repro import cli
 from repro.analysis.suite import STAGE_NAMES
 from repro.obs.bench import (
     BENCH_SCHEMA,
-    DEFAULT_ROUNDS,
     IMPROVED,
     MIN_STAGE_WALL_SECONDS,
     REGRESSED,
     WITHIN_NOISE,
     BenchError,
     compare_bench,
-    default_rounds,
     env_fingerprint,
     load_baseline,
     run_bench,
@@ -27,8 +25,7 @@ from repro.obs.bench import (
 @pytest.fixture(scope="module")
 def bench_result():
     """One real (tiny) bench run shared by the schema tests."""
-    return run_bench(rounds=1, scale=0.01, iterations=1, seed=99,
-                     memory_round=True)
+    return run_bench(rounds=1, scale=0.01, iterations=1, seed=99)
 
 
 def _doctored(bench: dict, factor: float) -> dict:
@@ -82,14 +79,6 @@ class TestRunBench:
         path = str(tmp_path / "BENCH_pipeline.json")
         write_bench(path, bench_result)
         assert load_baseline(path)["schema"] == BENCH_SCHEMA
-
-    def test_default_rounds_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "2")
-        assert default_rounds() == 2
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "not-a-number")
-        assert default_rounds() == DEFAULT_ROUNDS
-        monkeypatch.delenv("REPRO_BENCH_ROUNDS")
-        assert default_rounds() == DEFAULT_ROUNDS
 
 
 class TestLoadBaseline:

@@ -32,7 +32,7 @@ class TestTelemetryOut:
             manifest = json.load(handle)
         assert manifest["schema"] == "repro.run-manifest/v1"
         assert manifest["seed"] == 99
-        assert manifest["config"]["telemetry_enabled"] is True
+        assert manifest["config"]["scale"] == 0.01
         assert any(s["name"] == "iteration_crawl" for s in manifest["stages"])
         assert manifest["crawl"]["reports"], "per-marketplace crawl reports"
 
@@ -42,6 +42,28 @@ class TestTelemetryOut:
         assert spans, "spans exported"
         roots = [s for s in spans if s["parent_id"] is None]
         assert any(s["name"] == "study" for s in roots)
+
+
+class TestRunDirScorecard:
+    """``run --out X --telemetry-out Y`` keeps the run's scorecard in X
+    too, so a catalog built from X alone serves it."""
+
+    def test_run_dir_scorecard_equals_the_telemetry_copy(self, telemetry_dir):
+        run_dir = os.path.join(os.path.dirname(telemetry_dir), "run")
+        with open(os.path.join(run_dir, "scorecard.json"), "rb") as handle:
+            saved = handle.read()
+        with open(os.path.join(telemetry_dir, "scorecard.json"),
+                  "rb") as handle:
+            assert saved == handle.read()
+
+    def test_catalog_of_the_run_dir_serves_the_scorecard(
+            self, telemetry_dir, tmp_path, capsys):
+        run_dir = os.path.join(os.path.dirname(telemetry_dir), "run")
+        catalog_dir = str(tmp_path / "catalog")
+        assert main(["serve", "build", run_dir, "--out", catalog_dir]) == 0
+        capsys.readouterr()
+        assert main(["serve", "query", catalog_dir, "/api/scorecard"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"]
 
 
 class TestTraceCommand:
@@ -110,3 +132,5 @@ class TestTraceCommand:
         assert code == 0
         assert not (tmp_path / "manifest.json").exists()
         assert not (run_dir / "manifest.json").exists()
+        # Nothing was scored, so the run dir holds no scorecard either.
+        assert not (run_dir / "scorecard.json").exists()

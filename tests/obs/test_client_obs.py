@@ -14,8 +14,8 @@ from repro.web.http import RequestRejected
 from repro.web.server import Internet, Site
 
 
-def build_net():
-    net = Internet()
+def build_net(telemetry=None):
+    net = Internet(telemetry=telemetry)
     site = Site("s.example", clock=net.clock)
     site.route("GET", "/x", lambda r: http.html_response("ok"))
     net.register(site)
@@ -66,9 +66,8 @@ class TestClientMetrics:
         assert counter.value(host="s.example", status="404") == 2
 
     def test_server_side_accounting(self):
-        net, _site = build_net()
         telemetry = Telemetry()
-        net.set_telemetry(telemetry)
+        net, _site = build_net(telemetry)
         client = HttpClient(net, telemetry=telemetry)
         client.get("http://s.example/x")
         served = telemetry.metrics.get("server_requests_total")

@@ -17,7 +17,6 @@ from repro.cli import main
 from repro.obs import (
     PROFILE_FILENAME,
     PROFILE_SCHEMA,
-    DiffConfig,
     RunRegistry,
     diff_runs,
     health_problems,
@@ -150,8 +149,7 @@ class TestRegressionDetection:
             entry["value"] = round(entry["value"] - 0.01, 6)
 
         nudged = doctor(b, str(tmp_path / "nudged"), scorecard=nudge)
-        diff = diff_runs(trace_document(a), trace_document(nudged),
-                         DiffConfig(scorecard_tolerance=0.02))
+        diff = diff_runs(trace_document(a), trace_document(nudged))
         assert not diff.has_regressions
         assert diff.lines  # the change is still reported
 
@@ -339,8 +337,7 @@ class TestOneDocument:
                 [render_trace_summary(doc) for doc in (doc_a, doc_b)],
                 [render_health_html(doc) for doc in (doc_a, doc_b)],
                 [health_problems(doc) for doc in (doc_a, doc_b)],
-                diff_runs(doc_a, doc_b,
-                          DiffConfig(include_wall=True)).render_text(),
+                diff_runs(doc_a, doc_b, include_wall=True).render_text(),
             )
 
         expected = render(*live)

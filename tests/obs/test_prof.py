@@ -21,15 +21,14 @@ from repro.obs.prof import (
 from repro.obs.trace import SpanTracer
 from repro.util.simtime import SimClock
 
-CONFIG = StudyConfig(
-    seed=515, scale=0.01, iterations=2,
-    telemetry_enabled=True, profile_enabled=True,
-)
+CONFIG = StudyConfig(seed=515, scale=0.01, iterations=2)
 
 
 @pytest.fixture(scope="module")
 def profiled_run():
-    study = Study(CONFIG)
+    study = Study(CONFIG, telemetry=Telemetry(
+        profiler=StageProfiler(stages_expected=STAGE_NAMES)
+    ))
     result = study.run()
     return result, study.telemetry
 
@@ -96,7 +95,7 @@ class TestStageProfiler:
         assert totals["wall_seconds"] == round(root.wall_duration, 6)
 
     def test_memory_tracks_allocations_and_child_peaks(self):
-        profiler = StageProfiler(memory=True, top_allocations=3)
+        profiler = StageProfiler(memory=True)
         tracer = profiled_tracer(profiler)
         keep = []
         with tracer.span("run"):
@@ -277,8 +276,8 @@ class TestProfiledStudy:
                    for s in nlp)
 
     def test_unprofiled_run_stays_on_null_profiler(self):
-        study = Study(StudyConfig(seed=515, scale=0.01, iterations=1,
-                                  telemetry_enabled=True))
+        study = Study(StudyConfig(seed=515, scale=0.01, iterations=1),
+                      telemetry=Telemetry())
         assert study.telemetry.profiler is NULL_PROFILER
 
 

@@ -190,14 +190,6 @@ class TestRunsCli:
         assert document["schema"] == "repro.trend-series/v1"
         assert document["n_series"] > 20
 
-    def test_trends_single_metric(self, registry_path, capsys):
-        capsys.readouterr()
-        assert main(["runs", "trends", "--registry", registry_path,
-                     "--metric", "crawl.pages_total"]) == 0
-        out = capsys.readouterr().out
-        assert "crawl.pages_total" in out
-        assert "fidelity" not in out
-
     def test_trends_html_fleet_view(self, registry_path, tmp_path, capsys):
         out_path = str(tmp_path / "fleet.html")
         assert main(["runs", "trends", "--registry", registry_path,

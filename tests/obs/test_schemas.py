@@ -8,7 +8,7 @@ import pytest
 
 from repro.archive.writer import ARCHIVE_SCHEMA as WRITER_ARCHIVE_SCHEMA
 from repro.obs import schemas
-from repro.obs.alerts import AlertConfig, AlertReport
+from repro.obs.alerts import AlertReport
 from repro.obs.bench import BENCH_SCHEMA as BENCH_MODULE_SCHEMA
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import MetricsRegistry
@@ -125,8 +125,7 @@ class TestEveryEmittedArtifactCarriesAKnownId:
             self._assert_known(json.load(handle))
 
     def test_alerts_document(self):
-        report = AlertReport(run_id="r", runs_considered=1,
-                             config=AlertConfig())
+        report = AlertReport(run_id="r", runs_considered=1)
         self._assert_known(report.to_dict())
 
     def test_trends_document(self):
